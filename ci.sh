@@ -45,49 +45,22 @@ for f in trace.perfetto.json trace.events.jsonl trace.gantt.txt; do
 done
 echo "trace artifacts byte-identical across runs"
 
-echo "==> chaos determinism gate (same seed, twice, byte-identical)"
-./target/release/chaos > /tmp/chaos_run1.txt
-./target/release/chaos > /tmp/chaos_run2.txt
-if ! cmp -s /tmp/chaos_run1.txt /tmp/chaos_run2.txt; then
-  echo "FAIL: chaos experiment is not deterministic across runs" >&2
-  diff /tmp/chaos_run1.txt /tmp/chaos_run2.txt >&2 || true
-  exit 1
-fi
-if ! cmp -s /tmp/chaos_run1.txt results/chaos.txt; then
-  echo "FAIL: chaos output drifted from results/chaos.txt" >&2
-  diff results/chaos.txt /tmp/chaos_run1.txt >&2 || true
-  exit 1
-fi
-echo "chaos deterministic, matches results/chaos.txt"
-
-echo "==> multi-tenancy fairness gate (same seed, twice, byte-identical)"
-./target/release/multiwf > /tmp/multiwf_run1.txt
-./target/release/multiwf > /tmp/multiwf_run2.txt
-if ! cmp -s /tmp/multiwf_run1.txt /tmp/multiwf_run2.txt; then
-  echo "FAIL: multiwf experiment is not deterministic across runs" >&2
-  diff /tmp/multiwf_run1.txt /tmp/multiwf_run2.txt >&2 || true
-  exit 1
-fi
-if ! cmp -s /tmp/multiwf_run1.txt results/multiwf.txt; then
-  echo "FAIL: multiwf output drifted from results/multiwf.txt" >&2
-  diff results/multiwf.txt /tmp/multiwf_run1.txt >&2 || true
-  exit 1
-fi
-echo "multiwf deterministic, matches results/multiwf.txt"
-
-echo "==> crash-and-resume determinism gate (same seed, twice, byte-identical)"
-./target/release/resume > /tmp/resume_run1.txt
-./target/release/resume > /tmp/resume_run2.txt
-if ! cmp -s /tmp/resume_run1.txt /tmp/resume_run2.txt; then
-  echo "FAIL: resume experiment is not deterministic across runs" >&2
-  diff /tmp/resume_run1.txt /tmp/resume_run2.txt >&2 || true
-  exit 1
-fi
-if ! cmp -s /tmp/resume_run1.txt results/resume.txt; then
-  echo "FAIL: resume output drifted from results/resume.txt" >&2
-  diff results/resume.txt /tmp/resume_run1.txt >&2 || true
-  exit 1
-fi
-echo "resume deterministic, matches results/resume.txt"
+echo "==> experiment golden gates (each bin twice, byte-identical, matches results/)"
+# Fig 4, Table 2 and Fig 6 take about 30 s each and are not gated yet.
+for bin in table1 fig8 fig9 ablation multiwf chaos resume; do
+  ./target/release/$bin > "/tmp/${bin}_run1.txt"
+  ./target/release/$bin > "/tmp/${bin}_run2.txt"
+  if ! cmp -s "/tmp/${bin}_run1.txt" "/tmp/${bin}_run2.txt"; then
+    echo "FAIL: $bin experiment is not deterministic across runs" >&2
+    diff "/tmp/${bin}_run1.txt" "/tmp/${bin}_run2.txt" >&2 || true
+    exit 1
+  fi
+  if ! cmp -s "/tmp/${bin}_run1.txt" "results/$bin.txt"; then
+    echo "FAIL: $bin output drifted from results/$bin.txt" >&2
+    diff "results/$bin.txt" "/tmp/${bin}_run1.txt" >&2 || true
+    exit 1
+  fi
+  echo "$bin deterministic, matches results/$bin.txt"
+done
 
 echo "CI OK"

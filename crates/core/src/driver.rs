@@ -627,11 +627,6 @@ impl Runtime {
 
     // ----- event dispatch -------------------------------------------------
 
-    #[doc(hidden)]
-    pub fn dispatch_public(&mut self, tag: Tag) {
-        self.dispatch(tag)
-    }
-
     fn dispatch(&mut self, tag: Tag) {
         match tag {
             Tag::Heartbeat { .. } => self.on_heartbeat(),

@@ -20,7 +20,7 @@
 //! anything the store already witnessed.
 
 use hiway_format::json::Json;
-use hiway_provdb::{Op, ProvDb};
+use hiway_provdb::ProvDb;
 
 /// Collection holding one document per committed invocation.
 pub const MEMO_COLLECTION: &str = "memo_invocations";
@@ -110,12 +110,12 @@ impl MemoStore {
 
     /// Latest committed invocation under `key`, if any (indexed lookup).
     pub fn lookup(&self, key: &str) -> Option<MemoHit> {
+        // Index hits are in insertion order: the last is the latest record.
         let doc = self
             .db
             .collection(MEMO_COLLECTION)
-            .query()
-            .filter("key", Op::Eq, key)
-            .last()?;
+            .find_eq("key", &Json::from(key))
+            .pop()?;
         let outputs = match doc.get("outputs") {
             Some(Json::Array(items)) => items
                 .iter()

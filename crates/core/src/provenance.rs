@@ -12,9 +12,12 @@
 //! task-machine-assignment, a default runtime of zero is assumed to
 //! encourage trying out new assignments."
 
+use std::cell::RefCell;
+use std::collections::HashMap;
+
 use hiway_format::json::Json;
 use hiway_lang::trace::{FileEvent, TaskEvent, TraceEvent, WorkflowEvent};
-use hiway_provdb::{Aggregate, Op, ProvDb};
+use hiway_provdb::{Aggregate, Collection, Op, ProvDb};
 
 /// Collection names inside the provenance database.
 pub const TASKS_COLLECTION: &str = "task_events";
@@ -28,17 +31,79 @@ pub const ATTEMPTS_COLLECTION: &str = "attempt_events";
 /// enriches the runtime estimates of the next.
 pub struct ProvenanceManager {
     db: ProvDb,
+    tasks: Collection,
     events: Vec<TraceEvent>,
+    stats: RefCell<RuntimeStats>,
+}
+
+/// The §3.4 runtime statistics, folded from the task documents in
+/// insertion order. `seen` is a read cursor into the append-only task
+/// collection: each read folds in only the documents added since the last
+/// one, whoever added them (this manager, another manager on a shared
+/// store, a trace import, or the recovery of a durable store).
+#[derive(Default)]
+struct RuntimeStats {
+    seen: usize,
+    by_signature: HashMap<String, SignatureStats>,
+}
+
+/// Statistics of one task signature, exactly what a scan of its documents
+/// would give: `latest` holds the makespan field of the last document per
+/// node (`None` if that document has no numeric makespan), and `sum` and
+/// `count` cover the documents that do have one.
+struct SignatureStats {
+    latest: HashMap<String, Option<f64>>,
+    sum: f64,
+    count: usize,
+}
+
+impl RuntimeStats {
+    fn fold(&mut self, doc: &Json) {
+        let Some(name) = doc.get("name").and_then(Json::as_str) else {
+            return;
+        };
+        let makespan = doc.get("makespan").and_then(Json::as_f64);
+        let sig = self
+            .by_signature
+            .entry(name.to_string())
+            .or_insert_with(|| SignatureStats {
+                latest: HashMap::new(),
+                // `f64::sum` starts from -0.0; starting there too keeps the
+                // running sum bit-identical to a scan's.
+                sum: -0.0,
+                count: 0,
+            });
+        if let Some(node) = doc.get("node").and_then(Json::as_str) {
+            sig.latest.insert(node.to_string(), makespan);
+        }
+        if let Some(m) = makespan {
+            sig.sum += m;
+            sig.count += 1;
+        }
+    }
 }
 
 impl ProvenanceManager {
     pub fn new(db: ProvDb) -> ProvenanceManager {
-        // Index the hot lookup fields once; index creation is idempotent.
-        db.collection(TASKS_COLLECTION).create_index("name");
         ProvenanceManager {
+            tasks: db.collection(TASKS_COLLECTION),
             db,
             events: Vec::new(),
+            stats: RefCell::default(),
         }
+    }
+
+    /// The statistics of `signature`, after folding in every task document
+    /// written since the last read.
+    fn signature_stats<R>(
+        &self,
+        signature: &str,
+        read: impl FnOnce(&SignatureStats) -> R,
+    ) -> Option<R> {
+        let mut stats = self.stats.borrow_mut();
+        let seen = stats.seen;
+        stats.seen = self.tasks.visit_from(seen, |doc| stats.fold(doc));
+        stats.by_signature.get(signature).map(read)
     }
 
     /// The shared database handle (e.g. to pass to the next workflow run).
@@ -56,7 +121,7 @@ impl ProvenanceManager {
             .with("t_end", event.t_end)
             .with("attempts", event.attempts)
             .with("command", event.command.as_str());
-        self.db.collection(TASKS_COLLECTION).insert(doc);
+        self.tasks.insert(doc);
         self.events.push(TraceEvent::Task(event));
     }
 
@@ -147,7 +212,7 @@ impl ProvenanceManager {
                         .with("t_end", t.t_end)
                         .with("attempts", t.attempts)
                         .with("command", t.command.as_str());
-                    self.db.collection(TASKS_COLLECTION).insert(doc);
+                    self.tasks.insert(doc);
                     loaded += 1;
                 }
                 TraceEvent::File(f) => {
@@ -168,32 +233,19 @@ impl ProvenanceManager {
     /// Latest observed makespan of `signature` on `node`, or `None` —
     /// which the scheduler maps to the exploration-friendly default of 0.
     pub fn latest_runtime(&self, signature: &str, node: &str) -> Option<f64> {
-        self.db
-            .collection(TASKS_COLLECTION)
-            .query()
-            .filter("name", Op::Eq, signature)
-            .filter("node", Op::Eq, node)
-            .last()
-            .and_then(|doc| doc.get("makespan").and_then(Json::as_f64))
+        self.signature_stats(signature, |s| s.latest.get(node).copied().flatten())
+            .flatten()
     }
 
     /// Average observed makespan of `signature` across all nodes.
     pub fn average_runtime(&self, signature: &str) -> Option<f64> {
-        self.db
-            .collection(TASKS_COLLECTION)
-            .query()
-            .filter("name", Op::Eq, signature)
-            .aggregate("makespan", Aggregate::Avg)
+        self.signature_stats(signature, |s| (s.count > 0).then(|| s.sum / s.count as f64))
+            .flatten()
     }
 
     /// Number of recorded executions of `signature` (any node).
     pub fn observation_count(&self, signature: &str) -> usize {
-        self.db
-            .collection(TASKS_COLLECTION)
-            .query()
-            .filter("name", Op::Eq, signature)
-            .aggregate("makespan", Aggregate::Count)
-            .unwrap_or(0.0) as usize
+        self.signature_stats(signature, |s| s.count).unwrap_or(0)
     }
 
     /// Latest recorded size of a file (§3.4 statistics source ii: "the

@@ -1,4 +1,4 @@
-//! Filtering and aggregation over document snapshots.
+//! Filtering and aggregation over a collection's documents.
 //!
 //! This is deliberately a small fraction of SQL — exactly the shapes the
 //! Workflow Scheduler needs: "the observed runtimes of earlier tasks of
@@ -7,7 +7,11 @@
 //! data transfer times for obtaining this input data" (paper §3.4), plus
 //! the manual aggregation queries §3.5 advertises.
 
+use std::collections::BTreeMap;
+
 use hiway_format::json::Json;
+
+use crate::store::Collection;
 
 /// Comparison operators for filters.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -76,16 +80,18 @@ fn cmp_holds(op: Op, ord: Option<std::cmp::Ordering>) -> bool {
     )
 }
 
-/// A fluent query over a snapshot of documents.
+/// A fluent query over a collection. Every terminal call reads the
+/// collection as it stands under one read lock and clones only what it
+/// returns.
 pub struct Query {
-    docs: Vec<Json>,
+    source: Collection,
     filter: Filter,
 }
 
 impl Query {
-    pub(crate) fn new(docs: Vec<Json>) -> Query {
+    pub(crate) fn new(source: Collection) -> Query {
         Query {
-            docs,
+            source,
             filter: Filter::new(),
         }
     }
@@ -97,25 +103,24 @@ impl Query {
 
     /// Materializes the matching documents, in insertion order.
     pub fn collect(self) -> Vec<Json> {
-        self.docs
-            .into_iter()
-            .filter(|d| self.filter.matches(d))
-            .collect()
+        self.source.scan(&self.filter)
     }
 
     /// The last matching document (the "latest observation" the adaptive
     /// scheduler bases its runtime estimates on).
     pub fn last(self) -> Option<Json> {
-        self.collect().into_iter().next_back()
+        self.source
+            .with_docs(|docs| docs.iter().rev().find(|d| self.filter.matches(d)).cloned())
     }
 
     /// Aggregates a numeric field over the matching documents.
     pub fn aggregate(self, field: &str, agg: Aggregate) -> Option<f64> {
-        let values: Vec<f64> = self
-            .collect()
-            .iter()
-            .filter_map(|d| d.get(field).and_then(Json::as_f64))
-            .collect();
+        let values: Vec<f64> = self.source.with_docs(|docs| {
+            docs.iter()
+                .filter(|d| self.filter.matches(d))
+                .filter_map(|d| d.get(field).and_then(Json::as_f64))
+                .collect()
+        });
         agg.apply(&values)
     }
 
@@ -128,19 +133,20 @@ impl Query {
         value_field: &str,
         agg: Aggregate,
     ) -> Vec<(String, f64)> {
-        let mut groups: std::collections::BTreeMap<String, Vec<f64>> =
-            std::collections::BTreeMap::new();
-        for doc in self.collect() {
-            let key = match doc.get(group_field) {
-                Some(Json::String(s)) => s.clone(),
-                Some(Json::Number(n)) => format!("{n}"),
-                Some(Json::Bool(b)) => format!("{b}"),
-                _ => continue,
-            };
-            if let Some(v) = doc.get(value_field).and_then(Json::as_f64) {
-                groups.entry(key).or_default().push(v);
+        let mut groups: BTreeMap<String, Vec<f64>> = BTreeMap::new();
+        self.source.with_docs(|docs| {
+            for doc in docs.iter().filter(|d| self.filter.matches(d)) {
+                let key = match doc.get(group_field) {
+                    Some(Json::String(s)) => s.clone(),
+                    Some(Json::Number(n)) => format!("{n}"),
+                    Some(Json::Bool(b)) => format!("{b}"),
+                    _ => continue,
+                };
+                if let Some(v) = doc.get(value_field).and_then(Json::as_f64) {
+                    groups.entry(key).or_default().push(v);
+                }
             }
-        }
+        });
         groups
             .into_iter()
             .filter_map(|(k, vs)| agg.apply(&vs).map(|a| (k, a)))
@@ -179,7 +185,6 @@ impl Aggregate {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::store::Collection;
 
     fn seeded() -> Collection {
         let c = Collection::default();

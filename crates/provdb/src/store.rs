@@ -252,8 +252,29 @@ impl Collection {
     }
 
     /// Starts a filtered query (scan-based; composes multiple predicates).
+    /// The query reads the live collection when it runs and clones only
+    /// the documents it returns.
     pub fn query(&self) -> Query {
-        Query::new(self.snapshot())
+        Query::new(self.clone())
+    }
+
+    /// Runs `read` over every document, in insertion order, under the
+    /// read lock. `read` must not write to this collection.
+    pub(crate) fn with_docs<R>(&self, read: impl FnOnce(&[Json]) -> R) -> R {
+        read(&self.inner.read().expect("provdb lock poisoned").docs)
+    }
+
+    /// Visits the documents from insertion position `start` on, in
+    /// insertion order, without cloning them, and returns the collection's
+    /// length — the `start` of the next call. The store is append-only, so
+    /// a reader that keeps this cursor sees every document exactly once,
+    /// whoever inserted it. `visit` runs under the read lock and must not
+    /// write to this collection.
+    pub fn visit_from(&self, start: usize, mut visit: impl FnMut(&Json)) -> usize {
+        self.with_docs(|docs| {
+            docs.iter().skip(start).for_each(&mut visit);
+            docs.len()
+        })
     }
 
     /// A point-in-time copy of all documents.
@@ -292,14 +313,7 @@ impl Collection {
 
     /// Scan with an arbitrary filter (used by [`Query`] internally too).
     pub fn scan(&self, filter: &Filter) -> Vec<Json> {
-        self.inner
-            .read()
-            .expect("provdb lock poisoned")
-            .docs
-            .iter()
-            .filter(|d| filter.matches(d))
-            .cloned()
-            .collect()
+        self.with_docs(|docs| docs.iter().filter(|d| filter.matches(d)).cloned().collect())
     }
 }
 
@@ -578,6 +592,31 @@ mod tests {
         assert_eq!(hits.len(), 2);
         let miss = c.find_eq("task", &Json::String("nothing".into()));
         assert!(miss.is_empty());
+    }
+
+    #[test]
+    fn visit_from_sees_each_document_once_in_insertion_order() {
+        let c = Collection::default();
+        c.insert(doc("align", "n0", 1.0));
+        c.insert(doc("sort", "n1", 2.0));
+        let mut seen = Vec::new();
+        let runtime = |d: &Json| d.get("runtime").and_then(Json::as_f64).unwrap();
+        let cursor = c.visit_from(0, |d| seen.push(runtime(d)));
+        assert_eq!((cursor, seen.as_slice()), (2, &[1.0, 2.0][..]));
+        // Another handle inserts; the cursor picks up only the new one.
+        c.clone().insert(doc("align", "n1", 3.0));
+        let cursor = c.visit_from(cursor, |d| seen.push(runtime(d)));
+        assert_eq!((cursor, seen.as_slice()), (3, &[1.0, 2.0, 3.0][..]));
+        assert_eq!(c.visit_from(cursor, |_| panic!("nothing new")), 3);
+        assert_eq!(c.visit_from(99, |_| panic!("past the end")), 3);
+    }
+
+    #[test]
+    fn query_sees_documents_inserted_after_it_was_built() {
+        let c = Collection::default();
+        let q = c.query().filter("task", crate::Op::Eq, "align");
+        c.insert(doc("align", "n0", 4.0));
+        assert_eq!(q.last().and_then(|d| d.get("runtime")?.as_f64()), Some(4.0));
     }
 
     #[test]
