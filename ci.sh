@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
-# CI entry point: build, test, lint, and smoke-run the engine benchmark.
-# Everything here is deterministic; the bench smoke also regenerates
-# BENCH_engine.json so regressions in the engine hot path show up as a
-# speedup drop in the artifact.
+# CI entry point: build, test, lint, smoke-run the benchmarks, and run the
+# trace and experiment golden gates. Everything here is deterministic; the
+# bench smoke also regenerates BENCH_engine.json so regressions in the
+# engine hot path show up as a speedup drop in the artifact. Gate outputs
+# are left in trace_run1/, trace_run2/ and experiment_runs/ for upload.
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -35,10 +36,10 @@ echo "==> provenance store benchmark smoke"
 cat BENCH_provdb.json
 
 echo "==> trace determinism gate (same seed, twice, byte-identical)"
-./target/release/hiway-trace --out-dir /tmp/hiway_trace1 > /dev/null
-./target/release/hiway-trace --out-dir /tmp/hiway_trace2 > /dev/null
+./target/release/hiway-trace --out-dir trace_run1 > /dev/null
+./target/release/hiway-trace --out-dir trace_run2 > /dev/null
 for f in trace.perfetto.json trace.events.jsonl trace.gantt.txt; do
-  if ! cmp -s "/tmp/hiway_trace1/$f" "/tmp/hiway_trace2/$f"; then
+  if ! cmp -s "trace_run1/$f" "trace_run2/$f"; then
     echo "FAIL: $f differs between two identically-seeded runs" >&2
     exit 1
   fi
@@ -47,17 +48,18 @@ echo "trace artifacts byte-identical across runs"
 
 echo "==> experiment golden gates (each bin twice, byte-identical, matches results/)"
 # Fig 4, Table 2 and Fig 6 take about 30 s each and are not gated yet.
+mkdir -p experiment_runs
 for bin in table1 fig8 fig9 ablation multiwf chaos resume; do
-  ./target/release/$bin > "/tmp/${bin}_run1.txt"
-  ./target/release/$bin > "/tmp/${bin}_run2.txt"
-  if ! cmp -s "/tmp/${bin}_run1.txt" "/tmp/${bin}_run2.txt"; then
+  ./target/release/$bin > "experiment_runs/$bin.txt"
+  ./target/release/$bin > "experiment_runs/$bin.run2.txt"
+  if ! cmp -s "experiment_runs/$bin.txt" "experiment_runs/$bin.run2.txt"; then
     echo "FAIL: $bin experiment is not deterministic across runs" >&2
-    diff "/tmp/${bin}_run1.txt" "/tmp/${bin}_run2.txt" >&2 || true
+    diff "experiment_runs/$bin.txt" "experiment_runs/$bin.run2.txt" >&2 || true
     exit 1
   fi
-  if ! cmp -s "/tmp/${bin}_run1.txt" "results/$bin.txt"; then
+  if ! cmp -s "experiment_runs/$bin.txt" "results/$bin.txt"; then
     echo "FAIL: $bin output drifted from results/$bin.txt" >&2
-    diff "results/$bin.txt" "/tmp/${bin}_run1.txt" >&2 || true
+    diff "results/$bin.txt" "experiment_runs/$bin.txt" >&2 || true
     exit 1
   fi
   echo "$bin deterministic, matches results/$bin.txt"

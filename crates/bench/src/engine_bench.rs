@@ -7,7 +7,7 @@
 //! handful of IO streams come and go, exactly the mix the Figure 4 sweep
 //! produces. Both drivers execute the identical deterministic plan, so
 //! the measured ratio is pure engine overhead — this is the workload
-//! behind `BENCH_engine.json` and the `engine_hot_path` criterion group.
+//! behind `bench_engine` and `BENCH_engine.json`.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};

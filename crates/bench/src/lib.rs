@@ -2,8 +2,8 @@
 //!
 //! Each experiment of the evaluation (Section 4) is implemented as a
 //! library function returning structured results, so the same code backs
-//! the `table1`/`fig4`/`table2`/`fig6`/`fig8`/`fig9` binaries, the
-//! Criterion benches, and the regression tests. See `EXPERIMENTS.md` at
+//! the `table1`/`fig4`/`table2`/`fig6`/`fig8`/`fig9` binaries and the
+//! regression tests. See `EXPERIMENTS.md` at
 //! the repository root for paper-vs-measured numbers.
 //!
 //! | Binary    | Paper artefact | What it sweeps |

@@ -174,7 +174,7 @@ struct Am {
     source: Box<dyn WorkflowSource>,
     config: HiwayConfig,
     prov: ProvenanceManager,
-    scheduler: Box<dyn Scheduler>,
+    scheduler: Scheduler,
     tasks: BTreeMap<TaskId, TaskRun>,
     /// Ready-but-unlaunched tasks in readiness order.
     ready_order: Vec<TaskId>,
@@ -759,7 +759,7 @@ impl Runtime {
             .map(|id| &am.tasks[id].spec)
             .collect();
         let node_name = self.cluster.engine.spec().node(node).name.clone();
-        let chosen = am.scheduler.select_task_with_stats(
+        let selection = am.scheduler.select(
             node,
             &node_name,
             &candidates,
@@ -770,9 +770,10 @@ impl Runtime {
         );
         // Late binding: an adaptive policy may decline a poorly placed
         // container and wait for a better one (bounded per task).
+        let chosen = selection.winner;
         if let Some(task_id) = chosen {
             let task = &am.tasks[&task_id];
-            if task.declines < 3 && am.scheduler.decline(node, &node_name, &task.spec, &am.prov) {
+            if selection.decline && task.declines < 3 {
                 am.tasks.get_mut(&task_id).expect("known").declines += 1;
                 let resource = container.resource;
                 self.cluster.rm.release(container.id);

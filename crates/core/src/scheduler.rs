@@ -1,4 +1,4 @@
-//! The Workflow Scheduler and its four policies (paper §3.4).
+//! The Workflow Scheduler and its five policies (paper §3.4).
 //!
 //! The scheduler's contract with the Workflow Driver has two touch points,
 //! mirroring the paper's architecture: when a task's data dependencies are
@@ -18,6 +18,11 @@
 //!   earliest-finish-time placement, fed by the Provenance Manager's
 //!   latest-observation runtime estimates (default zero for unexplored
 //!   task/machine pairs, which deliberately drives exploration).
+//! * **Adaptive** — dynamic, so iterative workflows are fine: each
+//!   candidate is scored by its relative fitness on the container's node,
+//!   the latest observation there over the cross-node average (0 when
+//!   unexplored), lowest first, with locality breaking ties. A node known
+//!   to run the winner's signature slowly may be declined (late binding).
 
 use std::collections::HashMap;
 
@@ -30,12 +35,54 @@ use hiway_yarn::{ContainerRequest, Resource};
 use crate::config::SchedulerPolicy;
 use crate::provenance::ProvenanceManager;
 
-/// A Workflow Scheduler policy implementation.
-pub trait Scheduler {
+/// The Workflow Scheduler: the configured policy and, for the static
+/// policies, the task→node plan it enforces through pinned requests.
+pub struct Scheduler {
+    policy: SchedulerPolicy,
+    assignment: HashMap<TaskId, NodeId>,
+}
+
+/// The outcome of one container-arrival selection.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Selection {
+    /// The task to run in the container; `None` when no candidate fits.
+    pub winner: Option<TaskId>,
+    /// Late binding (adaptive only): this node is known to run the
+    /// winner's signature more than 1.5× slower than its cross-node
+    /// average, so the container may be declined in favour of a better
+    /// one. The driver bounds consecutive declines per task, so a
+    /// pathological estimate cannot starve it.
+    pub decline: bool,
+}
+
+/// One candidate's standing, computed once per selection: the winner is
+/// picked from these and the audit row is written from them.
+struct Score {
+    /// The policy's score, as audited.
+    value: f64,
+    /// Adaptive tie-break: the negated locality fraction (lower wins).
+    tie: f64,
+    /// Adaptive late binding: this node runs the signature slowly.
+    slow: bool,
+}
+
+/// Instantiates the scheduler for a policy.
+pub fn make_scheduler(policy: SchedulerPolicy) -> Scheduler {
+    Scheduler {
+        policy,
+        assignment: HashMap::new(),
+    }
+}
+
+impl Scheduler {
+    pub fn policy(&self) -> SchedulerPolicy {
+        self.policy
+    }
+
     /// For static policies: builds the complete task→node schedule before
     /// execution. Called once, after the (static) workflow is parsed.
-    /// Dynamic policies ignore it.
-    fn plan(
+    /// Dynamic policies plan nothing.
+    pub fn plan(
         &mut self,
         tasks: &[TaskSpec],
         nodes: &[NodeId],
@@ -43,261 +90,196 @@ pub trait Scheduler {
         prov: &ProvenanceManager,
         tracer: &Tracer,
         now: f64,
-    );
+    ) {
+        if !self.policy.is_static() {
+            return;
+        }
+        assert!(!nodes.is_empty(), "cannot plan on an empty cluster");
+        if self.policy == SchedulerPolicy::Heft {
+            self.plan_heft(tasks, nodes, node_names, prov, tracer, now);
+        } else {
+            self.plan_round_robin(tasks, nodes, node_names, tracer, now);
+        }
+    }
 
-    /// Shapes the container request for a task whose dependencies are met.
-    fn container_request(&self, task: &TaskSpec, resource: Resource) -> ContainerRequest;
+    /// Shapes the container request for a task whose dependencies are met:
+    /// pinned to its planned node, or anywhere for a task outside the plan
+    /// (every task under a dynamic policy).
+    pub fn container_request(&self, task: &TaskSpec, resource: Resource) -> ContainerRequest {
+        match self.assignment.get(&task.id) {
+            Some(&node) => ContainerRequest::pinned(resource, node),
+            None => ContainerRequest::anywhere(resource),
+        }
+    }
 
     /// Picks which of the `candidates` (ready, unlaunched tasks, in
-    /// readiness order) should run in a container on `node`.
-    fn select_task(
-        &mut self,
-        node: NodeId,
-        candidates: &[&TaskSpec],
-        hdfs: &Hdfs,
-    ) -> Option<TaskId>;
-
-    /// Dynamic adaptive policies re-select with fresh statistics; the
-    /// driver calls this variant (default: ignore the statistics). Every
-    /// policy overrides it to write the audit log: one [`Decision`] per
-    /// container, scoring each candidate in the policy's own terms.
+    /// readiness order) runs in a container on `node`. Every candidate is
+    /// scored once in the policy's terms; the winner and the decline are
+    /// read from those scores, and so is the one `Select` audit row.
     #[allow(clippy::too_many_arguments)]
-    fn select_task_with_stats(
-        &mut self,
-        node: NodeId,
-        node_name: &str,
-        candidates: &[&TaskSpec],
-        hdfs: &Hdfs,
-        _prov: &ProvenanceManager,
-        tracer: &Tracer,
-        now: f64,
-    ) -> Option<TaskId> {
-        let _ = (node_name, tracer, now);
-        self.select_task(node, candidates, hdfs)
-    }
-
-    /// Whether to *decline* a container on `node` for `task` and wait for
-    /// a better-placed one (late binding). The driver bounds consecutive
-    /// declines, so a pathological estimate cannot starve a task.
-    fn decline(
+    pub fn select(
         &self,
-        _node: NodeId,
-        _node_name: &str,
-        _task: &TaskSpec,
-        _prov: &ProvenanceManager,
-    ) -> bool {
-        false
-    }
-
-    fn policy(&self) -> SchedulerPolicy;
-}
-
-/// Instantiates the scheduler for a policy.
-pub fn make_scheduler(policy: SchedulerPolicy) -> Box<dyn Scheduler> {
-    match policy {
-        SchedulerPolicy::Fcfs => Box::new(FcfsScheduler),
-        SchedulerPolicy::DataAware => Box::new(DataAwareScheduler),
-        SchedulerPolicy::RoundRobin => Box::new(StaticScheduler::new(SchedulerPolicy::RoundRobin)),
-        SchedulerPolicy::Heft => Box::new(StaticScheduler::new(SchedulerPolicy::Heft)),
-        SchedulerPolicy::Adaptive => Box::new(AdaptiveScheduler),
-    }
-}
-
-/// First-come-first-served.
-pub struct FcfsScheduler;
-
-impl Scheduler for FcfsScheduler {
-    fn plan(
-        &mut self,
-        _: &[TaskSpec],
-        _: &[NodeId],
-        _: &[String],
-        _: &ProvenanceManager,
-        _: &Tracer,
-        _: f64,
-    ) {
-    }
-
-    fn container_request(&self, _task: &TaskSpec, resource: Resource) -> ContainerRequest {
-        ContainerRequest::anywhere(resource)
-    }
-
-    fn select_task(
-        &mut self,
-        _node: NodeId,
-        candidates: &[&TaskSpec],
-        _hdfs: &Hdfs,
-    ) -> Option<TaskId> {
-        candidates.first().map(|t| t.id)
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn select_task_with_stats(
-        &mut self,
         node: NodeId,
         node_name: &str,
         candidates: &[&TaskSpec],
         hdfs: &Hdfs,
-        _prov: &ProvenanceManager,
+        prov: &ProvenanceManager,
         tracer: &Tracer,
         now: f64,
-    ) -> Option<TaskId> {
-        let winner = self.select_task(node, candidates, hdfs);
-        if tracer.is_enabled() {
-            tracer.audit(Decision {
-                t: now,
-                policy: SchedulerPolicy::Fcfs.name(),
-                kind: DecisionKind::Select,
-                node: node.0,
-                node_name: node_name.to_string(),
-                candidates: candidates
-                    .iter()
-                    .enumerate()
-                    .map(|(i, t)| CandidateScore {
-                        task: t.id.0,
-                        label: t.name.clone(),
-                        score: i as f64,
-                        detail: format!("queue position {i}"),
-                    })
-                    .collect(),
-                winner: winner.map(|id| id.0),
-                reason: "head of the ready queue (lowest queue position wins)".into(),
-            });
-        }
-        winner
-    }
-
-    fn policy(&self) -> SchedulerPolicy {
-        SchedulerPolicy::Fcfs
-    }
-}
-
-/// Data-aware (the default).
-pub struct DataAwareScheduler;
-
-impl DataAwareScheduler {
-    /// Locality fraction per candidate, in readiness order. On a dead
-    /// DataNode every fraction is zero (liveness is invariant across
-    /// candidates), and the tie-break degenerates to FCFS.
-    fn fractions(node: NodeId, candidates: &[&TaskSpec], hdfs: &Hdfs) -> Vec<(TaskId, f64)> {
+    ) -> Selection {
+        // Hoisted liveness check: locality on a dead DataNode is uniformly
+        // zero, so the per-candidate block scans are skipped.
         let alive = hdfs.is_alive(node);
-        candidates
+        let scores: Vec<Score> = candidates
             .iter()
-            .map(|t| {
-                let frac = if alive {
-                    hdfs.locality_fraction(&t.inputs, node)
-                } else {
-                    0.0
-                };
-                (t.id, frac)
-            })
-            .collect()
-    }
-
-    fn pick(scored: &[(TaskId, f64)]) -> Option<TaskId> {
-        scored
-            .iter()
-            // max_by prefers later elements on ties; iterate reversed so
-            // ties resolve to the *earliest* ready task (FCFS within ties).
-            .rev()
-            .max_by(|(_, a), (_, b)| a.partial_cmp(b).expect("fractions are finite"))
-            .map(|(id, _)| *id)
-    }
-}
-
-impl Scheduler for DataAwareScheduler {
-    fn plan(
-        &mut self,
-        _: &[TaskSpec],
-        _: &[NodeId],
-        _: &[String],
-        _: &ProvenanceManager,
-        _: &Tracer,
-        _: f64,
-    ) {
-    }
-
-    fn container_request(&self, _task: &TaskSpec, resource: Resource) -> ContainerRequest {
-        ContainerRequest::anywhere(resource)
-    }
-
-    fn select_task(
-        &mut self,
-        node: NodeId,
-        candidates: &[&TaskSpec],
-        hdfs: &Hdfs,
-    ) -> Option<TaskId> {
-        Self::pick(&Self::fractions(node, candidates, hdfs))
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn select_task_with_stats(
-        &mut self,
-        node: NodeId,
-        node_name: &str,
-        candidates: &[&TaskSpec],
-        hdfs: &Hdfs,
-        _prov: &ProvenanceManager,
-        tracer: &Tracer,
-        now: f64,
-    ) -> Option<TaskId> {
-        let scored = Self::fractions(node, candidates, hdfs);
-        let winner = Self::pick(&scored);
+            .enumerate()
+            .map(|(i, t)| self.score(i, t, node, node_name, alive, hdfs, prov))
+            .collect();
+        let by_value = |a: &(usize, &Score), b: &(usize, &Score)| {
+            a.1.value
+                .partial_cmp(&b.1.value)
+                .expect("scores are finite")
+        };
+        let ranked = scores.iter().enumerate().rev();
+        let best = match self.policy {
+            // Highest locality wins. `max_by` keeps the last maximum of
+            // the reversed walk, so ties go to the earliest-ready task.
+            SchedulerPolicy::DataAware => ranked.max_by(by_value),
+            // The task planned for this node (1), else an unplanned one
+            // (0.5), earliest first; never a task planned elsewhere (0).
+            SchedulerPolicy::RoundRobin | SchedulerPolicy::Heft => {
+                ranked.filter(|(_, s)| s.value > 0.0).max_by(by_value)
+            }
+            // Lowest queue position or relative fitness wins, higher
+            // locality breaking fitness ties. `min_by` keeps the first
+            // minimum of the reversed walk, so remaining ties go to the
+            // latest-ready task.
+            SchedulerPolicy::Fcfs | SchedulerPolicy::Adaptive => ranked.min_by(|a, b| {
+                by_value(a, b).then(a.1.tie.partial_cmp(&b.1.tie).expect("fractions are finite"))
+            }),
+        };
+        let winner = best.map(|(i, _)| candidates[i].id);
         if tracer.is_enabled() {
-            let alive = hdfs.is_alive(node);
-            tracer.audit(Decision {
-                t: now,
-                policy: SchedulerPolicy::DataAware.name(),
-                kind: DecisionKind::Select,
-                node: node.0,
-                node_name: node_name.to_string(),
-                candidates: candidates
-                    .iter()
-                    .zip(&scored)
-                    .map(|(t, (_, frac))| CandidateScore {
-                        task: t.id.0,
-                        label: t.name.clone(),
-                        score: *frac,
-                        detail: format!("locality fraction {frac:.3} on {node_name}"),
-                    })
-                    .collect(),
-                winner: winner.map(|id| id.0),
-                reason: if alive {
+            let reason = match self.policy {
+                SchedulerPolicy::Fcfs => "head of the ready queue (lowest queue position wins)",
+                SchedulerPolicy::DataAware if alive => {
                     "highest fraction of input data local to the container's node \
                      (ties fall back to FCFS order)"
-                        .into()
-                } else {
-                    "node's DataNode is down: all fractions zero, FCFS fallback".into()
-                },
+                }
+                SchedulerPolicy::DataAware => {
+                    "node's DataNode is down: all fractions zero, FCFS fallback"
+                }
+                SchedulerPolicy::RoundRobin | SchedulerPolicy::Heft => {
+                    "static plan confirmation: the task pre-assigned to this node \
+                     (unplanned tasks fill spare containers)"
+                }
+                SchedulerPolicy::Adaptive => {
+                    "lowest relative fitness wins (ties: higher locality, then FCFS order)"
+                }
+            };
+            tracer.audit(Decision {
+                t: now,
+                policy: self.policy.name(),
+                kind: DecisionKind::Select,
+                node: node.0,
+                node_name: node_name.to_string(),
+                candidates: candidates
+                    .iter()
+                    .zip(&scores)
+                    .map(|(t, s)| CandidateScore {
+                        task: t.id.0,
+                        label: t.name.clone(),
+                        score: s.value,
+                        detail: self.detail(t, s, node, node_name),
+                    })
+                    .collect(),
+                winner: winner.map(|id| id.0),
+                reason: reason.into(),
             });
         }
-        winner
-    }
-
-    fn policy(&self) -> SchedulerPolicy {
-        SchedulerPolicy::DataAware
-    }
-}
-
-/// Shared machinery for the two static policies: a pre-built task→node
-/// assignment, enforced through pinned container requests.
-pub struct StaticScheduler {
-    policy: SchedulerPolicy,
-    assignment: HashMap<TaskId, NodeId>,
-}
-
-impl StaticScheduler {
-    pub fn new(policy: SchedulerPolicy) -> StaticScheduler {
-        debug_assert!(policy.is_static());
-        StaticScheduler {
-            policy,
-            assignment: HashMap::new(),
+        Selection {
+            winner,
+            decline: best.is_some_and(|(_, s)| s.slow),
         }
     }
 
-    /// The planned node for a task (exposed for tests and diagnostics).
-    pub fn assigned_node(&self, task: TaskId) -> Option<NodeId> {
-        self.assignment.get(&task).copied()
+    /// Scores the candidate at queue `position` for a container on `node`.
+    #[allow(clippy::too_many_arguments)]
+    fn score(
+        &self,
+        position: usize,
+        task: &TaskSpec,
+        node: NodeId,
+        node_name: &str,
+        alive: bool,
+        hdfs: &Hdfs,
+        prov: &ProvenanceManager,
+    ) -> Score {
+        let locality = || {
+            if alive {
+                hdfs.locality_fraction(&task.inputs, node)
+            } else {
+                0.0
+            }
+        };
+        let plain = |value| Score {
+            value,
+            tie: 0.0,
+            slow: false,
+        };
+        match self.policy {
+            SchedulerPolicy::Fcfs => plain(position as f64),
+            SchedulerPolicy::DataAware => plain(locality()),
+            SchedulerPolicy::RoundRobin | SchedulerPolicy::Heft => {
+                plain(match self.assignment.get(&task.id) {
+                    Some(&a) if a == node => 1.0,
+                    Some(_) => 0.0,
+                    None => 0.5,
+                })
+            }
+            SchedulerPolicy::Adaptive => {
+                // Relative fitness of running the task here: this node's
+                // latest observation over the cross-node average. Lower
+                // is better; 0 (unexplored) tries it.
+                let here = prov.latest_runtime(&task.name, node_name).unwrap_or(0.0);
+                let (value, slow) = if here == 0.0 {
+                    (0.0, false)
+                } else {
+                    let avg = prov.average_runtime(&task.name);
+                    let fitness = match avg.unwrap_or(here) {
+                        a if a <= 0.0 => 0.0,
+                        a => here / a,
+                    };
+                    (fitness, avg.is_some_and(|a| a > 0.0 && here > a * 1.5))
+                };
+                // A dead node's tie is +0.0, not -0.0: its audit detail
+                // reads `locality -0.000`.
+                let tie = if alive { -locality() } else { 0.0 };
+                Score { value, tie, slow }
+            }
+        }
+    }
+
+    /// The audit log's breakdown of one candidate's score.
+    fn detail(&self, task: &TaskSpec, score: &Score, node: NodeId, node_name: &str) -> String {
+        match self.policy {
+            SchedulerPolicy::Fcfs => format!("queue position {}", score.value),
+            SchedulerPolicy::DataAware => {
+                format!("locality fraction {:.3} on {node_name}", score.value)
+            }
+            SchedulerPolicy::RoundRobin | SchedulerPolicy::Heft => {
+                match self.assignment.get(&task.id) {
+                    Some(&a) if a == node => format!("planned for {node_name}"),
+                    Some(a) => format!("planned for node {}", a.0),
+                    None => "outside the static plan".into(),
+                }
+            }
+            SchedulerPolicy::Adaptive => format!(
+                "relative fitness {:.3} (latest here / cross-node avg; \
+                 0 = unexplored), locality {:.3}",
+                score.value, -score.tie
+            ),
+        }
     }
 
     fn plan_round_robin(
@@ -356,8 +338,6 @@ impl StaticScheduler {
         now: f64,
     ) {
         let n = nodes.len();
-        let idx_of: HashMap<TaskId, usize> =
-            tasks.iter().enumerate().map(|(i, t)| (t.id, i)).collect();
 
         // w[t][n]: estimated runtime of task t on node n (latest
         // observation; zero when unexplored, which drives exploration).
@@ -478,244 +458,6 @@ impl StaticScheduler {
             node_load[ni] += 1;
             finish[ti] = eft;
         }
-        let _ = idx_of;
-    }
-}
-
-impl Scheduler for StaticScheduler {
-    fn plan(
-        &mut self,
-        tasks: &[TaskSpec],
-        nodes: &[NodeId],
-        node_names: &[String],
-        prov: &ProvenanceManager,
-        tracer: &Tracer,
-        now: f64,
-    ) {
-        assert!(!nodes.is_empty(), "cannot plan on an empty cluster");
-        match self.policy {
-            SchedulerPolicy::RoundRobin => {
-                self.plan_round_robin(tasks, nodes, node_names, tracer, now)
-            }
-            SchedulerPolicy::Heft => self.plan_heft(tasks, nodes, node_names, prov, tracer, now),
-            _ => unreachable!("dynamic policy in StaticScheduler"),
-        }
-    }
-
-    fn container_request(&self, task: &TaskSpec, resource: Resource) -> ContainerRequest {
-        match self.assignment.get(&task.id) {
-            Some(&node) => ContainerRequest::pinned(resource, node),
-            // A task outside the plan (shouldn't happen for static
-            // languages) falls back to anywhere.
-            None => ContainerRequest::anywhere(resource),
-        }
-    }
-
-    fn select_task(
-        &mut self,
-        node: NodeId,
-        candidates: &[&TaskSpec],
-        _hdfs: &Hdfs,
-    ) -> Option<TaskId> {
-        candidates
-            .iter()
-            .find(|t| self.assignment.get(&t.id) == Some(&node))
-            .or_else(|| {
-                candidates
-                    .iter()
-                    .find(|t| !self.assignment.contains_key(&t.id))
-            })
-            .map(|t| t.id)
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn select_task_with_stats(
-        &mut self,
-        node: NodeId,
-        node_name: &str,
-        candidates: &[&TaskSpec],
-        hdfs: &Hdfs,
-        _prov: &ProvenanceManager,
-        tracer: &Tracer,
-        now: f64,
-    ) -> Option<TaskId> {
-        let winner = self.select_task(node, candidates, hdfs);
-        if tracer.is_enabled() {
-            tracer.audit(Decision {
-                t: now,
-                policy: self.policy.name(),
-                kind: DecisionKind::Select,
-                node: node.0,
-                node_name: node_name.to_string(),
-                candidates: candidates
-                    .iter()
-                    .map(|t| {
-                        let (score, detail) = match self.assignment.get(&t.id) {
-                            Some(&a) if a == node => (1.0, format!("planned for {node_name}")),
-                            Some(&a) => (0.0, format!("planned for node {}", a.0)),
-                            None => (0.5, "outside the static plan".into()),
-                        };
-                        CandidateScore {
-                            task: t.id.0,
-                            label: t.name.clone(),
-                            score,
-                            detail,
-                        }
-                    })
-                    .collect(),
-                winner: winner.map(|id| id.0),
-                reason: "static plan confirmation: the task pre-assigned to this node \
-                         (unplanned tasks fill spare containers)"
-                    .into(),
-            });
-        }
-        winner
-    }
-
-    fn policy(&self) -> SchedulerPolicy {
-        self.policy
-    }
-}
-
-/// Dynamic adaptive scheduling: no pre-built schedule (so iterative
-/// workflows are fine), but container-arrival-time selection is driven by
-/// the Provenance Manager's runtime estimates. For a container on node
-/// `n`, each candidate is scored by `latest(sig, n) / avg over observed
-/// nodes` — prefer the task for which this node is relatively fastest;
-/// unobserved task/node pairs score 0 (the paper's exploration-friendly
-/// zero default). Ties fall back to data-aware locality.
-#[derive(Default)]
-pub struct AdaptiveScheduler;
-
-impl Scheduler for AdaptiveScheduler {
-    fn plan(
-        &mut self,
-        _: &[TaskSpec],
-        _: &[NodeId],
-        _: &[String],
-        _: &ProvenanceManager,
-        _: &Tracer,
-        _: f64,
-    ) {
-    }
-
-    fn container_request(&self, _task: &TaskSpec, resource: Resource) -> ContainerRequest {
-        ContainerRequest::anywhere(resource)
-    }
-
-    fn select_task(
-        &mut self,
-        _node: NodeId,
-        candidates: &[&TaskSpec],
-        _hdfs: &Hdfs,
-    ) -> Option<TaskId> {
-        candidates.first().map(|t| t.id)
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn select_task_with_stats(
-        &mut self,
-        node: NodeId,
-        node_name: &str,
-        candidates: &[&TaskSpec],
-        hdfs: &Hdfs,
-        prov: &ProvenanceManager,
-        tracer: &Tracer,
-        now: f64,
-    ) -> Option<TaskId> {
-        // Relative fitness of running `t` here: how does this node's
-        // latest observation compare to the estimate of placing the task
-        // "somewhere typical"? Lower is better; 0 (unobserved) explores.
-        let score = |t: &TaskSpec| -> f64 {
-            let here = prov.latest_runtime(&t.name, node_name).unwrap_or(0.0);
-            if here == 0.0 {
-                return 0.0; // unexplored: try it
-            }
-            let avg = prov.average_runtime(&t.name).unwrap_or(here);
-            if avg <= 0.0 {
-                0.0
-            } else {
-                here / avg
-            }
-        };
-        // Hoisted liveness check: locality on a dead node is uniformly
-        // zero, so skip the per-candidate block scans entirely.
-        let node_alive = hdfs.is_alive(node);
-        let scored: Vec<(TaskId, f64, f64)> = candidates
-            .iter()
-            .map(|t| {
-                (
-                    t.id,
-                    score(t),
-                    // Locality as the tie-breaker.
-                    if node_alive {
-                        -hdfs.locality_fraction(&t.inputs, node)
-                    } else {
-                        0.0
-                    },
-                )
-            })
-            .collect();
-        let winner = scored
-            .iter()
-            // Earliest-ready wins remaining ties (stable min by rev+min_by).
-            .rev()
-            .min_by(|(_, s1, l1), (_, s2, l2)| {
-                s1.partial_cmp(s2)
-                    .expect("scores are finite")
-                    .then(l1.partial_cmp(l2).expect("fractions are finite"))
-            })
-            .map(|(id, _, _)| *id);
-        if tracer.is_enabled() {
-            tracer.audit(Decision {
-                t: now,
-                policy: SchedulerPolicy::Adaptive.name(),
-                kind: DecisionKind::Select,
-                node: node.0,
-                node_name: node_name.to_string(),
-                candidates: candidates
-                    .iter()
-                    .zip(&scored)
-                    .map(|(t, (_, fitness, neg_local))| CandidateScore {
-                        task: t.id.0,
-                        label: t.name.clone(),
-                        score: *fitness,
-                        detail: format!(
-                            "relative fitness {:.3} (latest here / cross-node avg; \
-                             0 = unexplored), locality {:.3}",
-                            fitness, -neg_local
-                        ),
-                    })
-                    .collect(),
-                winner: winner.map(|id| id.0),
-                reason: "lowest relative fitness wins (ties: higher locality, then \
-                         FCFS order)"
-                    .into(),
-            });
-        }
-        winner
-    }
-
-    fn decline(
-        &self,
-        _node: NodeId,
-        node_name: &str,
-        task: &TaskSpec,
-        prov: &ProvenanceManager,
-    ) -> bool {
-        // Decline when this node is known to run the signature much
-        // slower than its cross-node average — wait for a faster host.
-        match (
-            prov.latest_runtime(&task.name, node_name),
-            prov.average_runtime(&task.name),
-        ) {
-            (Some(here), Some(avg)) if avg > 0.0 => here > avg * 1.5,
-            _ => false, // unexplored: accept (and learn)
-        }
-    }
-
-    fn policy(&self) -> SchedulerPolicy {
-        SchedulerPolicy::Adaptive
     }
 }
 
@@ -765,19 +507,19 @@ mod tests {
         });
     }
 
-    #[test]
-    fn fcfs_selects_queue_head() {
-        let mut s = FcfsScheduler;
-        let (a, b) = (task(0, "a", &[], &[]), task(1, "b", &[], &[]));
-        let hdfs = Hdfs::new(2, Default::default(), 0);
-        assert_eq!(s.select_task(NodeId(0), &[&a, &b], &hdfs), Some(TaskId(0)));
-        assert_eq!(s.select_task(NodeId(0), &[], &hdfs), None);
-        let req = s.container_request(&a, Resource::new(1, 100));
-        assert!(req.preference.is_none());
+    /// A two-task round-robin-shaped plan over w0 and w1: task 0 on w0,
+    /// task 1 on w1. Both static policies produce it without provenance.
+    fn planned(policy: SchedulerPolicy, tasks: &[TaskSpec]) -> Scheduler {
+        let mut s = make_scheduler(policy);
+        let prov = ProvenanceManager::new(ProvDb::new());
+        let nodes = [NodeId(0), NodeId(1)];
+        s.plan(tasks, &nodes, &names(2), &prov, &Tracer::disabled(), 0.0);
+        s
     }
 
     #[test]
-    fn data_aware_prefers_local_input() {
+    fn select_picks_the_best_audited_score() {
+        use SchedulerPolicy::*;
         // Replication 1 keeps each file on exactly its writer's node, so
         // the locality fractions are unambiguous.
         let config = hiway_hdfs::HdfsConfig {
@@ -787,61 +529,179 @@ mod tests {
         let mut hdfs = Hdfs::new(4, config, 3);
         hdfs.create("/big0", 100 << 20, NodeId(0)).unwrap();
         hdfs.create("/big2", 100 << 20, NodeId(2)).unwrap();
-        let t0 = task(0, "t", &["/big0"], &["/o0"]);
-        let t2 = task(1, "t", &["/big2"], &["/o2"]);
-        let mut s = DataAwareScheduler;
-        // Container on node 2: the task whose input lives there wins even
-        // though t0 is ahead in the queue.
-        assert_eq!(
-            s.select_task(NodeId(2), &[&t0, &t2], &hdfs),
-            Some(TaskId(1))
-        );
-        assert_eq!(
-            s.select_task(NodeId(0), &[&t0, &t2], &hdfs),
-            Some(TaskId(0))
-        );
+        let mut prov = ProvenanceManager::new(ProvDb::new());
+        // "slow" runs 1.5x its average on w0; "fast" beats its average
+        // there.
+        record(&mut prov, "slow", "w0", 300.0);
+        record(&mut prov, "slow", "w1", 100.0);
+        record(&mut prov, "fast", "w0", 50.0);
+        record(&mut prov, "fast", "w1", 150.0);
+        let at0 = task(0, "t", &["/big0"], &["/o0"]);
+        let at2 = task(1, "t", &["/big2"], &["/o2"]);
+        let (slow, fast) = (task(0, "slow", &[], &[]), task(1, "fast", &[], &[]));
+        let plan = [task(0, "t", &[], &[]), task(1, "t", &[], &[])];
+        let [on0, on1] = &plan;
+        let off = task(2, "t", &[], &[]);
+
+        // (policy, container node, candidates, winner, audited scores)
+        let cases = [
+            // Queue positions: the head wins.
+            (Fcfs, 1, vec![&at0, &at2], Some(0), vec![0.0, 1.0]),
+            (Fcfs, 1, vec![], None, vec![]),
+            // The task whose input lives on the container's node wins,
+            // even from behind in the queue; no locality anywhere is a
+            // tie that falls back to queue order.
+            (DataAware, 2, vec![&at0, &at2], Some(1), vec![0.0, 1.0]),
+            (DataAware, 0, vec![&at0, &at2], Some(0), vec![1.0, 0.0]),
+            (DataAware, 1, vec![&at0, &at2], Some(0), vec![0.0, 0.0]),
+            // Static: the task planned here (1), else an unplanned one
+            // (0.5), never one planned elsewhere (0).
+            (RoundRobin, 1, vec![on0, on1], Some(1), vec![0.0, 1.0]),
+            (RoundRobin, 1, vec![on0, &off], Some(2), vec![0.0, 0.5]),
+            (Heft, 1, vec![on0], None, vec![0.0]),
+            // Lowest relative fitness (latest here / average) wins.
+            (Adaptive, 0, vec![&slow, &fast], Some(1), vec![1.5, 0.5]),
+            // Unexplored and no locality: full ties go to the
+            // latest-ready task.
+            (Adaptive, 3, vec![&at0, &at2], Some(1), vec![0.0, 0.0]),
+        ];
+        for (policy, node, candidates, winner, scores) in cases {
+            let case = format!("{policy:?} on w{node}");
+            let s = planned(policy, &plan);
+            let node_name = format!("w{node}");
+            let select = |tracer: &Tracer| {
+                s.select(
+                    NodeId(node),
+                    &node_name,
+                    &candidates,
+                    &hdfs,
+                    &prov,
+                    tracer,
+                    7.5,
+                )
+            };
+            let tracer = Tracer::enabled();
+            let picked = select(&tracer);
+            assert_eq!(picked.winner, winner.map(TaskId), "{case}");
+            assert!(!picked.decline, "{case}");
+            // The audit is a side effect only: untraced, the pick is the
+            // same and nothing is logged.
+            let untraced = Tracer::disabled();
+            assert_eq!(select(&untraced), picked, "{case}");
+            assert_eq!(untraced.decision_count(), 0, "{case}");
+            tracer.with_decisions(|ds| {
+                assert_eq!(ds.len(), 1, "{case}: one row per container");
+                let d = &ds[0];
+                assert_eq!(d.policy, policy.name());
+                assert_eq!(d.kind, DecisionKind::Select);
+                assert_eq!(
+                    (d.t, d.node, d.node_name.as_str()),
+                    (7.5, node, node_name.as_str())
+                );
+                assert_eq!(d.winner, winner, "{case}");
+                let logged: Vec<f64> = d.candidates.iter().map(|c| c.score).collect();
+                assert_eq!(logged, scores, "{case}");
+            });
+        }
     }
 
     #[test]
-    fn data_aware_ties_fall_back_to_fcfs_order() {
-        let hdfs = Hdfs::new(2, Default::default(), 3);
-        let a = task(0, "a", &["/nowhere"], &[]);
-        let b = task(1, "b", &["/nowhere"], &[]);
-        let mut s = DataAwareScheduler;
-        assert_eq!(s.select_task(NodeId(0), &[&a, &b], &hdfs), Some(TaskId(0)));
+    fn adaptive_declines_a_node_known_to_be_slow() {
+        let mut prov = ProvenanceManager::new(ProvDb::new());
+        // Average 300 s: w0 runs the signature at 5/3 of it, w2 exactly
+        // at it, and w3 has never run it.
+        record(&mut prov, "t", "w0", 500.0);
+        record(&mut prov, "t", "w1", 100.0);
+        record(&mut prov, "t", "w2", 300.0);
+        let hdfs = Hdfs::new(4, Default::default(), 0);
+        let t = task(0, "t", &[], &[]);
+        let select = |policy, node: u32| {
+            make_scheduler(policy).select(
+                NodeId(node),
+                &format!("w{node}"),
+                &[&t],
+                &hdfs,
+                &prov,
+                &Tracer::disabled(),
+                0.0,
+            )
+        };
+        for (node, decline) in [(0, true), (1, false), (2, false), (3, false)] {
+            let picked = select(SchedulerPolicy::Adaptive, node);
+            assert_eq!(picked.winner, Some(TaskId(0)), "w{node}");
+            assert_eq!(picked.decline, decline, "w{node}");
+        }
+        // Late binding is the adaptive policy's alone.
+        assert!(!select(SchedulerPolicy::Fcfs, 0).decline);
+        assert!(!select(SchedulerPolicy::DataAware, 0).decline);
+    }
+
+    #[test]
+    fn plan_audit_matches_assignment() {
+        let mut prov = ProvenanceManager::new(ProvDb::new());
+        record(&mut prov, "t", "w0", 10.0);
+        record(&mut prov, "t", "w1", 100.0);
+        let tasks: Vec<TaskSpec> = (0..4).map(|i| task(i, "t", &[], &[])).collect();
+        let nodes = vec![NodeId(0), NodeId(1)];
+        for policy in [SchedulerPolicy::RoundRobin, SchedulerPolicy::Heft] {
+            let tracer = Tracer::enabled();
+            let mut s = make_scheduler(policy);
+            s.plan(&tasks, &nodes, &names(2), &prov, &tracer, 0.0);
+            tracer.with_decisions(|ds| {
+                assert_eq!(ds.len(), tasks.len(), "{policy:?}: one plan row per task");
+                for d in ds {
+                    assert_eq!(d.policy, policy.name());
+                    assert_eq!(d.kind, DecisionKind::Plan);
+                    // The audited node is the node actually assigned...
+                    let winner = TaskId(d.winner.unwrap());
+                    assert_eq!(d.node, s.assignment[&winner].0, "{policy:?}");
+                    // ...every node is scored, and the chosen one holds
+                    // the lowest score (tasks planned there, or EFT).
+                    assert_eq!(d.candidates.len(), nodes.len());
+                    let chosen = d
+                        .candidates
+                        .iter()
+                        .find(|c| c.label == d.node_name)
+                        .expect("winner node is scored");
+                    for c in &d.candidates {
+                        assert!(chosen.score <= c.score + 1e-12, "{policy:?}");
+                    }
+                }
+            });
+        }
     }
 
     #[test]
     fn round_robin_spreads_equally() {
-        let mut s = StaticScheduler::new(SchedulerPolicy::RoundRobin);
+        let mut s = make_scheduler(SchedulerPolicy::RoundRobin);
         let tasks: Vec<TaskSpec> = (0..6).map(|i| task(i, "t", &[], &[])).collect();
         let nodes = vec![NodeId(0), NodeId(1), NodeId(2)];
         let prov = ProvenanceManager::new(ProvDb::new());
         s.plan(&tasks, &nodes, &names(3), &prov, &Tracer::disabled(), 0.0);
         let mut counts = [0usize; 3];
         for t in &tasks {
-            counts[s.assigned_node(t.id).unwrap().index()] += 1;
+            counts[s.assignment[&t.id].index()] += 1;
         }
         assert_eq!(counts, [2, 2, 2]);
-        // Requests are pinned; selection honours the assignment.
+        // Requests are pinned to the plan; a dynamic policy has none.
         let req = s.container_request(&tasks[4], Resource::new(1, 100));
         assert_eq!(req.preference, Some(NodeId(1)));
         assert!(!req.relax_locality);
-        let hdfs = Hdfs::new(3, Default::default(), 0);
-        let refs: Vec<&TaskSpec> = tasks.iter().collect();
-        assert_eq!(s.select_task(NodeId(1), &refs, &hdfs), Some(TaskId(1)));
+        let dynamic = make_scheduler(SchedulerPolicy::DataAware);
+        let req = dynamic.container_request(&tasks[4], Resource::new(1, 100));
+        assert!(req.preference.is_none());
     }
 
     #[test]
     fn heft_without_provenance_spreads_by_load() {
-        let mut s = StaticScheduler::new(SchedulerPolicy::Heft);
+        let mut s = make_scheduler(SchedulerPolicy::Heft);
         let tasks: Vec<TaskSpec> = (0..4).map(|i| task(i, "t", &[], &[])).collect();
         let nodes = vec![NodeId(0), NodeId(1)];
         let prov = ProvenanceManager::new(ProvDb::new());
         s.plan(&tasks, &nodes, &names(2), &prov, &Tracer::disabled(), 0.0);
         let mut counts = [0usize; 2];
         for t in &tasks {
-            counts[s.assigned_node(t.id).unwrap().index()] += 1;
+            counts[s.assignment[&t.id].index()] += 1;
         }
         // All-zero estimates: load tie-breaking spreads tasks evenly.
         assert_eq!(counts, [2, 2]);
@@ -853,188 +713,15 @@ mod tests {
         // Node w1 is 10x slower for this signature.
         record(&mut prov, "t", "w0", 10.0);
         record(&mut prov, "t", "w1", 100.0);
-        let mut s = StaticScheduler::new(SchedulerPolicy::Heft);
+        let mut s = make_scheduler(SchedulerPolicy::Heft);
         let tasks: Vec<TaskSpec> = (0..4).map(|i| task(i, "t", &[], &[])).collect();
         let nodes = vec![NodeId(0), NodeId(1)];
         s.plan(&tasks, &nodes, &names(2), &prov, &Tracer::disabled(), 0.0);
         // EFTs: placing everything on w0 serially (10,20,30,40) beats
         // w1's 100 each time.
         for t in &tasks {
-            assert_eq!(s.assigned_node(t.id), Some(NodeId(0)));
+            assert_eq!(s.assignment[&t.id], NodeId(0));
         }
-    }
-
-    #[test]
-    fn fcfs_audit_matches_placement() {
-        let tracer = Tracer::enabled();
-        let mut s = FcfsScheduler;
-        let (a, b) = (task(0, "a", &[], &[]), task(1, "b", &[], &[]));
-        let hdfs = Hdfs::new(2, Default::default(), 0);
-        let prov = ProvenanceManager::new(ProvDb::new());
-        let picked =
-            s.select_task_with_stats(NodeId(1), "w1", &[&a, &b], &hdfs, &prov, &tracer, 7.5);
-        assert_eq!(picked, Some(TaskId(0)));
-        tracer.with_decisions(|ds| {
-            assert_eq!(ds.len(), 1);
-            let d = &ds[0];
-            assert_eq!(d.policy, "fcfs");
-            assert_eq!(d.kind, DecisionKind::Select);
-            assert_eq!(d.t, 7.5);
-            assert_eq!((d.node, d.node_name.as_str()), (1, "w1"));
-            assert_eq!(d.winner, Some(0));
-            // Scores are queue positions; the winner holds position 0.
-            assert_eq!(d.candidates.len(), 2);
-            assert_eq!(d.winning_candidate().unwrap().score, 0.0);
-            assert_eq!(d.candidates[1].score, 1.0);
-        });
-    }
-
-    #[test]
-    fn data_aware_audit_matches_placement() {
-        let config = hiway_hdfs::HdfsConfig {
-            replication: 1,
-            ..Default::default()
-        };
-        let mut hdfs = Hdfs::new(4, config, 3);
-        hdfs.create("/big0", 100 << 20, NodeId(0)).unwrap();
-        hdfs.create("/big2", 100 << 20, NodeId(2)).unwrap();
-        let t0 = task(0, "t", &["/big0"], &["/o0"]);
-        let t2 = task(1, "t", &["/big2"], &["/o2"]);
-        let tracer = Tracer::enabled();
-        let prov = ProvenanceManager::new(ProvDb::new());
-        let mut s = DataAwareScheduler;
-        let picked =
-            s.select_task_with_stats(NodeId(2), "w2", &[&t0, &t2], &hdfs, &prov, &tracer, 1.0);
-        assert_eq!(picked, Some(TaskId(1)));
-        tracer.with_decisions(|ds| {
-            let d = &ds[0];
-            assert_eq!(d.policy, "data-aware");
-            assert_eq!(d.winner, Some(1));
-            // The logged fractions explain the pick: the winner's locality
-            // strictly exceeds every rival's.
-            let win = d.winning_candidate().unwrap().score;
-            assert_eq!(win, 1.0);
-            for c in d.candidates.iter().filter(|c| c.task != 1) {
-                assert!(c.score < win, "{} !< {}", c.score, win);
-            }
-        });
-    }
-
-    #[test]
-    fn round_robin_plan_audit_matches_assignment() {
-        let tracer = Tracer::enabled();
-        let mut s = StaticScheduler::new(SchedulerPolicy::RoundRobin);
-        let tasks: Vec<TaskSpec> = (0..6).map(|i| task(i, "t", &[], &[])).collect();
-        let nodes = vec![NodeId(0), NodeId(1), NodeId(2)];
-        let prov = ProvenanceManager::new(ProvDb::new());
-        s.plan(&tasks, &nodes, &names(3), &prov, &tracer, 0.0);
-        tracer.with_decisions(|ds| {
-            assert_eq!(ds.len(), 6, "one plan decision per task");
-            for (i, d) in ds.iter().enumerate() {
-                assert_eq!(d.policy, "round-robin");
-                assert_eq!(d.kind, DecisionKind::Plan);
-                assert_eq!(d.winner, Some(i as u64));
-                // The audited node is the node actually assigned.
-                let assigned = s.assigned_node(TaskId(i as u64)).unwrap();
-                assert_eq!(d.node, assigned.0);
-                assert_eq!(d.candidates.len(), 3, "all nodes scored");
-            }
-        });
-    }
-
-    #[test]
-    fn heft_plan_audit_matches_assignment() {
-        let mut prov = ProvenanceManager::new(ProvDb::new());
-        record(&mut prov, "t", "w0", 10.0);
-        record(&mut prov, "t", "w1", 100.0);
-        let tracer = Tracer::enabled();
-        let mut s = StaticScheduler::new(SchedulerPolicy::Heft);
-        let tasks: Vec<TaskSpec> = (0..4).map(|i| task(i, "t", &[], &[])).collect();
-        let nodes = vec![NodeId(0), NodeId(1)];
-        s.plan(&tasks, &nodes, &names(2), &prov, &tracer, 0.0);
-        tracer.with_decisions(|ds| {
-            assert_eq!(ds.len(), 4);
-            for d in ds {
-                assert_eq!(d.policy, "heft");
-                assert_eq!(d.kind, DecisionKind::Plan);
-                let winner = d.winner.unwrap();
-                // Audit agrees with the actual plan...
-                assert_eq!(d.node, s.assigned_node(TaskId(winner)).unwrap().0);
-                // ...and the chosen node has the minimum logged EFT.
-                let chosen = d
-                    .candidates
-                    .iter()
-                    .find(|c| c.label == d.node_name)
-                    .expect("winner node is scored");
-                for c in &d.candidates {
-                    assert!(chosen.score <= c.score + 1e-12);
-                }
-            }
-        });
-    }
-
-    #[test]
-    fn static_select_confirmation_is_audited() {
-        let tracer = Tracer::enabled();
-        let mut s = StaticScheduler::new(SchedulerPolicy::RoundRobin);
-        let tasks: Vec<TaskSpec> = (0..2).map(|i| task(i, "t", &[], &[])).collect();
-        let nodes = vec![NodeId(0), NodeId(1)];
-        let prov = ProvenanceManager::new(ProvDb::new());
-        s.plan(&tasks, &nodes, &names(2), &prov, &Tracer::disabled(), 0.0);
-        let hdfs = Hdfs::new(2, Default::default(), 0);
-        let refs: Vec<&TaskSpec> = tasks.iter().collect();
-        let picked = s.select_task_with_stats(NodeId(1), "w1", &refs, &hdfs, &prov, &tracer, 3.0);
-        assert_eq!(picked, Some(TaskId(1)));
-        tracer.with_decisions(|ds| {
-            let d = &ds[0];
-            assert_eq!(d.kind, DecisionKind::Select);
-            assert_eq!(d.winner, Some(1));
-            // Planned-here candidates score 1, elsewhere 0.
-            assert_eq!(d.winning_candidate().unwrap().score, 1.0);
-            assert_eq!(
-                d.candidates.iter().find(|c| c.task == 0).unwrap().score,
-                0.0
-            );
-        });
-    }
-
-    #[test]
-    fn adaptive_audit_matches_placement() {
-        let mut prov = ProvenanceManager::new(ProvDb::new());
-        // "slow" is 3x worse on w0 than its average; "fast" is better
-        // than average here — the adaptive policy must prefer "fast".
-        record(&mut prov, "slow", "w0", 300.0);
-        record(&mut prov, "slow", "w1", 100.0);
-        record(&mut prov, "fast", "w0", 50.0);
-        record(&mut prov, "fast", "w1", 100.0);
-        let hdfs = Hdfs::new(2, Default::default(), 0);
-        let slow = task(0, "slow", &[], &[]);
-        let fast = task(1, "fast", &[], &[]);
-        let tracer = Tracer::enabled();
-        let mut s = AdaptiveScheduler;
-        let picked =
-            s.select_task_with_stats(NodeId(0), "w0", &[&slow, &fast], &hdfs, &prov, &tracer, 2.0);
-        assert_eq!(picked, Some(TaskId(1)));
-        tracer.with_decisions(|ds| {
-            let d = &ds[0];
-            assert_eq!(d.policy, "adaptive");
-            assert_eq!(d.winner, Some(1));
-            // Lower relative fitness wins; the log shows exactly that.
-            let win = d.winning_candidate().unwrap().score;
-            let lose = d.candidates.iter().find(|c| c.task == 0).unwrap().score;
-            assert!(win < lose, "{win} !< {lose}");
-        });
-    }
-
-    #[test]
-    fn disabled_tracer_logs_no_decisions() {
-        let tracer = Tracer::disabled();
-        let mut s = FcfsScheduler;
-        let a = task(0, "a", &[], &[]);
-        let hdfs = Hdfs::new(1, Default::default(), 0);
-        let prov = ProvenanceManager::new(ProvDb::new());
-        s.select_task_with_stats(NodeId(0), "w0", &[&a], &hdfs, &prov, &tracer, 0.0);
-        assert_eq!(tracer.decision_count(), 0);
     }
 
     #[test]
@@ -1054,12 +741,10 @@ mod tests {
             task(2, "sink", &["/mid"], &[]),
         ];
         let nodes = vec![NodeId(0), NodeId(1)];
-        let mut s = StaticScheduler::new(SchedulerPolicy::Heft);
+        let mut s = make_scheduler(SchedulerPolicy::Heft);
         s.plan(&tasks, &nodes, &names(2), &prov, &Tracer::disabled(), 0.0);
         // `long` has the highest upward rank (101) and is placed first on
         // an empty node; `short` lands on the other node.
-        let long_node = s.assigned_node(TaskId(1)).unwrap();
-        let short_node = s.assigned_node(TaskId(0)).unwrap();
-        assert_ne!(long_node, short_node);
+        assert_ne!(s.assignment[&TaskId(1)], s.assignment[&TaskId(0)]);
     }
 }

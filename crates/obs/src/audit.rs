@@ -52,7 +52,7 @@ pub struct CandidateScore {
 pub struct Decision {
     /// Virtual time of the decision.
     pub t: f64,
-    /// Policy name (`"fcfs"`, `"data_aware"`, `"round_robin"`, `"heft"`,
+    /// Policy name (`"fcfs"`, `"data-aware"`, `"round-robin"`, `"heft"`,
     /// `"adaptive"`).
     pub policy: &'static str,
     pub kind: DecisionKind,

@@ -7,7 +7,7 @@
 //! linearly. This is exactly the pre-overhaul hot path — O(all activities)
 //! per event — and the incremental engine must reproduce its completion
 //! sequences and virtual times bit for bit (see the property tests in
-//! `tests/incremental_vs_reference.rs` and the criterion benchmark).
+//! `tests/incremental_vs_reference.rs` and the `bench_engine` binary).
 //!
 //! Not public API: exposed (`#[doc(hidden)]` from the crate root) only so
 //! the benchmark harness can measure the speedup against it.
