@@ -47,7 +47,7 @@ done
 echo "trace artifacts byte-identical across runs"
 
 echo "==> experiment golden gates (each bin twice, byte-identical, matches results/)"
-# Fig 4, Table 2 and Fig 6 take about 30 s each and are not gated yet.
+# Fig 4, Table 2 and Fig 6 take about 30 s each; the nightly workflow gates them.
 mkdir -p experiment_runs
 for bin in table1 fig8 fig9 ablation multiwf chaos resume; do
   ./target/release/$bin > "experiment_runs/$bin.txt"

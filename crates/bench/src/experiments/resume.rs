@@ -20,6 +20,7 @@ use std::path::Path;
 use hiway_core::cluster::Cluster;
 use hiway_core::config::{HiwayConfig, SchedulerPolicy};
 use hiway_core::driver::Runtime;
+use hiway_hdfs::fnv1a64;
 use hiway_lang::dax::parse_dax;
 use hiway_provdb::ProvDb;
 use hiway_sim::{ClusterSpec, NodeSpec, SimTime};
@@ -71,11 +72,9 @@ fn hdfs_digest(rt: &Runtime) -> u64 {
     let mut acc = 0u64;
     for path in rt.cluster.hdfs.list() {
         let content = rt.cluster.hdfs.content_digest(&path).expect("digest");
-        let mut h = 0xcbf2_9ce4_8422_2325u64;
-        for b in path.as_bytes() {
-            h = (h ^ *b as u64).wrapping_mul(0x100_0000_01b3);
-        }
-        acc ^= h.wrapping_mul(31).wrapping_add(content);
+        acc ^= fnv1a64(path.as_bytes())
+            .wrapping_mul(31)
+            .wrapping_add(content);
     }
     acc
 }

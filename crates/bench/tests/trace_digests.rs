@@ -10,6 +10,7 @@
 
 use hiway_bench::trace_run::{run, TraceParams};
 use hiway_core::SchedulerPolicy;
+use hiway_hdfs::fnv1a64;
 
 const GOLDEN: &str = concat!(
     env!("CARGO_MANIFEST_DIR"),
@@ -25,12 +26,6 @@ const POLICIES: [SchedulerPolicy; 5] = [
 ];
 
 const INTENSITIES: [f64; 2] = [0.5, 5.0];
-
-fn fnv1a64(bytes: &[u8]) -> u64 {
-    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
-        (h ^ b as u64).wrapping_mul(0x100_0000_01b3)
-    })
-}
 
 /// One golden line: `<policy> <intensity> <decision rows> <digest>`.
 fn golden_line(scheduler: SchedulerPolicy, intensity: f64) -> String {

@@ -40,8 +40,7 @@ use hiway_yarn::{AppId, Container, ContainerId, ContainerRequest};
 
 use crate::cluster::{Cluster, Tag};
 use crate::config::HiwayConfig;
-use crate::memo::{memo_key, MemoHit, MemoStore};
-use crate::provenance::ProvenanceManager;
+use crate::provenance::{memo_key, MemoHit, ProvenanceManager};
 use crate::report::{TaskReport, WorkflowReport};
 use crate::scheduler::{make_scheduler, Scheduler};
 use hiway_yarn::Resource;
@@ -195,10 +194,6 @@ struct Am {
     infra_failures: u32,
     task_failures: u32,
     speculative_attempts: u32,
-    /// Memo layer over the provenance database. Present whenever the run
-    /// records or consumes cross-run invocation memos (`resume` flag or a
-    /// durable `provdb_path`); lookups additionally require `resume`.
-    memo: Option<MemoStore>,
     /// Completed invocations satisfied from the warm store this run.
     memo_hits: u64,
     memo_saved_secs: f64,
@@ -384,10 +379,6 @@ impl Runtime {
         let seed = config.seed ^ (self.ams.len() as u64).wrapping_mul(0x9e37_79b9);
         let scheduler = make_scheduler(config.scheduler);
         let t_submit = self.cluster.engine.now().as_secs();
-        // Memos are maintained whenever this run could feed (or is) a
-        // resume: an explicit resume flag, or any durable store.
-        let memo = (config.resume || config.provdb_path.is_some())
-            .then(|| MemoStore::new(prov_db.clone()));
         self.ams.push(Am {
             app,
             source,
@@ -411,7 +402,6 @@ impl Runtime {
             infra_failures: 0,
             task_failures: 0,
             speculative_attempts: 0,
-            memo,
             memo_hits: 0,
             memo_saved_secs: 0.0,
         });
@@ -1116,14 +1106,7 @@ impl Runtime {
             let digest = match self.cluster.external_file(path) {
                 // External inputs are not in HDFS; digest their stable
                 // identity the same way HDFS digests its files.
-                Some(ext) => {
-                    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-                    for &b in path.as_bytes().iter().chain(ext.size.to_le_bytes().iter()) {
-                        h ^= b as u64;
-                        h = h.wrapping_mul(0x100_0000_01b3);
-                    }
-                    h
-                }
+                Some(ext) => hiway_hdfs::file_digest(path, ext.size),
                 None => self.cluster.hdfs.content_digest(path).ok()?,
             };
             digests.push(digest);
@@ -1131,13 +1114,12 @@ impl Runtime {
         Some(memo_key(&spec.name, &spec.command, &digests))
     }
 
-    /// Looks a ready task up in the memo store. A hit must also promise
-    /// exactly the outputs the current spec declares — a changed workflow
-    /// definition falls back to real execution.
+    /// Looks a ready task up in the provenance store. A hit must also
+    /// promise exactly the outputs the current spec declares — a changed
+    /// workflow definition falls back to real execution.
     fn memo_lookup(&self, wf: usize, task_id: TaskId) -> Option<(String, MemoHit)> {
-        let memo = self.ams[wf].memo.as_ref()?;
         let key = self.memo_key_for(wf, task_id)?;
-        let hit = memo.lookup(&key)?;
+        let hit = self.ams[wf].prov.memo_hit(&key)?;
         let spec = &self.ams[wf].tasks[&task_id].spec;
         let declared: Vec<(String, u64)> = spec
             .outputs
@@ -1217,7 +1199,14 @@ impl Runtime {
                 ),
             });
         }
-        // Completion tail, same as finish_task's.
+        self.after_completion(wf, task_id);
+    }
+
+    /// The tail every completed task runs, executed or memo-satisfied:
+    /// feed the completion back to the front-end (iterative discovery,
+    /// Figure 3: it may reveal tasks), then cascade readiness and check
+    /// whether the workflow is done.
+    fn after_completion(&mut self, wf: usize, task_id: TaskId) {
         match self.ams[wf].source.on_task_completed(task_id) {
             Ok(new_tasks) => self.register_tasks(wf, new_tasks),
             Err(e) => {
@@ -1763,44 +1752,18 @@ impl Runtime {
         };
         self.containers.remove(&container.id);
         self.cluster.rm.release(container.id);
-        self.ams[wf].prov.record_task(event);
-        // Memoize the committed invocation: with a durable store this
-        // lands in the WAL right now, so a crash immediately after the
-        // output commit still leaves a resumable record.
-        if self.ams[wf].memo.is_some() {
-            if let Some(key) = self.memo_key_for(wf, task_id) {
-                let node_name = self.cluster.node_name(container.node).to_string();
-                let am = &self.ams[wf];
-                let task = &am.tasks[&task_id];
-                let outputs: Vec<(String, u64)> = task
-                    .spec
-                    .outputs
-                    .iter()
-                    .map(|o| (o.path.clone(), o.size))
-                    .collect();
-                let makespan = (task.t_end - task.t_start).max(0.0);
-                am.memo.as_ref().expect("checked").record(
-                    &key,
-                    &task.spec.name,
-                    &node_name,
-                    &outputs,
-                    makespan,
-                );
-            }
-        }
+        // A run that could feed (or is) a resume memoizes the commit in
+        // its task document: with a durable store the commit and its memo
+        // land in the WAL together, so a crash right after the output
+        // commit still leaves a resumable record.
+        let config = &self.ams[wf].config;
+        let memo_key = (config.resume || config.provdb_path.is_some())
+            .then(|| self.memo_key_for(wf, task_id))
+            .flatten();
+        self.ams[wf].prov.record_task(event, memo_key);
         self.ams[wf].reports.push(report);
         self.charge_master_overhead(false);
-
-        // Iterative discovery (Figure 3): the completion may reveal tasks.
-        match self.ams[wf].source.on_task_completed(task_id) {
-            Ok(new_tasks) => self.register_tasks(wf, new_tasks),
-            Err(e) => {
-                self.fail_workflow(wf, e.to_string());
-                return;
-            }
-        }
-        self.check_ready(wf);
-        self.maybe_finish(wf);
+        self.after_completion(wf, task_id);
     }
 
     /// One attempt of a task died. The failure kind decides which retry

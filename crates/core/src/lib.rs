@@ -18,7 +18,8 @@
 //!   (default), static round-robin, and adaptive HEFT policies (§3.4).
 //! * [`provenance`] — the **Provenance Manager**: workflow/task/file
 //!   events, JSON trace files in HDFS, a queryable database backend, and
-//!   the runtime-estimate queries the adaptive scheduler consumes (§3.5).
+//!   the runtime-estimate queries the adaptive scheduler consumes (§3.5),
+//!   plus the memo lookup that lets a resumed run skip committed work.
 //! * [`cluster`] — the simulated substrate bundle (engine + HDFS + YARN
 //!   RM) and the client-side setup helpers.
 //! * [`config`] — AM configuration (container sizing, scheduler policy,
@@ -28,7 +29,6 @@ pub mod cluster;
 pub mod config;
 pub mod driver;
 pub mod faults;
-pub mod memo;
 pub mod provenance;
 pub mod report;
 pub mod scheduler;
@@ -37,6 +37,5 @@ pub use cluster::Cluster;
 pub use config::{HiwayConfig, SchedulerPolicy};
 pub use driver::Runtime;
 pub use faults::{FaultConfig, FaultInjector, FaultPlan};
-pub use memo::{memo_key, MemoHit, MemoStore};
-pub use provenance::ProvenanceManager;
+pub use provenance::{memo_key, MemoHit, ProvenanceManager};
 pub use report::{TaskReport, WorkflowReport};

@@ -11,11 +11,19 @@
 //! runtime. If no runtimes have been observed yet for a particular
 //! task-machine-assignment, a default runtime of zero is assumed to
 //! encourage trying out new assignments."
+//!
+//! The same task documents back cross-run memoization ("smart rerun"):
+//! a memoizing run stores each committed invocation's [`memo_key`] and
+//! outputs in its one task document, and a resumed run looks ready tasks
+//! up by that key ([`ProvenanceManager::memo_hit`]) before executing
+//! them. One insert per commit feeds the trace, the statistics and the
+//! memo lookup, so a durable store never holds a commit without its memo.
 
 use std::cell::RefCell;
 use std::collections::HashMap;
 
 use hiway_format::json::Json;
+use hiway_hdfs::fnv1a64;
 use hiway_lang::trace::{FileEvent, TaskEvent, TraceEvent, WorkflowEvent};
 use hiway_provdb::{Aggregate, Collection, Op, ProvDb};
 
@@ -24,6 +32,52 @@ pub const TASKS_COLLECTION: &str = "task_events";
 pub const FILES_COLLECTION: &str = "file_events";
 pub const WORKFLOWS_COLLECTION: &str = "workflow_events";
 pub const ATTEMPTS_COLLECTION: &str = "attempt_events";
+
+/// The memo key of an invocation: task signature (name + command — what
+/// would run) combined with the canonical digests of its staged inputs,
+/// in input-declaration order. Rendered as fixed-width hex so it is a
+/// clean indexable string.
+pub fn memo_key(name: &str, command: &str, input_digests: &[u64]) -> String {
+    let digests: Vec<u8> = input_digests.iter().flat_map(|d| d.to_le_bytes()).collect();
+    // The unit separator keeps "ab"+"c" apart from "a"+"bc".
+    let bytes = [name.as_bytes(), &[0x1f], command.as_bytes(), &digests].concat();
+    format!("{:016x}", fnv1a64(&bytes))
+}
+
+/// A committed invocation recalled from the store.
+#[derive(Clone, Debug, PartialEq)]
+pub struct MemoHit {
+    /// Outputs the invocation committed, `(path, size)` in declaration
+    /// order — what the driver materializes instead of executing.
+    pub outputs: Vec<(String, u64)>,
+    /// Node the original execution ran on (audit detail only).
+    pub node: String,
+    /// The original execution's makespan — the seconds the hit saves.
+    pub saved_secs: f64,
+}
+
+/// The queryable document of a task event: what the statistics fold and
+/// the memo lookup read.
+fn task_doc(event: &TaskEvent) -> Json {
+    Json::object()
+        .with("name", event.name.as_str())
+        .with("node", event.node.as_str())
+        .with("makespan", event.makespan())
+        .with("t_start", event.t_start)
+        .with("t_end", event.t_end)
+        .with("attempts", event.attempts)
+        .with("command", event.command.as_str())
+}
+
+/// The queryable document of a file event.
+fn file_doc(event: &FileEvent) -> Json {
+    Json::object()
+        .with("path", event.path.as_str())
+        .with("size", event.size)
+        .with("task", event.task)
+        .with("direction", event.direction.as_str())
+        .with("transfer_seconds", event.transfer_seconds)
+}
 
 /// Per-workflow provenance recorder over a (possibly shared, long-lived)
 /// provenance database. Sharing the database across runs is what feeds the
@@ -85,8 +139,10 @@ impl RuntimeStats {
 
 impl ProvenanceManager {
     pub fn new(db: ProvDb) -> ProvenanceManager {
+        let tasks = db.collection(TASKS_COLLECTION);
+        tasks.create_index("key");
         ProvenanceManager {
-            tasks: db.collection(TASKS_COLLECTION),
+            tasks,
             db,
             events: Vec::new(),
             stats: RefCell::default(),
@@ -111,18 +167,51 @@ impl ProvenanceManager {
         &self.db
     }
 
-    /// Records a completed task execution.
-    pub fn record_task(&mut self, event: TaskEvent) {
-        let doc = Json::object()
-            .with("name", event.name.as_str())
-            .with("node", event.node.as_str())
-            .with("makespan", event.makespan())
-            .with("t_start", event.t_start)
-            .with("t_end", event.t_end)
-            .with("attempts", event.attempts)
-            .with("command", event.command.as_str());
+    /// Records a completed task execution. A memoizing run passes the
+    /// invocation's memo key: the same document then also carries the key
+    /// and the committed outputs, so on a durable store the commit and its
+    /// memo reach the WAL in one insert.
+    pub fn record_task(&mut self, event: TaskEvent, memo_key: Option<String>) {
+        let mut doc = task_doc(&event);
+        if let Some(key) = memo_key {
+            let outputs = event
+                .outputs
+                .iter()
+                .map(|(path, size)| {
+                    Json::object()
+                        .with("path", path.as_str())
+                        .with("size", *size)
+                })
+                .collect();
+            doc = doc.with("key", key).with("outputs", Json::Array(outputs));
+        }
         self.tasks.insert(doc);
         self.events.push(TraceEvent::Task(event));
+    }
+
+    /// Latest committed invocation under memo `key`, if any (indexed
+    /// lookup). Task documents without a key, such as trace imports, are
+    /// never hits.
+    pub fn memo_hit(&self, key: &str) -> Option<MemoHit> {
+        // Index hits are in insertion order: the last is the latest record.
+        let doc = self.tasks.find_eq("key", &Json::from(key)).pop()?;
+        let outputs = match doc.get("outputs") {
+            Some(Json::Array(items)) => items
+                .iter()
+                .map(|o| {
+                    Some((
+                        o.get("path")?.as_str()?.to_string(),
+                        o.get("size")?.as_u64()?,
+                    ))
+                })
+                .collect::<Option<Vec<_>>>()?,
+            _ => return None,
+        };
+        Some(MemoHit {
+            outputs,
+            node: doc.get("node")?.as_str()?.to_string(),
+            saved_secs: doc.get("makespan").and_then(Json::as_f64).unwrap_or(0.0),
+        })
     }
 
     /// Records the fate of one container attempt that did *not* commit the
@@ -164,13 +253,9 @@ impl ProvenanceManager {
 
     /// Records a file staged in or out of a task's container.
     pub fn record_file(&mut self, event: FileEvent) {
-        let doc = Json::object()
-            .with("path", event.path.as_str())
-            .with("size", event.size)
-            .with("task", event.task)
-            .with("direction", event.direction.as_str())
-            .with("transfer_seconds", event.transfer_seconds);
-        self.db.collection(FILES_COLLECTION).insert(doc);
+        self.db
+            .collection(FILES_COLLECTION)
+            .insert(file_doc(&event));
         self.events.push(TraceEvent::File(event));
     }
 
@@ -204,25 +289,11 @@ impl ProvenanceManager {
         for event in events {
             match event {
                 TraceEvent::Task(t) => {
-                    let doc = Json::object()
-                        .with("name", t.name.as_str())
-                        .with("node", t.node.as_str())
-                        .with("makespan", t.makespan())
-                        .with("t_start", t.t_start)
-                        .with("t_end", t.t_end)
-                        .with("attempts", t.attempts)
-                        .with("command", t.command.as_str());
-                    self.tasks.insert(doc);
+                    self.tasks.insert(task_doc(&t));
                     loaded += 1;
                 }
                 TraceEvent::File(f) => {
-                    let doc = Json::object()
-                        .with("path", f.path.as_str())
-                        .with("size", f.size)
-                        .with("task", f.task)
-                        .with("direction", f.direction.as_str())
-                        .with("transfer_seconds", f.transfer_seconds);
-                    self.db.collection(FILES_COLLECTION).insert(doc);
+                    self.db.collection(FILES_COLLECTION).insert(file_doc(&f));
                 }
                 TraceEvent::Workflow(_) => {}
             }
@@ -315,9 +386,9 @@ mod tests {
     #[test]
     fn latest_runtime_is_most_recent() {
         let mut p = ProvenanceManager::new(ProvDb::new());
-        p.record_task(task_event("align", "w0", 0.0, 10.0));
-        p.record_task(task_event("align", "w0", 20.0, 25.0));
-        p.record_task(task_event("align", "w1", 0.0, 40.0));
+        p.record_task(task_event("align", "w0", 0.0, 10.0), None);
+        p.record_task(task_event("align", "w0", 20.0, 25.0), None);
+        p.record_task(task_event("align", "w1", 0.0, 40.0), None);
         assert_eq!(p.latest_runtime("align", "w0"), Some(5.0));
         assert_eq!(p.latest_runtime("align", "w1"), Some(40.0));
         assert_eq!(p.latest_runtime("align", "w9"), None);
@@ -329,7 +400,7 @@ mod tests {
     fn estimates_survive_across_manager_instances_sharing_a_db() {
         let db = ProvDb::new();
         let mut p1 = ProvenanceManager::new(db.clone());
-        p1.record_task(task_event("align", "w0", 0.0, 12.0));
+        p1.record_task(task_event("align", "w0", 0.0, 12.0), None);
         drop(p1);
         let p2 = ProvenanceManager::new(db);
         assert_eq!(p2.latest_runtime("align", "w0"), Some(12.0));
@@ -341,7 +412,7 @@ mod tests {
         let mut e = task_event("align", "w0", 0.0, 10.0);
         e.inputs = vec![("/in".into(), 5)];
         e.outputs = vec![("/out".into(), 10)];
-        p.record_task(e);
+        p.record_task(e, None);
         p.record_file(FileEvent {
             path: "/in".into(),
             size: 5,
@@ -353,6 +424,59 @@ mod tests {
         let wf = hiway_lang::trace::parse_trace(&trace).unwrap();
         assert_eq!(wf.name, "demo-replay");
         assert_eq!(wf.tasks.len(), 1);
+    }
+
+    fn output_event(node: &str, size: u64, makespan: f64) -> TaskEvent {
+        let mut e = task_event("align", node, 0.0, makespan);
+        e.outputs = vec![("/out/a.bam".into(), size)];
+        e
+    }
+
+    #[test]
+    fn key_is_sensitive_to_signature_and_digests() {
+        let base = memo_key("align", "bwa mem ref.fa", &[1, 2]);
+        assert_eq!(base, memo_key("align", "bwa mem ref.fa", &[1, 2]));
+        assert_ne!(base, memo_key("align", "bwa mem ref.fa", &[2, 1]));
+        assert_ne!(base, memo_key("align", "bwa mem ref.fa", &[1]));
+        assert_ne!(base, memo_key("align", "bwa mem alt.fa", &[1, 2]));
+        assert_ne!(base, memo_key("sort", "bwa mem ref.fa", &[1, 2]));
+        // Name/command boundary is unambiguous.
+        assert_ne!(memo_key("ab", "c", &[]), memo_key("a", "bc", &[]));
+        assert_eq!(base.len(), 16, "fixed-width hex");
+    }
+
+    #[test]
+    fn record_then_lookup_round_trips() {
+        let mut p = ProvenanceManager::new(ProvDb::new());
+        let key = memo_key("align", "cmd", &[7]);
+        assert_eq!(p.memo_hit(&key), None);
+        // A document recorded without a key is never a hit.
+        p.record_task(output_event("worker-0", 1024, 3.0), None);
+        assert_eq!(p.memo_hit(&key), None);
+        p.record_task(output_event("worker-1", 1024, 12.5), Some(key.clone()));
+        let hit = p.memo_hit(&key).expect("recorded");
+        assert_eq!(hit.outputs, vec![("/out/a.bam".to_string(), 1024)]);
+        assert_eq!(hit.node, "worker-1");
+        assert_eq!(hit.saved_secs, 12.5);
+        assert_eq!(
+            p.db().collection(TASKS_COLLECTION).len(),
+            2,
+            "one document per commit"
+        );
+    }
+
+    #[test]
+    fn latest_record_wins_and_survives_a_shared_db() {
+        let db = ProvDb::new();
+        let mut a = ProvenanceManager::new(db.clone());
+        let key = memo_key("t", "c", &[]);
+        a.record_task(output_event("n0", 1, 1.0), Some(key.clone()));
+        a.record_task(output_event("n1", 2, 2.0), Some(key.clone()));
+        drop(a);
+        let b = ProvenanceManager::new(db); // fresh handle, same store
+        let hit = b.memo_hit(&key).expect("still there");
+        assert_eq!(hit.node, "n1", "latest observation wins");
+        assert_eq!(hit.outputs[0].1, 2);
     }
 
     #[test]

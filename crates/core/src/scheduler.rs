@@ -174,7 +174,7 @@ impl Scheduler {
                      (unplanned tasks fill spare containers)"
                 }
                 SchedulerPolicy::Adaptive => {
-                    "lowest relative fitness wins (ties: higher locality, then FCFS order)"
+                    "lowest relative fitness wins (ties: higher locality, then latest-ready)"
                 }
             };
             tracer.audit(Decision {
@@ -489,7 +489,7 @@ mod tests {
     }
 
     fn record(prov: &mut ProvenanceManager, name: &str, node: &str, makespan: f64) {
-        prov.record_task(hiway_lang::trace::TaskEvent {
+        let event = hiway_lang::trace::TaskEvent {
             id: 0,
             name: name.into(),
             command: name.into(),
@@ -504,7 +504,8 @@ mod tests {
             attempts: 1,
             stdout: String::new(),
             stderr: String::new(),
-        });
+        };
+        prov.record_task(event, None);
     }
 
     /// A two-task round-robin-shaped plan over w0 and w1: task 0 on w0,

@@ -192,7 +192,7 @@ proptest! {
         let mut provs = managers(&db);
         for step in steps {
             match step {
-                Step::Record { manager, obs } => provs[manager].record_task(task_event(obs)),
+                Step::Record { manager, obs } => provs[manager].record_task(task_event(obs), None),
                 Step::Import { manager, trace } => {
                     let events: Vec<TraceEvent> =
                         trace.into_iter().map(|o| TraceEvent::Task(task_event(o))).collect();

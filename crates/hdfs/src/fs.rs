@@ -14,6 +14,21 @@ use hiway_sim::NodeId;
 use crate::error::HdfsError;
 use crate::plan::{ReadPlan, ReadSegment, TransferSource, WritePlan};
 
+/// FNV-1a 64 over a byte string: the digest family behind every stable
+/// identity in the system (file digests, memo keys, golden trace digests).
+pub fn fnv1a64(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ b as u64).wrapping_mul(0x100_0000_01b3)
+    })
+}
+
+/// Digest of a file's canonical identity, its path and size. The
+/// simulation models file *metadata* rather than bytes, so this is what
+/// stays invariant when the same workflow stages the same inputs again.
+pub fn file_digest(path: &str, size: u64) -> u64 {
+    fnv1a64(&[path.as_bytes(), &size.to_le_bytes()].concat())
+}
+
 /// NameNode configuration.
 #[derive(Clone, Copy, Debug)]
 pub struct HdfsConfig {
@@ -134,21 +149,12 @@ impl Hdfs {
     }
 
     /// Stable content digest of a file, usable as a memoization key
-    /// component across processes and runs. The simulation models file
-    /// *metadata* rather than bytes, so the digest is FNV-1a 64 over the
-    /// canonical identity we do track — path and size — which is exactly
-    /// what stays invariant when the same workflow stages the same inputs
-    /// again. Placement (block replicas) deliberately does not contribute:
-    /// two runs with different block placement but identical logical
-    /// content must produce identical digests.
+    /// component across processes and runs: the [`file_digest`] of its
+    /// path and size. Placement (block replicas) deliberately does not
+    /// contribute: two runs with different block placement but identical
+    /// logical content must produce identical digests.
     pub fn content_digest(&self, path: &str) -> Result<u64, HdfsError> {
-        let size = self.len(path)?;
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for &b in path.as_bytes().iter().chain(size.to_le_bytes().iter()) {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x100_0000_01b3);
-        }
-        Ok(h)
+        Ok(file_digest(path, self.len(path)?))
     }
 
     /// True when the namespace is empty.
@@ -799,5 +805,12 @@ mod tests {
             "size change changes the digest"
         );
         assert!(a.content_digest("/missing").is_err());
+    }
+
+    #[test]
+    fn fnv1a64_matches_reference_vectors() {
+        assert_eq!(fnv1a64(b""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(fnv1a64(b"a"), 0xaf63_dc4c_8601_ec8c);
+        assert_eq!(fnv1a64(b"foobar"), 0x8594_4171_f739_67e8);
     }
 }

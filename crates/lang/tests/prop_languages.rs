@@ -328,3 +328,75 @@ proptest! {
         assert_replay_equivalent(&wf)?;
     }
 }
+
+// Truncated traces: a trace file cut off mid-write must be rejected or
+// accepted cleanly, both by the parser and by the provenance import that
+// loads traces into the statistics store.
+
+use hiway_core::ProvenanceManager;
+use hiway_lang::trace::FileEvent;
+use hiway_provdb::ProvDb;
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// Every byte prefix of a written trace parses to `Ok` or `Err`, and
+    /// every prefix that parses imports its task events, never panicking.
+    /// Prefixes that split a UTF-8 sequence are read lossily, the way a
+    /// reader of a torn file would see them.
+    #[test]
+    fn truncated_traces_parse_or_fail_without_panicking(
+        name in "\\PC{0,12}",
+        stdout in "\\PC{0,24}",
+        t_start in 0.0f64..1.0e6,
+        makespan in 0.0f64..1.0e4,
+    ) {
+        let events = vec![
+            TraceEvent::Workflow(WorkflowEvent {
+                name: name.clone(),
+                language: "cuneiform".into(),
+                total_seconds: t_start + makespan,
+            }),
+            TraceEvent::Task(TaskEvent {
+                id: 3,
+                name: name.clone(),
+                command: format!("{name} --in \"/a b\\c\""),
+                inputs: vec![("/in/ä.fq".into(), 1 << 40)],
+                outputs: vec![(format!("/out/{name}"), 7)],
+                cpu_seconds: makespan,
+                threads: 2,
+                memory_mb: 512,
+                node: "worker-1".into(),
+                t_start,
+                t_end: t_start + makespan,
+                attempts: 1,
+                stdout,
+                stderr: "\u{1f600}\t\n".into(),
+            }),
+            TraceEvent::File(FileEvent {
+                path: "/in/ä.fq".into(),
+                size: 1 << 40,
+                task: 3,
+                direction: "in".into(),
+                transfer_seconds: 0.25,
+            }),
+        ];
+        let text = write_trace(&events);
+        let mut parsed_prefixes = 0;
+        for n in 0..=text.len() {
+            let prefix = String::from_utf8_lossy(&text.as_bytes()[..n]);
+            if let Ok(parsed) = parse_trace_events(&prefix) {
+                parsed_prefixes += 1;
+                let tasks = parsed
+                    .iter()
+                    .filter(|e| matches!(e, TraceEvent::Task(_)))
+                    .count();
+                let mut prov = ProvenanceManager::new(ProvDb::new());
+                prop_assert_eq!(prov.import_trace(&prefix).ok(), Some(tasks), "prefix {}", n);
+            }
+        }
+        // At least the empty prefix and each whole line parse.
+        prop_assert!(parsed_prefixes > events.len());
+        prop_assert_eq!(parse_trace_events(&text).expect("whole trace"), events);
+    }
+}

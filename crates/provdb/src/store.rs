@@ -88,15 +88,9 @@ struct CollectionInner {
 impl CollectionInner {
     fn insert_unlogged(&mut self, doc: Json) -> DocId {
         let id = DocId(self.docs.len() as u64);
-        let fields: Vec<String> = self.indexes.keys().cloned().collect();
-        for field in fields {
-            if let Some(key) = doc.get(&field).and_then(index_key) {
-                self.indexes
-                    .get_mut(&field)
-                    .expect("listed above")
-                    .entry(key)
-                    .or_default()
-                    .push(id);
+        for (field, index) in &mut self.indexes {
+            if let Some(key) = doc.get(field).and_then(index_key) {
+                index.entry(key).or_default().push(id);
             }
         }
         self.docs.push(doc);
