@@ -47,9 +47,10 @@ done
 echo "trace artifacts byte-identical across runs"
 
 echo "==> experiment golden gates (each bin twice, byte-identical, matches results/)"
-# Fig 4, Table 2 and Fig 6 take about 30 s each; the nightly workflow gates them.
+# Every experiment bin; Fig 4, Table 2 and Fig 6 take about 15 s each, the
+# rest a few seconds together.
 mkdir -p experiment_runs
-for bin in table1 fig8 fig9 ablation multiwf chaos resume; do
+for bin in table1 fig4 table2 fig6 fig8 fig9 ablation multiwf chaos resume; do
   ./target/release/$bin > "experiment_runs/$bin.txt"
   ./target/release/$bin > "experiment_runs/$bin.run2.txt"
   if ! cmp -s "experiment_runs/$bin.txt" "experiment_runs/$bin.run2.txt"; then

@@ -8,10 +8,16 @@
 //! the Workflow Driver withholds their launch until the producing files
 //! actually exist in HDFS. Evaluation only *blocks* on `val(x)` — reading
 //! the exit value of the task that produced `x` — and therefore on any
-//! `if` whose condition depends on such a value. Each task completion
-//! re-runs evaluation from the root; memoization makes the re-run cheap
-//! and idempotent, and whatever new applications become reachable are the
-//! "newly discovered tasks" handed to the scheduler.
+//! `if` whose condition depends on such a value. A round evaluates the
+//! program from the root; memoization makes it idempotent, and whatever
+//! new applications become reachable are the "newly discovered tasks"
+//! handed to the scheduler.
+//!
+//! A round is a deterministic function of the tasks' `done` flags, and
+//! only `val()` reads them. So a completion triggers a new round only if
+//! the last round's `val()` blocked on that task (its *wait set*) or the
+//! last round failed; any other completion would replay the same path
+//! through memoized applications and discover nothing.
 //!
 //! ## Simulated tool semantics
 //!
@@ -22,7 +28,7 @@
 //! seed and the task identity, standing in for data-dependent outcomes).
 
 use std::collections::hash_map::DefaultHasher;
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 use std::hash::{Hash, Hasher};
 
 use crate::ir::{LangError, OutputSpec, TaskCost, TaskId, TaskSpec, WorkflowSource};
@@ -133,6 +139,11 @@ pub struct CuneiformWorkflow {
     promised_outputs: HashMap<String, String>,
     required: BTreeSet<String>,
     complete: bool,
+    /// Producers whose `val()` blocked during the last round.
+    waiting_on: HashSet<TaskId>,
+    /// Whether the last round returned `Ok`; until then, and after an
+    /// error, every completion re-evaluates.
+    settled: bool,
     /// Current evaluation recursion depth (guards against `defun`
     /// recursion that lacks a blocking `val()` guard).
     depth: usize,
@@ -180,6 +191,8 @@ impl CuneiformWorkflow {
             promised_outputs: HashMap::new(),
             required: BTreeSet::new(),
             complete: false,
+            waiting_on: HashSet::new(),
+            settled: false,
             depth: 0,
         })
     }
@@ -194,11 +207,23 @@ impl CuneiformWorkflow {
         self.specs.get(&id)
     }
 
-    /// Runs one evaluation round on a dedicated 32 MiB stack (deep `defun`
-    /// recursion is legitimate up to the frame cap, and debug-build frames
-    /// are fat); returns the newly discovered tasks.
+    /// Marks `task` finished, so `val()` on its outputs yields its exit value.
+    fn mark_done(&mut self, task: TaskId) -> Result<(), LangError> {
+        let key = self
+            .by_id
+            .get(&task)
+            .ok_or_else(|| LangError::new("cuneiform", format!("unknown task {task:?}")))?;
+        self.memo.get_mut(key).expect("keyed state").done = true;
+        Ok(())
+    }
+
+    /// Runs one evaluation round from the root on a dedicated 32 MiB stack
+    /// (deep `defun` recursion is legitimate up to the frame cap, and
+    /// debug-build frames are fat); returns the newly discovered tasks and
+    /// records the round's wait set. `on_task_completed` runs a round only
+    /// when that wait set (or a failed round) says it can find something.
     fn evaluate_round(&mut self) -> Result<Vec<TaskSpec>, LangError> {
-        std::thread::scope(|scope| {
+        let round = std::thread::scope(|scope| {
             std::thread::Builder::new()
                 .name("cuneiform-eval".to_string())
                 .stack_size(32 << 20)
@@ -206,11 +231,14 @@ impl CuneiformWorkflow {
                 .expect("spawn evaluation thread")
                 .join()
                 .expect("evaluation thread must not panic")
-        })
+        });
+        self.settled = round.is_ok();
+        round
     }
 
     fn evaluate_round_inner(&mut self) -> Result<Vec<TaskSpec>, LangError> {
         self.newly.clear();
+        self.waiting_on.clear();
         let mut env: Vec<(String, Value)> = Vec::new();
         let lets = self.lets.clone();
         let target = self.target.clone();
@@ -397,7 +425,13 @@ impl CuneiformWorkflow {
             }
             "nth" => {
                 arity(2)?;
-                let idx = args[1].num().map_err(|e| self.error(e))? as usize;
+                let idx = args[1].num().map_err(|e| self.error(e))?;
+                if !(idx >= 0.0 && idx.fract() == 0.0) {
+                    return Err(self.error(format!(
+                        "'nth' index must be a non-negative integer, got {idx}"
+                    )));
+                }
+                let idx = idx as usize;
                 match &args[0] {
                     Value::List(items) => items.get(idx).cloned().map(Some).ok_or_else(|| {
                         self.error(format!("'nth' index {idx} out of bounds ({})", items.len()))
@@ -455,6 +489,7 @@ impl CuneiformWorkflow {
                         if state.done {
                             Ok(Some(state.exit.clone()))
                         } else {
+                            self.waiting_on.insert(*id);
                             Err(Stop::Blocked)
                         }
                     }
@@ -729,12 +764,10 @@ impl WorkflowSource for CuneiformWorkflow {
     }
 
     fn on_task_completed(&mut self, task: TaskId) -> Result<Vec<TaskSpec>, LangError> {
-        let key = self
-            .by_id
-            .get(&task)
-            .ok_or_else(|| LangError::new("cuneiform", format!("unknown task {task:?}")))?
-            .clone();
-        self.memo.get_mut(&key).expect("keyed state").done = true;
+        self.mark_done(task)?;
+        if self.settled && !self.waiting_on.contains(&task) {
+            return Ok(Vec::new());
+        }
         self.evaluate_round()
     }
 
@@ -753,6 +786,8 @@ impl WorkflowSource for CuneiformWorkflow {
 
 #[cfg(test)]
 mod tests {
+    use proptest::prelude::*;
+
     use super::*;
 
     fn parse(src: &str) -> CuneiformWorkflow {
@@ -915,6 +950,32 @@ mod tests {
         assert_eq!(tasks[0].outputs[0].path, "o_33.dat");
     }
 
+    fn nth_error(index: &str) -> String {
+        let mut wf = parse(&format!(
+            r#"deftask t( out("o_{{0}}.dat", 1) : n ) cpu 1;
+               target t(nth([5, 6, 7], {index}));"#
+        ));
+        wf.initial_tasks().unwrap_err().message
+    }
+
+    #[test]
+    fn nth_rejects_a_negative_index() {
+        let err = nth_error("-1");
+        assert!(err.contains("non-negative integer, got -1"), "{err}");
+    }
+
+    #[test]
+    fn nth_rejects_a_fractional_index() {
+        let err = nth_error("1.5");
+        assert!(err.contains("non-negative integer, got 1.5"), "{err}");
+    }
+
+    #[test]
+    fn nth_rejects_a_nan_index() {
+        let err = nth_error("div(0, 0)");
+        assert!(err.contains("non-negative integer, got NaN"), "{err}");
+    }
+
     #[test]
     fn aggregate_parameter_consumes_whole_list() {
         let mut wf = parse(
@@ -976,5 +1037,113 @@ mod tests {
         assert_eq!(tasks.len(), 2);
         assert!((tasks[0].cost.cpu_seconds - 1.0).abs() < 1e-9);
         assert_eq!(tasks[0].cost.memory_mb, 4000);
+    }
+
+    /// Generator decisions read from a proptest byte vector; every choice
+    /// past its end is 0.
+    struct Choices(std::vec::IntoIter<u8>);
+
+    impl Choices {
+        fn pick(&mut self, n: usize) -> usize {
+            self.0.next().map_or(0, |b| usize::from(b) % n)
+        }
+    }
+
+    /// Random programs for the wait-set oracle: parallel branches over
+    /// mapped inputs, each a chain of mapped (`work`) and `[aggregate]`
+    /// (`fold`) stages, `val()`-guarded `if`s on `prob()` yields, and a
+    /// k-means-shaped `defun` recursion. Tags keep every output unique.
+    fn oracle_program(ch: &mut Choices) -> String {
+        fn chain(ch: &mut Choices, cur: String, depth: usize, tag: &mut usize) -> String {
+            (0..=ch.pick(2)).fold(cur, |cur, _| stage(ch, cur, depth, tag))
+        }
+        fn stage(ch: &mut Choices, cur: String, depth: usize, tag: &mut usize) -> String {
+            *tag += 1;
+            let t = *tag;
+            match ch.pick(if depth < 2 { 4 } else { 2 }) {
+                0 => format!("work({cur}, \"t{t}\")"),
+                1 => format!("fold({cur}, \"t{t}\")"),
+                2 => {
+                    let guard = ["probe", "fold"][ch.pick(2)];
+                    let then = chain(ch, format!("v{t}"), depth + 1, tag);
+                    let otherwise = chain(ch, format!("v{t}"), depth + 1, tag);
+                    format!(
+                        "(let v{t} = {cur}; let p{t} = {guard}(v{t}, \"g{t}\"); \
+                         if gt(val(p{t}), 0) then {then} else {otherwise})"
+                    )
+                }
+                _ => format!("kmeans({cur}, file(\"/c/{t}\", 10), 0, \"t{t}\")"),
+            }
+        }
+
+        let mut src = format!(
+            r#"
+            deftask work( out("/w/{{1}}_{{0}}.dat", insize(x)) : x tag ) cpu 1;
+            deftask fold( out("/f/{{1}}.dat", insize(xs)) : [xs] tag ) cpu 1 yield prob(0.5);
+            deftask probe( out("/p/{{1}}.dat", 10) : [x] tag ) cpu 1 yield prob(0.5);
+            deftask assign( out("/a/{{2}}_{{3}}_{{0}}.dat", 10) : pts [c] tag i ) cpu 1;
+            deftask update( out("/u/{{1}}_{{2}}.dat", 10) : [a] tag i ) cpu 1
+              yield add(i, prob(0.5));
+            defun kmeans(pts, c, i, tag) =
+              let a = assign(pts, c, tag, i);
+              let u = update(a, tag, i);
+              if lt(val(u), {limit}) then kmeans(pts, u, add(i, 1), tag) else u;
+            "#,
+            limit = 1 + ch.pick(3)
+        );
+        let mut tag = 0;
+        let mut branches = Vec::new();
+        for b in 0..=ch.pick(3) {
+            let inputs: Vec<String> = (0..=ch.pick(3))
+                .map(|i| format!("file(\"/in/{b}_{i}\", {})", 100 * (i + 1)))
+                .collect();
+            let body = chain(ch, format!("[{}]", inputs.join(", ")), 0, &mut tag);
+            // A top-level `let` that blocks stops the later ones; a target
+            // list element that blocks does not.
+            if ch.pick(2) == 0 {
+                src.push_str(&format!("let b{b} = {body};\n"));
+                branches.push(format!("b{b}"));
+            } else {
+                branches.push(body);
+            }
+        }
+        src.push_str(&format!("target [{}];\n", branches.join(", ")));
+        src
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        /// The wait-set gate in `on_task_completed` hands out exactly
+        /// what re-evaluating from scratch after every completion does.
+        #[test]
+        fn wait_set_gate_matches_evaluating_every_completion(
+            shape in proptest::collection::vec(any::<u8>(), 0..48),
+            order in proptest::collection::vec(any::<u8>(), 0..256),
+            seed in 0u64..1_000,
+        ) {
+            let src = oracle_program(&mut Choices(shape.into_iter()));
+            let mut gated = CuneiformWorkflow::parse("oracle", &src, seed).expect("parse");
+            let mut oracle = CuneiformWorkflow::parse("oracle", &src, seed).expect("parse");
+            let mut order = Choices(order.into_iter());
+            let mut found = gated.initial_tasks().map_err(|e| e.message);
+            let mut expected = oracle.evaluate_round().map_err(|e| e.message);
+            let mut pending = Vec::new();
+            loop {
+                prop_assert_eq!(&found, &expected, "{}", src);
+                prop_assert_eq!(gated.is_complete(), oracle.is_complete());
+                prop_assert_eq!(gated.submitted_count(), oracle.submitted_count());
+                let Ok(tasks) = found else { break };
+                pending.extend(tasks.iter().map(|t| t.id));
+                if pending.is_empty() {
+                    break;
+                }
+                let done = pending.remove(order.pick(pending.len()));
+                found = gated.on_task_completed(done).map_err(|e| e.message);
+                oracle.mark_done(done).expect("known task");
+                expected = oracle.evaluate_round().map_err(|e| e.message);
+            }
+            prop_assert!(gated.is_complete(), "every task ran:\n{}", src);
+        }
     }
 }

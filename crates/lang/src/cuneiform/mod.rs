@@ -18,10 +18,11 @@
 //!
 //! The evaluator discovers tasks incrementally: evaluation proceeds until
 //! it *blocks* on a not-yet-completed task, at which point every task whose
-//! arguments are fully known has been submitted. Each completion re-runs
-//! the (memoized) evaluation, possibly unblocking conditionals and
-//! revealing new tasks — exactly the execution model of the paper's
-//! Figure 3.
+//! arguments are fully known has been submitted. A completion that a
+//! blocked `val()` waited on re-runs the (memoized) evaluation, possibly
+//! unblocking conditionals and revealing new tasks — exactly the execution
+//! model of the paper's Figure 3. Any other completion cannot change what
+//! evaluation reaches, so it discovers nothing and costs no evaluation.
 //!
 //! # Example
 //!

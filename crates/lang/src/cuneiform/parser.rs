@@ -24,10 +24,18 @@ use crate::ir::LangError;
 use super::ast::{Expr, FunDef, Item, OutputDecl, Param, Program, TaskDef};
 use super::lexer::{tokenize, Token, TokenKind};
 
+/// Deepest expression nesting the parser accepts. The descent recurses
+/// once per level, so an unbounded depth would overflow the stack.
+const MAX_NESTING: usize = 128;
+
 /// Parses a complete program.
 pub fn parse_program(src: &str) -> Result<Program, LangError> {
     let tokens = tokenize(src)?;
-    let mut p = Parser { tokens, pos: 0 };
+    let mut p = Parser {
+        tokens,
+        pos: 0,
+        depth: 0,
+    };
     let mut items = Vec::new();
     while !p.at_eof() {
         items.push(p.item()?);
@@ -38,6 +46,8 @@ pub fn parse_program(src: &str) -> Result<Program, LangError> {
 struct Parser {
     tokens: Vec<Token>,
     pos: usize,
+    /// Nesting depth of the `expr` currently being parsed.
+    depth: usize,
 }
 
 impl Parser {
@@ -233,6 +243,18 @@ impl Parser {
     }
 
     fn expr(&mut self) -> Result<Expr, LangError> {
+        if self.depth == MAX_NESTING {
+            return Err(self.err(format!(
+                "expression nested more than {MAX_NESTING} levels deep"
+            )));
+        }
+        self.depth += 1;
+        let e = self.expr_inner();
+        self.depth -= 1;
+        e
+    }
+
+    fn expr_inner(&mut self) -> Result<Expr, LangError> {
         if self.eat_keyword("if") {
             let cond = self.expr()?;
             if !self.eat_keyword("then") {
@@ -408,5 +430,14 @@ mod tests {
     fn nested_parens() {
         let p = parse_program("target add((1), mul(2, 3));").unwrap();
         assert!(matches!(&p.items[0], Item::Target(Expr::Call { .. })));
+    }
+
+    #[test]
+    fn nesting_limit_is_exact() {
+        let nested = |n: usize| format!("target {}1{};", "[".repeat(n), "]".repeat(n));
+        // The target expression is one level, each bracket one more.
+        assert!(parse_program(&nested(MAX_NESTING - 1)).is_ok());
+        let err = parse_program(&nested(MAX_NESTING)).unwrap_err();
+        assert!(err.message.contains("more than 128"), "{}", err.message);
     }
 }

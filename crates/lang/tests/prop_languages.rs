@@ -400,3 +400,100 @@ proptest! {
         prop_assert_eq!(parse_trace_events(&text).expect("whole trace"), events);
     }
 }
+
+// ---------------------------------------------------------------------------
+// Cuneiform front-end fuzzing: malformed programs are an `Err`, never a
+// panic or a stack overflow, in the parser and in the first evaluation round.
+
+/// A program that uses every production of the Cuneiform grammar.
+const EVERY_CONSTRUCT: &str = r#"% comment
+deftask probe( out("/p/{0}.dat", 10), out("/p/{x}.log", 1) : x )
+  cpu mul(insize(x), 0.5) threads 2 mem 64 scratch 100 yield prob(0.5);
+deftask fold( out("/f/{tag}.dat", insize(xs)) : [xs] tag ) cpu 1 yield tag;
+defun iterate(c, i) = let n = fold([c], i); if lt(val(n), 2) then iterate(n, add(i, 1)) else n;
+let inputs = [file("/in/a", 100), file("/in/b", 200)];
+let probed = probe(inputs);
+target [iterate(nth(inputs, 0), 0),
+        if val(nth(nth(probed, 1), 0)) then fold(inputs, "yes") else (concat(inputs, []))];
+"#;
+
+/// Parses `src` and, when that succeeds, runs the first evaluation round.
+/// Either step may fail; a panic or an abort fails the calling test.
+fn parse_and_unfold(src: &str) -> bool {
+    CuneiformWorkflow::parse("fuzz", src, 1)
+        .and_then(|mut wf| wf.initial_tasks())
+        .is_ok()
+}
+
+/// Every byte prefix of `src`, read lossily where it splits a UTF-8
+/// sequence, parses and unfolds or fails; returns how many succeeded.
+/// Besides the whole program (with or without its last newline), the
+/// prefixes that end after a `let` succeed, so more than two do.
+fn unfold_every_prefix(src: &str) -> usize {
+    (0..=src.len())
+        .filter(|&n| parse_and_unfold(&String::from_utf8_lossy(&src.as_bytes()[..n])))
+        .count()
+}
+
+#[test]
+fn truncated_cuneiform_programs_fail_without_panicking() {
+    assert!(parse_and_unfold(EVERY_CONSTRUCT));
+    assert!(unfold_every_prefix(EVERY_CONSTRUCT) > 2);
+}
+
+#[test]
+fn deeply_nested_cuneiform_is_an_error() {
+    const LEVELS: usize = 100_000;
+    for (open, close) in [
+        ("[", "]"),
+        ("(", ")"),
+        ("f(", ")"),
+        ("if 1 then ", " else 1"),
+    ] {
+        let opened = format!("target {}", open.repeat(LEVELS));
+        let closed = format!("{opened}1{};", close.repeat(LEVELS));
+        let err = CuneiformWorkflow::parse("deep", &closed, 0).err();
+        let message = err.expect("rejected").message;
+        assert!(message.contains("nested"), "{open}: {message}");
+        // Unclosed, it must still stop at the limit instead of recursing.
+        assert!(!parse_and_unfold(&opened));
+    }
+}
+
+/// Words and punctuation of the grammar, separated by spaces, so random
+/// sequences reach past the lexer into the parser and the evaluator.
+const TOKENS: &str = "deftask defun let target if then else out cpu yield ( ) [ ] , ; : = \
+                      1 -2.5 \"s_{0}\" x f val file nth add prob \" %";
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Random byte strings and random token sequences parse and unfold or
+    /// fail, never panicking.
+    #[test]
+    fn random_cuneiform_input_fails_without_panicking(
+        bytes in proptest::collection::vec(any::<u8>(), 0..256),
+        picks in proptest::collection::vec(any::<u8>(), 0..64),
+    ) {
+        parse_and_unfold(&String::from_utf8_lossy(&bytes));
+        let tokens: Vec<&str> = TOKENS.split_whitespace().collect();
+        let words: Vec<&str> = picks
+            .iter()
+            .map(|&p| tokens[usize::from(p) % tokens.len()])
+            .collect();
+        parse_and_unfold(&words.join(" "));
+    }
+
+    /// Every byte prefix of a generated pipeline parses and unfolds or
+    /// fails, never panicking; the whole program unfolds.
+    #[test]
+    fn truncated_generated_programs_fail_without_panicking(
+        width in 1usize..5,
+        depth in 1usize..3,
+    ) {
+        let stages: Vec<usize> = std::iter::once(width).chain((1..depth).map(|_| 1)).collect();
+        let src = cuneiform_program(&stages, 4);
+        prop_assert!(parse_and_unfold(&src));
+        prop_assert!(unfold_every_prefix(&src) > 2);
+    }
+}
