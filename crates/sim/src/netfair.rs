@@ -41,6 +41,11 @@ pub fn max_min_rates(constraints: &[Constraint], flows: &[FlowPath]) -> Vec<f64>
 /// Reusable scratch buffers for [`max_min_rates`]. The engine runs one
 /// refill per IO-set change; holding the workspace across refreshes keeps
 /// the progressive-filling loop allocation-free.
+///
+/// Each filling round touches only what is still live: the loaded
+/// finite constraints and the unfrozen flows, each kept as a compact
+/// ascending index list. At Table 2 scale most of the four-per-node
+/// constraints carry no flow, so a full scan per round would dominate.
 #[derive(Default)]
 pub struct NetFairWorkspace {
     rates: Vec<f64>,
@@ -49,7 +54,11 @@ pub struct NetFairWorkspace {
     count: Vec<usize>,
     caps: Vec<f64>,
     members: Vec<Vec<usize>>,
-    newly_frozen: Vec<bool>,
+    /// Finite constraints with `count > 0`, ascending.
+    live_cons: Vec<usize>,
+    /// Unfrozen flows, ascending.
+    live_flows: Vec<usize>,
+    newly_frozen: Vec<usize>,
 }
 
 impl NetFairWorkspace {
@@ -104,9 +113,116 @@ impl NetFairWorkspace {
             }
         }
 
+        // An infinite constraint never binds and its residual stays
+        // infinite, so it is never live.
+        self.live_cons.clear();
+        self.live_cons.extend(
+            (0..constraints.len()).filter(|&c| count[c] > 0 && constraints[c].capacity.is_finite()),
+        );
+        let live_cons = &mut self.live_cons;
+        self.live_flows.clear();
+        self.live_flows.extend(0..nf);
+        let live_flows = &mut self.live_flows;
+        let newly_frozen = &mut self.newly_frozen;
+
+        while !live_flows.is_empty() {
+            // Smallest uniform increment saturating a constraint or a cap.
+            let mut inc = f64::INFINITY;
+            for &i in live_cons.iter() {
+                inc = inc.min(residual[i] / count[i] as f64);
+            }
+            for &i in live_flows.iter() {
+                if caps[i].is_finite() {
+                    inc = inc.min(caps[i] - rates[i]);
+                }
+            }
+            if !inc.is_finite() {
+                // No binding constraint: remaining flows are unconstrained.
+                for &i in live_flows.iter() {
+                    rates[i] = UNCONSTRAINED_BPS;
+                }
+                break;
+            }
+
+            // Raise every unfrozen flow by `inc`; charge the constraints.
+            for &i in live_flows.iter() {
+                rates[i] += inc;
+            }
+            for &i in live_cons.iter() {
+                residual[i] -= inc * count[i] as f64;
+            }
+
+            // Freeze flows on saturated constraints or at their private
+            // cap. Thresholds are *relative* to the capacity: with
+            // capacities in the 1e9 range, the float error of repeated
+            // subtraction can exceed any fixed absolute epsilon.
+            newly_frozen.clear();
+            for &ci in live_cons.iter() {
+                let eps = 1e-6 + constraints[ci].capacity.abs() * 1e-9;
+                if residual[ci] <= eps {
+                    for &fi in &members[ci] {
+                        if !frozen[fi] {
+                            frozen[fi] = true;
+                            newly_frozen.push(fi);
+                        }
+                    }
+                }
+            }
+            for &fi in live_flows.iter() {
+                if !frozen[fi] && caps[fi].is_finite() {
+                    let eps = 1e-9 + caps[fi].abs() * 1e-9;
+                    if rates[fi] >= caps[fi] - eps {
+                        frozen[fi] = true;
+                        newly_frozen.push(fi);
+                    }
+                }
+            }
+            if newly_frozen.is_empty() {
+                // Numeric fallback: the increment was swallowed by
+                // rounding. Stop at the current (feasible) rates — this
+                // sacrifices at most an epsilon of max-min optimality
+                // while guaranteeing termination.
+                break;
+            }
+            for &fi in newly_frozen.iter() {
+                for &c in &flows[fi].constraints {
+                    count[c] -= 1;
+                }
+            }
+            live_cons.retain(|&c| count[c] > 0);
+            live_flows.retain(|&fi| !frozen[fi]);
+        }
+        &self.rates
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use proptest::prelude::*;
+
+    /// The progressive fill before compact lists: every round scans every
+    /// constraint and every flow. The oracle `compute` must match bit for
+    /// bit.
+    fn full_scan_rates(constraints: &[Constraint], flows: &[FlowPath]) -> Vec<f64> {
+        let nf = flows.len();
+        let mut rates = vec![0.0; nf];
+        let mut frozen = vec![false; nf];
+        let mut residual: Vec<f64> = constraints.iter().map(|c| c.capacity).collect();
+        let mut count = vec![0usize; constraints.len()];
+        let mut members = vec![Vec::new(); constraints.len()];
+        for (fi, f) in flows.iter().enumerate() {
+            for &c in &f.constraints {
+                count[c] += 1;
+                members[c].push(fi);
+            }
+        }
+        let caps: Vec<f64> = flows
+            .iter()
+            .map(|f| f.rate_cap.unwrap_or(f64::INFINITY))
+            .collect();
         let mut unfrozen = nf;
         while unfrozen > 0 {
-            // Smallest uniform increment saturating a constraint or a cap.
             let mut inc = f64::INFINITY;
             for (i, c) in residual.iter().enumerate() {
                 if count[i] > 0 && c.is_finite() {
@@ -119,7 +235,6 @@ impl NetFairWorkspace {
                 }
             }
             if !inc.is_finite() {
-                // No binding constraint: remaining flows are unconstrained.
                 for i in 0..nf {
                     if !frozen[i] {
                         rates[i] = UNCONSTRAINED_BPS;
@@ -128,8 +243,6 @@ impl NetFairWorkspace {
                 }
                 break;
             }
-
-            // Raise every unfrozen flow by `inc`; charge the constraints.
             for i in 0..nf {
                 if !frozen[i] {
                     rates[i] += inc;
@@ -140,14 +253,7 @@ impl NetFairWorkspace {
                     *r -= inc * count[i] as f64;
                 }
             }
-
-            // Freeze flows on saturated constraints or at their private
-            // cap. Thresholds are *relative* to the capacity: with
-            // capacities in the 1e9 range, the float error of repeated
-            // subtraction can exceed any fixed absolute epsilon.
-            self.newly_frozen.clear();
-            self.newly_frozen.resize(nf, false);
-            let newly_frozen = &mut self.newly_frozen;
+            let mut newly_frozen = vec![false; nf];
             for (ci, r) in residual.iter().enumerate() {
                 let eps = 1e-6 + constraints[ci].capacity.abs() * 1e-9;
                 if count[ci] > 0 && constraints[ci].capacity.is_finite() && *r <= eps {
@@ -166,7 +272,6 @@ impl NetFairWorkspace {
                     }
                 }
             }
-
             let mut progress = false;
             for fi in 0..nf {
                 if newly_frozen[fi] {
@@ -179,21 +284,91 @@ impl NetFairWorkspace {
                 }
             }
             if !progress {
-                // Numeric fallback: the increment was swallowed by
-                // rounding. Freeze everything at the current (feasible)
-                // rates — this sacrifices at most an epsilon of max-min
-                // optimality while guaranteeing termination.
-                frozen[..nf].fill(true);
                 break;
             }
         }
-        &self.rates
+        rates
     }
-}
 
-#[cfg(test)]
-mod tests {
-    use super::*;
+    /// A capacity from a selector: infinite, zero, or finite at one of
+    /// the magnitudes the engine uses (disk and NIC bytes/s) or small.
+    fn capacity(sel: u8, u: f64) -> f64 {
+        match sel % 8 {
+            0 => f64::INFINITY,
+            1 => 0.0,
+            2..=4 => 1.0e8 * (0.1 + u),
+            5 | 6 => 1.0e9 * u,
+            _ => 1.0 + 100.0 * u,
+        }
+    }
+
+    /// A flow in the engine's constraint layout (per node: disk read,
+    /// disk write, NIC out, NIC in; then the switch and one external
+    /// service), or an arbitrary constraint list that may be empty or
+    /// repeat an entry.
+    fn flow_path(nodes: usize, gen: &(u8, u16, u16, Vec<u16>, u8, f64)) -> FlowPath {
+        let (kind, a, b, raw, cap_sel, cap_u) = gen;
+        let (a, b) = (*a as usize % nodes, *b as usize % nodes);
+        let (switch, s3) = (4 * nodes, 4 * nodes + 1);
+        let constraints = match kind % 5 {
+            0 => vec![4 * a + 2, 4 * a, 4 * b + 3, 4 * b + 1, switch],
+            1 => vec![4 * a + 2, 4 * b + 3, switch],
+            2 => vec![s3, 4 * b + 3, 4 * b + 1],
+            3 => vec![4 * a + b % 2],
+            _ => raw.iter().map(|&c| c as usize % (4 * nodes + 2)).collect(),
+        };
+        let rate_cap = match cap_sel % 4 {
+            0 => Some(1.0e8 * cap_u),
+            1 if *kind % 5 == 2 => Some(5.0e7),
+            _ => None,
+        };
+        FlowPath {
+            constraints,
+            rate_cap,
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The compact-list fill gives `to_bits`-equal rates to the full
+        /// scan, up to the 130-node shape (128 workers plus masters), and
+        /// a reused workspace carries no state between fills.
+        #[test]
+        fn compact_fill_matches_full_scan(
+            nodes in 1usize..=130,
+            caps in proptest::collection::vec((any::<u8>(), 0.0f64..1.0), 522),
+            gens in proptest::collection::vec(
+                (
+                    any::<u8>(),
+                    any::<u16>(),
+                    any::<u16>(),
+                    proptest::collection::vec(any::<u16>(), 0..4),
+                    any::<u8>(),
+                    0.0f64..1.0,
+                ),
+                0..=200,
+            ),
+        ) {
+            let constraints: Vec<Constraint> = caps[..4 * nodes + 2]
+                .iter()
+                .map(|&(sel, u)| Constraint { capacity: capacity(sel, u) })
+                .collect();
+            let flows: Vec<FlowPath> = gens.iter().map(|g| flow_path(nodes, g)).collect();
+            let mut ws = NetFairWorkspace::default();
+            for prefix in [flows.len() / 2, flows.len()] {
+                let got = ws.compute(&constraints, &flows[..prefix]);
+                let want = full_scan_rates(&constraints, &flows[..prefix]);
+                prop_assert_eq!(got.len(), want.len());
+                for (i, (g, w)) in got.iter().zip(&want).enumerate() {
+                    prop_assert!(
+                        g.to_bits() == w.to_bits(),
+                        "flow {i} of {prefix}: compact {g:e} vs full scan {w:e}"
+                    );
+                }
+            }
+        }
+    }
 
     fn close(a: f64, b: f64) -> bool {
         (a - b).abs() < 1e-6 * b.abs().max(1.0)

@@ -80,6 +80,10 @@ pub struct ResourceManager {
     /// Latest virtual time seen by [`Self::allocate_at`]. Submission-time
     /// audit entries use it; the RM deliberately has no clock of its own.
     last_now: f64,
+    /// Set by every call that changes requests, containers, nodes,
+    /// admissions or the queue tree; a round that finds it clear skips
+    /// its scan (see [`Self::allocate_at`]).
+    dirty: bool,
     /// Observability sink. Counters land in the metrics registry;
     /// timestamped container spans are emitted by the driver.
     tracer: Tracer,
@@ -123,6 +127,7 @@ impl ResourceManager {
             infeasible: Vec::new(),
             spread_cursor: 0,
             last_now: 0.0,
+            dirty: true,
             tracer: Tracer::disabled(),
         }
     }
@@ -141,6 +146,7 @@ impl ResourceManager {
         }
         self.queues = QueueSet::build(&config)?;
         self.queues_configured = true;
+        self.dirty = true;
         Ok(())
     }
 
@@ -170,6 +176,7 @@ impl ResourceManager {
     }
 
     fn admit(&mut self, leaf: usize, name: String) -> (AppId, Admission) {
+        self.dirty = true;
         let id = AppId(self.next_app);
         self.next_app += 1;
         self.apps.push(name);
@@ -207,6 +214,7 @@ impl ResourceManager {
         if idx >= self.app_finished.len() || self.app_finished[idx] {
             return;
         }
+        self.dirty = true;
         self.app_finished[idx] = true;
         if !self.app_admitted[idx] {
             // Still parked: just remove it from the wait list.
@@ -253,6 +261,7 @@ impl ResourceManager {
     /// queued: they land in [`Self::take_infeasible`] and the driver
     /// fails the workflow rather than letting it hang.
     pub fn request(&mut self, app: AppId, request: ContainerRequest) -> RequestId {
+        self.dirty = true;
         let id = RequestId(self.next_request);
         self.next_request += 1;
         if let Some(why) = self.infeasible_reason(app, &request) {
@@ -315,6 +324,7 @@ impl ResourceManager {
     pub fn cancel_request(&mut self, id: RequestId) -> bool {
         let removed = self.queue.remove(&id.0).is_some();
         if removed {
+            self.dirty = true;
             self.tracer.inc("rm.requests_cancelled", 1);
             self.tracer
                 .set_gauge("rm.pending_requests", self.queue.len() as f64);
@@ -339,16 +349,24 @@ impl ResourceManager {
     /// elastic ceiling; then updates starvation clocks and selects
     /// cross-queue preemption victims. Requests that cannot be satisfied
     /// stay queued. Returns the new containers.
+    ///
+    /// A round tries every pending request while availability only falls
+    /// and queue usage only rises, so each request it leaves pending also
+    /// fails against its final state: a round with nothing changed since
+    /// the last one would grant nothing, and skips the scan.
     pub fn allocate_at(&mut self, now: f64) -> Vec<Container> {
         self.last_now = now;
         let total = self.alive_total();
         let mut granted = Vec::new();
-        // Per-leaf id-ordered snapshots of schedulable pending requests.
+        // Per-leaf id-ordered snapshots of schedulable pending requests;
+        // left empty when nothing changed since the last round.
         let nq = self.queues.nodes.len();
         let mut per_leaf: Vec<Vec<u64>> = vec![Vec::new(); nq];
-        for (&id, p) in &self.queue {
-            if self.app_admitted[p.app.0 as usize] {
-                per_leaf[self.app_queue[p.app.0 as usize]].push(id);
+        if std::mem::take(&mut self.dirty) {
+            for (&id, p) in &self.queue {
+                if self.app_admitted[p.app.0 as usize] {
+                    per_leaf[self.app_queue[p.app.0 as usize]].push(id);
+                }
             }
         }
         let mut cursor = vec![0usize; nq];
@@ -727,6 +745,7 @@ impl ResourceManager {
     /// Returns a container's lease to the pool (task finished or killed).
     pub fn release(&mut self, id: ContainerId) -> Option<Container> {
         let container = self.containers.remove(&id.0)?;
+        self.dirty = true;
         let state = &mut self.nodes[container.node.index()];
         if state.alive {
             state.available.add(&container.resource);
@@ -742,6 +761,7 @@ impl ResourceManager {
     /// Marks a node dead and returns the containers that were running on
     /// it — the owning AMs must be told their tasks are gone.
     pub fn fail_node(&mut self, node: NodeId) -> Vec<Container> {
+        self.dirty = true;
         let state = &mut self.nodes[node.index()];
         state.alive = false;
         state.available = Resource::ZERO;
@@ -778,16 +798,57 @@ impl ResourceManager {
         );
         state.total = capacity;
         state.available = capacity;
+        self.dirty = true;
     }
 
     /// Returns a node to service with full (empty) capacity.
     pub fn revive_node(&mut self, node: NodeId) {
         let state = &mut self.nodes[node.index()];
         if !state.alive {
+            self.dirty = true;
             state.alive = true;
             state.available = state.total;
             self.tracer.inc("rm.nodes_revived", 1);
         }
+    }
+
+    /// Checks the RM's books against its live containers: on every alive
+    /// node, `available` plus the node's containers equals `total`; no
+    /// container sits on a dead node; and every queue's `used` equals the
+    /// containers of its subtree, so ancestors include their children.
+    pub fn check_invariants(&self) -> Result<(), String> {
+        let mut held = vec![Resource::ZERO; self.nodes.len()];
+        let mut used = vec![Resource::ZERO; self.queues.nodes.len()];
+        for c in self.containers.values() {
+            if !self.nodes[c.node.index()].alive {
+                return Err(format!("container {} on dead node {}", c.id.0, c.node.0));
+            }
+            held[c.node.index()].add(&c.resource);
+            let mut at = Some(self.app_queue[c.app.0 as usize]);
+            while let Some(q) = at {
+                used[q].add(&c.resource);
+                at = self.queues.nodes[q].parent;
+            }
+        }
+        for (i, (n, held)) in self.nodes.iter().zip(&held).enumerate() {
+            let mut booked = n.available;
+            booked.add(held);
+            if n.alive && booked != n.total {
+                return Err(format!(
+                    "node {i}: available {:?} + containers {held:?} != total {:?}",
+                    n.available, n.total
+                ));
+            }
+        }
+        for (q, want) in self.queues.nodes.iter().zip(&used) {
+            if q.used != *want {
+                return Err(format!(
+                    "queue '{}': used {:?} != containers {want:?}",
+                    q.name, q.used
+                ));
+            }
+        }
+        Ok(())
     }
 
     pub fn is_alive(&self, node: NodeId) -> bool {
@@ -826,6 +887,7 @@ mod tests {
     use super::*;
     use crate::queues::QueueSpec;
     use hiway_sim::{ClusterSpec, NodeSpec};
+    use proptest::prelude::*;
 
     fn rm(nodes: usize) -> ResourceManager {
         let spec = ClusterSpec::homogeneous(nodes, "n", &NodeSpec::m3_large("p"));
@@ -1258,6 +1320,41 @@ mod tests {
     }
 
     #[test]
+    fn node_failure_can_free_room_under_a_queue_ceiling() {
+        // 3 nodes × 2 cores; queue "b" may hold 75% of the live cluster.
+        let mut r = rm(3);
+        r.configure_queues(QueuesConfig {
+            root: QueueSpec::parent(
+                "root",
+                1.0,
+                1.0,
+                1.0,
+                vec![
+                    QueueSpec::leaf("a", 1.0, 0.5, 1.0),
+                    QueueSpec::leaf("b", 1.0, 0.5, 0.75),
+                ],
+            ),
+            admission: AdmissionPolicy::Reject,
+            preemption_grace_secs: None,
+        })
+        .unwrap();
+        let (b, _) = r.submit_app_to("b", "wf").unwrap();
+        for n in [0, 0, 1, 2] {
+            r.request(b, ContainerRequest::pinned(one_core(), NodeId(n)));
+        }
+        assert_eq!(r.allocate().len(), 4);
+        // A fifth core would put "b" at 5 of 6 cores, over its 4.5 ceiling.
+        r.request(b, ContainerRequest::anywhere(one_core()));
+        assert!(r.allocate().is_empty());
+        assert!(r.allocate().is_empty());
+        // Node 0 takes two of b's cores with it: 3 of the 4 live cores
+        // fit under the 3-core ceiling, so the next round grants.
+        r.fail_node(NodeId(0));
+        assert_eq!(r.allocate().len(), 1);
+        assert_eq!(r.check_invariants(), Ok(()));
+    }
+
+    #[test]
     fn admission_rejects_past_limit() {
         let mut r = rm(2);
         r.configure_queues(QueuesConfig {
@@ -1366,6 +1463,134 @@ mod tests {
             r.take_preemptions().is_empty(),
             "unpreemptable containers must never be selected"
         );
+    }
+
+    // ----- the change flag against an RM that scans every round ---------
+
+    /// Applies one random operation to `r`. `held` tracks the live
+    /// containers, `asked` every request id issued; both RMs of the
+    /// oracle test see the same operation and the same bookkeeping.
+    fn apply_op(
+        r: &mut ResourceManager,
+        apps: &mut Vec<AppId>,
+        held: &mut Vec<ContainerId>,
+        asked: &mut Vec<RequestId>,
+        nodes: usize,
+        (kind, a, b): (u8, u8, u8),
+    ) {
+        let node = NodeId(a as u32 % nodes as u32);
+        match kind % 10 {
+            0..=2 => {
+                // 1–2 vcores (3 is infeasible on an m3.large); strict,
+                // relaxed-with-preference or anywhere.
+                let resource = Resource::new(1 + b as u32 % 3, 500 + 1500 * (b as u64 / 3 % 4));
+                let mut request = match b / 12 % 3 {
+                    0 => ContainerRequest::pinned(resource, node),
+                    1 => ContainerRequest {
+                        relax_locality: true,
+                        ..ContainerRequest::pinned(resource, node)
+                    },
+                    _ => ContainerRequest::anywhere(resource),
+                };
+                if b >= 200 {
+                    request = request.never_preempt();
+                }
+                asked.push(r.request(apps[a as usize % apps.len()], request));
+            }
+            3 if !asked.is_empty() => {
+                r.cancel_request(asked[b as usize % asked.len()]);
+            }
+            4 if !held.is_empty() => {
+                let cid = held.remove(b as usize % held.len());
+                r.release(cid);
+            }
+            5 => {
+                let killed = r.fail_node(node);
+                held.retain(|h| killed.iter().all(|k| k.id != *h));
+            }
+            6 => r.revive_node(node),
+            7 => r.finish_app(apps[b as usize % apps.len()]),
+            8 => {
+                let queue = if b % 2 == 0 { "a" } else { "b" };
+                apps.push(r.submit_app_to(queue, "late").unwrap().0);
+            }
+            _ => {} // a heartbeat with nothing new
+        }
+    }
+
+    /// The observable result of one round, for comparison.
+    fn round(r: &mut ResourceManager, t: f64, held: &mut Vec<ContainerId>) -> String {
+        let granted = r.allocate_at(t);
+        held.extend(granted.iter().map(|c| c.id));
+        let victims = r.take_preemptions();
+        // The driver kills preemption victims through `release`.
+        for v in &victims {
+            r.release(*v);
+            held.retain(|h| h != v);
+        }
+        let usage: Vec<_> = ["a", "b"].iter().map(|q| r.queue_usage(q)).collect();
+        format!(
+            "{granted:?} {victims:?} {:?} {} {usage:?}",
+            r.take_infeasible(),
+            r.pending_requests()
+        )
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// Skipping unchanged rounds gives the same grants, preemptions,
+        /// infeasible requests, pending counts and queue usage as
+        /// scanning every round.
+        #[test]
+        fn change_flag_matches_scanning_every_round(
+            nodes in 1usize..5,
+            grace in 1u8..6,
+            ops in proptest::collection::vec(
+                (0u8..20, any::<u8>(), any::<u8>()),
+                1..120,
+            ),
+        ) {
+            let config = QueuesConfig {
+                root: QueueSpec::parent(
+                    "root",
+                    1.0,
+                    1.0,
+                    1.0,
+                    vec![
+                        QueueSpec::leaf("a", 2.0, 0.5, 1.0).with_max_apps(2),
+                        QueueSpec::leaf("b", 1.0, 0.5, 0.75),
+                    ],
+                ),
+                admission: AdmissionPolicy::Queue,
+                preemption_grace_secs: Some(grace as f64),
+            };
+            let mut sides: Vec<_> = (0..2)
+                .map(|_| {
+                    let mut r = rm(nodes);
+                    r.configure_queues(config.clone()).unwrap();
+                    let apps: Vec<AppId> = ["a", "a", "a", "b"]
+                        .iter()
+                        .map(|q| r.submit_app_to(q, "wf").unwrap().0)
+                        .collect();
+                    (r, apps, Vec::new(), Vec::new())
+                })
+                .collect();
+            for (step, &op) in ops.iter().enumerate() {
+                let t = step as f64 * 0.75;
+                let mut seen = Vec::new();
+                for (oracle, (r, apps, held, asked)) in sides.iter_mut().enumerate() {
+                    apply_op(r, apps, held, asked, nodes, op);
+                    r.check_invariants().map_err(TestCaseError::fail)?;
+                    if oracle == 1 {
+                        r.dirty = true;
+                    }
+                    seen.push(round(r, t, held));
+                    r.check_invariants().map_err(TestCaseError::fail)?;
+                }
+                prop_assert_eq!(&seen[0], &seen[1], "step {} op {:?}", step, op);
+            }
+        }
     }
 
     #[test]

@@ -133,12 +133,14 @@ fn run_ops(
             }
             _ => {} // pure tick
         }
+        rm.check_invariants().map_err(TestCaseError::fail)?;
         t += 1.0;
         for c in rm.allocate_at(t) {
             let owner = apps.iter().position(|&a| a == c.app).unwrap();
             owned[owner].push(c.id);
             log.push((c.id, c.app, c.node));
         }
+        rm.check_invariants().map_err(TestCaseError::fail)?;
         assert_ceilings(&rm)?;
         assert_work_conserving(&rm)?;
     }
@@ -149,6 +151,7 @@ fn run_ops(
             prop_assert!(rm.release(cid).is_some());
         }
     }
+    rm.check_invariants().map_err(TestCaseError::fail)?;
     prop_assert_eq!(rm.running_containers(), 0);
     for name in rm.queue_names() {
         prop_assert_eq!(rm.queue_usage(&name).unwrap(), Resource::ZERO);
