@@ -47,8 +47,8 @@ done
 echo "trace artifacts byte-identical across runs"
 
 echo "==> experiment golden gates (each bin twice, byte-identical, matches results/)"
-# Every experiment bin; Fig 4 takes about 12 s, Table 2 about 6 s and Fig 6
-# about 4 s, the rest a few seconds together.
+# Every experiment bin; on 2 cores Fig 4 takes about 4.5 s, Table 2 about
+# 5 s and Fig 6 about 3 s, the rest about 1 s together.
 mkdir -p experiment_runs
 for bin in table1 fig4 table2 fig6 fig8 fig9 ablation multiwf chaos resume; do
   ./target/release/$bin > "experiment_runs/$bin.txt"

@@ -41,6 +41,7 @@ use hiway_yarn::{AppId, Container, ContainerId, ContainerRequest};
 use crate::cluster::{Cluster, Tag};
 use crate::config::HiwayConfig;
 use crate::provenance::{memo_key, MemoHit, ProvenanceManager};
+use crate::ready::ReadyTracker;
 use crate::report::{TaskReport, WorkflowReport};
 use crate::scheduler::{make_scheduler, Scheduler};
 use hiway_yarn::Resource;
@@ -175,6 +176,8 @@ struct Am {
     prov: ProvenanceManager,
     scheduler: Scheduler,
     tasks: BTreeMap<TaskId, TaskRun>,
+    /// The Waiting tasks and the inputs each still misses.
+    waiting: ReadyTracker,
     /// Ready-but-unlaunched tasks in readiness order.
     ready_order: Vec<TaskId>,
     /// Tasks with an unserved speculative container request.
@@ -386,6 +389,7 @@ impl Runtime {
             prov: ProvenanceManager::new(prov_db),
             scheduler,
             tasks: BTreeMap::new(),
+            waiting: ReadyTracker::default(),
             ready_order: Vec::new(),
             spec_pending: Vec::new(),
             blacklist: BTreeMap::new(),
@@ -549,6 +553,35 @@ impl Runtime {
             .filter(|t| t.state == TaskState::Done)
             .count();
         (done, am.tasks.len())
+    }
+
+    /// Checks the RM's invariants and the driver's own: every Done task's
+    /// outputs are available, and each AM's tracker holds exactly its
+    /// Waiting tasks with their counts of unavailable inputs (which a file
+    /// appearing without reaching the trackers would break).
+    pub fn check_invariants(&self) -> Result<(), String> {
+        self.cluster.rm.check_invariants()?;
+        let available = |p: &String| self.cluster.input_available(p);
+        for (wf, am) in self.ams.iter().enumerate() {
+            let done = am.tasks.values().filter(|t| t.state == TaskState::Done);
+            let outputs = done.flat_map(|t| &t.spec.outputs);
+            if let Some(out) = outputs.map(|o| &o.path).find(|p| !available(p)) {
+                return Err(format!("workflow {wf}: Done task output {out} is missing"));
+            }
+            let waiting: BTreeMap<TaskId, usize> = am
+                .tasks
+                .iter()
+                .filter(|(_, t)| t.state == TaskState::Waiting)
+                .map(|(id, t)| (*id, t.spec.inputs.iter().filter(|p| !available(p)).count()))
+                .collect();
+            let held: BTreeMap<TaskId, usize> = am.waiting.held().collect();
+            if held != waiting {
+                return Err(format!(
+                    "workflow {wf}: tracker {held:?}, Waiting {waiting:?}"
+                ));
+            }
+        }
+        Ok(())
     }
 
     /// Fails a node mid-run: kills its containers and re-tries the tasks
@@ -1022,7 +1055,18 @@ impl Runtime {
                 !am.tasks.contains_key(&id),
                 "front-end emitted duplicate task {id:?}"
             );
+            am.waiting
+                .add(id, &spec.inputs, |p| self.cluster.input_available(p));
             am.tasks.insert(id, TaskRun::new(spec));
+        }
+    }
+
+    /// Tells every AM that `path` became available. Files appear mid-run
+    /// only through a stage-out commit or a memo hit, and both call this,
+    /// so a commit by one workflow releases the tasks of all of them.
+    fn file_available(&mut self, path: &str) {
+        for am in &mut self.ams {
+            am.waiting.file_available(path);
         }
     }
 
@@ -1049,29 +1093,14 @@ impl Runtime {
         )
     }
 
-    /// Moves Waiting tasks whose inputs are all available to Requested.
+    /// Moves Waiting tasks whose inputs are all available to Requested,
+    /// lowest id first, until none is left or the workflow has ended.
     fn check_ready(&mut self, wf: usize) {
         let now = self.cluster.engine.now().as_secs();
-        let ready: Vec<TaskId> = {
-            let am = &self.ams[wf];
-            am.tasks
-                .iter()
-                .filter(|(_, t)| t.state == TaskState::Waiting)
-                .filter(|(_, t)| {
-                    t.spec
-                        .inputs
-                        .iter()
-                        .all(|p| self.cluster.input_available(p))
-                })
-                .map(|(id, _)| *id)
-                .collect()
-        };
-        for id in ready {
-            // A nested check_ready (via a memo completion's discovery
-            // cascade) may have handled this task already.
-            if self.ams[wf].tasks[&id].state != TaskState::Waiting {
-                continue;
-            }
+        while self.ams[wf].active() {
+            let Some(id) = self.ams[wf].waiting.pop() else {
+                return;
+            };
             // Resume path: a committed invocation with this signature and
             // these input digests never reaches a scheduler — it is
             // satisfied from the warm provenance store on the spot.
@@ -1144,6 +1173,7 @@ impl Runtime {
             if !self.cluster.hdfs.exists(path) {
                 self.cluster.prestage(path, *size);
             }
+            self.file_available(path);
         }
         let am = &mut self.ams[wf];
         am.memo_hits += 1;
@@ -1633,6 +1663,7 @@ impl Runtime {
             (out.path.clone(), out.size, att.group_started[&file])
         };
         self.cluster.commit_file(&path);
+        self.file_available(&path);
         self.ams[wf].prov.record_file(FileEvent {
             path,
             size,

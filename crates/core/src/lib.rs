@@ -20,6 +20,8 @@
 //!   events, JSON trace files in HDFS, a queryable database backend, and
 //!   the runtime-estimate queries the adaptive scheduler consumes (§3.5),
 //!   plus the memo lookup that lets a resumed run skip committed work.
+//! * [`ready`] — the input-readiness countdown shared by the driver and
+//!   the baseline engines' DAG runner.
 //! * [`cluster`] — the simulated substrate bundle (engine + HDFS + YARN
 //!   RM) and the client-side setup helpers.
 //! * [`config`] — AM configuration (container sizing, scheduler policy,
@@ -30,6 +32,7 @@ pub mod config;
 pub mod driver;
 pub mod faults;
 pub mod provenance;
+pub mod ready;
 pub mod report;
 pub mod scheduler;
 
@@ -38,4 +41,5 @@ pub use config::{HiwayConfig, SchedulerPolicy};
 pub use driver::Runtime;
 pub use faults::{FaultConfig, FaultInjector, FaultPlan};
 pub use provenance::{memo_key, MemoHit, ProvenanceManager};
+pub use ready::ReadyTracker;
 pub use report::{TaskReport, WorkflowReport};

@@ -5,7 +5,9 @@ use hiway_core::cluster::Cluster;
 use hiway_core::config::{HiwayConfig, SchedulerPolicy};
 use hiway_core::driver::Runtime;
 use hiway_lang::cuneiform::CuneiformWorkflow;
-use hiway_lang::ir::{OutputSpec, StaticWorkflow, TaskCost, TaskId, TaskSpec};
+use hiway_lang::ir::{
+    LangError, OutputSpec, StaticWorkflow, TaskCost, TaskId, TaskSpec, WorkflowSource,
+};
 use hiway_provdb::ProvDb;
 use hiway_sim::{ClusterSpec, NodeId, NodeSpec};
 
@@ -1027,4 +1029,113 @@ fn unknown_queue_submission_fails_cleanly() {
     rt.run_to_completion();
     let err = rt.error_of(idx).expect("unknown queue must fail");
     assert!(err.contains("unknown queue"), "{err}");
+}
+
+#[test]
+fn readiness_follows_commits_of_every_workflow() {
+    // Workflow B's join reads a file workflow A produces. A's commit must
+    // reach B's readiness tracker, and the driver invariants hold after
+    // every second of the run.
+    let mut cluster = small_cluster(3);
+    cluster.prestage("/in", 1 << 20);
+    let mut rt = Runtime::new(cluster);
+    let fcfs = || HiwayConfig::default().with_scheduler(SchedulerPolicy::Fcfs);
+    let ia = rt.submit(Box::new(diamond()), fcfs(), ProvDb::new());
+    let consumer = StaticWorkflow::new(
+        "consumer",
+        "test",
+        vec![
+            task(0, "slow", &["/in"], &[("/s", 1 << 10)], 60.0),
+            task(1, "join", &["/s", "/d", "/s"], &[("/j", 1 << 10)], 1.0),
+        ],
+    );
+    let ib = rt.submit(Box::new(consumer), fcfs(), ProvDb::new());
+    let mut t = 0.0;
+    loop {
+        t += 1.0;
+        let active = rt.run_until(hiway_sim::SimTime::from_secs(t));
+        rt.check_invariants()
+            .unwrap_or_else(|why| panic!("at t={t}: {why}"));
+        if !active {
+            break;
+        }
+    }
+    assert!(rt.error_of(ia).is_none(), "{:?}", rt.error_of(ia));
+    assert!(rt.error_of(ib).is_none(), "{:?}", rt.error_of(ib));
+    assert_eq!(rt.progress(ib), (2, 2));
+}
+
+/// A static workflow whose front-end fails when `bad` completes.
+struct FailsOn {
+    inner: StaticWorkflow,
+    bad: TaskId,
+}
+
+impl WorkflowSource for FailsOn {
+    fn name(&self) -> &str {
+        self.inner.name()
+    }
+    fn language(&self) -> &'static str {
+        self.inner.language()
+    }
+    fn initial_tasks(&mut self) -> Result<Vec<TaskSpec>, LangError> {
+        self.inner.initial_tasks()
+    }
+    fn on_task_completed(&mut self, task: TaskId) -> Result<Vec<TaskSpec>, LangError> {
+        if task == self.bad {
+            return Err(LangError::new("test", "front-end broke"));
+        }
+        self.inner.on_task_completed(task)
+    }
+    fn is_static(&self) -> bool {
+        self.inner.is_static()
+    }
+    fn required_inputs(&self) -> Vec<String> {
+        self.inner.required_inputs()
+    }
+    fn is_complete(&self) -> bool {
+        self.inner.is_complete()
+    }
+}
+
+#[test]
+fn front_end_error_on_a_memo_hit_stops_requesting_containers() {
+    // A warm store holds task "a". On resume, "a" is satisfied from it at
+    // once and the front-end errors on that completion. The workflow
+    // fails, and neither the other ready task nor the one "a" unblocked
+    // may ask the RM for a container afterwards.
+    let db = ProvDb::new();
+    let resume = || {
+        HiwayConfig::default()
+            .with_scheduler(SchedulerPolicy::Fcfs)
+            .with_resume(true)
+    };
+    let first = task(0, "a", &["/in"], &[("/a", 1 << 20)], 5.0);
+    let mut cluster = small_cluster(3);
+    cluster.prestage("/in", 1 << 20);
+    let mut rt = Runtime::new(cluster);
+    let warm = StaticWorkflow::new("warm", "test", vec![first.clone()]);
+    let idx = rt.submit(Box::new(warm), resume(), db.clone());
+    rt.run_to_completion();
+    assert!(rt.error_of(idx).is_none(), "{:?}", rt.error_of(idx));
+
+    let mut cluster = small_cluster(3);
+    cluster.prestage("/in", 1 << 20);
+    let mut rt = Runtime::new(cluster);
+    let tasks = vec![
+        first,
+        task(1, "b", &["/in"], &[("/b", 1 << 20)], 5.0),
+        task(2, "c", &["/a"], &[("/c", 1 << 20)], 5.0),
+    ];
+    let source = FailsOn {
+        inner: StaticWorkflow::new("resumed", "test", tasks),
+        bad: TaskId(0),
+    };
+    let idx = rt.submit(Box::new(source), resume(), db);
+    rt.run_to_completion();
+    assert_eq!(rt.memo_hits(idx), 1);
+    let err = rt.error_of(idx).expect("the front-end error fails the run");
+    assert!(err.contains("front-end broke"), "{err}");
+    assert_eq!(rt.cluster.rm.pending_requests(), 0);
+    rt.check_invariants().unwrap();
 }

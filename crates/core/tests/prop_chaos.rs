@@ -90,8 +90,8 @@ fn chaos_run(width: usize, depth: usize, nodes: usize, intensity: f64, seed: u64
     let plan = FaultPlan::generate(&fc, &eligible);
     let mut injector = FaultInjector::new(plan, eligible);
     let reports = injector.run(&mut rt);
-    if let Err(why) = rt.cluster.rm.check_invariants() {
-        panic!("RM invariant broken after a chaos run: {why}");
+    if let Err(why) = rt.check_invariants() {
+        panic!("invariant broken after a chaos run: {why}");
     }
     let r = &reports[idx];
     Outcome {

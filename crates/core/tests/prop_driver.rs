@@ -77,6 +77,7 @@ proptest! {
             ProvDb::new(),
         );
         let reports = rt.run_to_completion();
+        rt.check_invariants().map_err(TestCaseError::fail)?;
         prop_assert!(rt.error_of(idx).is_none(), "{:?}", rt.error_of(idx));
         prop_assert_eq!(reports[idx].tasks.len(), total);
 
@@ -114,6 +115,7 @@ proptest! {
         config.task_retries = 50; // p<0.5 ⇒ 50 straight failures ≈ never
         let idx = rt.submit(Box::new(wf), config, ProvDb::new());
         let reports = rt.run_to_completion();
+        rt.check_invariants().map_err(TestCaseError::fail)?;
         prop_assert!(rt.error_of(idx).is_none(), "{:?}", rt.error_of(idx));
         prop_assert_eq!(reports[idx].tasks.len(), total);
         for t in &reports[idx].tasks {

@@ -205,7 +205,10 @@ pub fn parse_galaxy(
             }
         }
 
-        let total_in: u64 = input_files.iter().map(|(_, s)| *s).sum();
+        // Saturating: a fan-in of huge bound inputs must not overflow.
+        let total_in = input_files
+            .iter()
+            .fold(0u64, |sum, (_, size)| sum.saturating_add(*size));
 
         // Declared outputs.
         let out_decls: Vec<(String, String)> = step
@@ -395,5 +398,23 @@ mod tests {
     fn rejects_malformed_json() {
         assert!(parse_galaxy("{", &HashMap::new(), &ToolProfiles::default()).is_err());
         assert!(parse_galaxy("{}", &HashMap::new(), &ToolProfiles::default()).is_err());
+    }
+
+    #[test]
+    fn huge_fan_in_saturates_instead_of_overflowing() {
+        let ga = r#"{"name": "x", "steps": {
+            "0": {"id": 0, "type": "data_input", "label": "reads"},
+            "1": {"id": 1, "type": "tool", "tool_id": "t",
+                  "input_connections": {"in": [{"id": 0}, {"id": 0}, {"id": 0}]}}}}"#;
+        let mut inputs = HashMap::new();
+        inputs.insert(
+            "reads".into(),
+            BoundInput {
+                path: "/in/reads.fq".into(),
+                size: u64::MAX / 2,
+            },
+        );
+        let wf = parse_galaxy(ga, &inputs, &ToolProfiles::default()).unwrap();
+        assert_eq!(wf.tasks[0].outputs[0].size, u64::MAX);
     }
 }

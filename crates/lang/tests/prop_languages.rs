@@ -497,3 +497,120 @@ proptest! {
         prop_assert!(unfold_every_prefix(&src) > 2);
     }
 }
+
+// ---------------------------------------------------------------------------
+// DAX, Galaxy and trace fuzzing: random bytes, random token sequences,
+// truncations and byte edits of valid documents are an `Err` or a
+// workflow, never a panic.
+
+/// A DAX document with every element and attribute the parser reads.
+const SAMPLE_DAX: &str = r#"<?xml version="1.0"?>
+<adag name="fuzz">
+  <job id="a" name="pre" runtime="10" threads="2" memory="1000" scratch="5">
+    <argument>-i in.dat</argument>
+    <uses file="in.dat" link="input" size="100"/>
+    <uses file="a.dat" link="output" size="50"/>
+  </job>
+  <job id="b" name="post"><uses file="a.dat" link="input"/></job>
+  <child ref="b"><parent ref="a"/></child>
+</adag>
+"#;
+
+/// Grammar words of the three formats, so random sequences get past the
+/// tokenizers into the front-ends.
+const DOC_TOKENS: &str = r#"<adag </adag> <job </job> <uses <child </child> <parent <argument>
+    </argument> /> > = id="a" id="b" name="t" runtime="1e308" runtime="NaN" threads="-1"
+    size="18446744073709551616" file="a.dat" link="input" link="output" ref="a" ref="b"
+    <!-- --> <?xml ?> &amp; &#x41; { } [ ] : , "steps" "id" "type" "tool" "data_input" "label"
+    "reads" "tool_id" "input_connections" "outputs" "name" "output_name" "output" 0 1 -1 1e999
+    18446744073709551616 "task" "workflow" "file" "inputs" "path" "size" null true \n"#;
+
+/// Runs every parser on `text`; returns how many accepted it.
+fn parse_all(text: &str) -> usize {
+    let mut bindings = HashMap::new();
+    bindings.insert(
+        "reads".to_string(),
+        BoundInput {
+            path: "/in/reads.fq".to_string(),
+            size: u64::MAX / 2,
+        },
+    );
+    [
+        parse_dax(text).is_ok(),
+        parse_galaxy(text, &bindings, &ToolProfiles::default()).is_ok(),
+        parse_trace(text).is_ok(),
+    ]
+    .into_iter()
+    .filter(|ok| *ok)
+    .count()
+}
+
+/// A written trace of two dependent tasks.
+fn sample_trace() -> String {
+    let task = |id: u64, input: &str, output: &str| {
+        TraceEvent::Task(TaskEvent {
+            id,
+            name: format!("t{id}"),
+            command: "tool".into(),
+            inputs: vec![(input.into(), 10)],
+            outputs: vec![(output.into(), 5)],
+            cpu_seconds: 1.5,
+            threads: 1,
+            memory_mb: 256,
+            node: "w-1".into(),
+            t_start: 0.0,
+            t_end: 1.5,
+            attempts: 1,
+            stdout: String::new(),
+            stderr: String::new(),
+        })
+    };
+    write_trace(&[task(0, "/in", "/a"), task(1, "/a", "/b")])
+}
+
+/// `doc` with the byte at each `(position, value)` edit replaced, read
+/// lossily.
+fn edited(doc: &str, edits: &[(u16, u8)]) -> String {
+    let mut bytes = doc.as_bytes().to_vec();
+    for &(at, value) in edits {
+        let len = bytes.len();
+        bytes[usize::from(at) % len] = value;
+    }
+    String::from_utf8_lossy(&bytes).into_owned()
+}
+
+#[test]
+fn truncated_documents_fail_without_panicking() {
+    let docs = [SAMPLE_DAX.to_string(), galaxy_doc(3), sample_trace()];
+    for doc in &docs {
+        assert_eq!(parse_all(doc), 1, "the whole document parses: {doc}");
+        for n in 0..doc.len() {
+            parse_all(&String::from_utf8_lossy(&doc.as_bytes()[..n]));
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Random bytes are an `Err` for every parser; random token sequences
+    /// and byte edits of valid documents are an `Err` or a workflow.
+    #[test]
+    fn random_documents_fail_without_panicking(
+        bytes in proptest::collection::vec(any::<u8>(), 0..256),
+        picks in proptest::collection::vec(any::<u8>(), 0..64),
+        edits in proptest::collection::vec((any::<u16>(), any::<u8>()), 1..6),
+    ) {
+        prop_assert_eq!(parse_all(&String::from_utf8_lossy(&bytes)), 0);
+        let tokens: Vec<&str> = DOC_TOKENS.split_whitespace().collect();
+        let words: Vec<&str> = picks
+            .iter()
+            .map(|&p| tokens[usize::from(p) % tokens.len()])
+            .collect();
+        parse_all(&words.join(" "));
+        parse_all(&words.concat());
+        for doc in [SAMPLE_DAX.to_string(), galaxy_doc(2), sample_trace()] {
+            parse_all(&edited(&doc, &edits));
+        }
+    }
+}

@@ -5,9 +5,10 @@
 //! is pluggable: HDFS with node-local replicas (Tez) or a shared
 //! network-attached volume (CloudMan's EBS).
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 
 use hiway_core::cluster::{Cluster, Tag};
+use hiway_core::ReadyTracker;
 use hiway_hdfs::exec as hdfs_exec;
 use hiway_lang::ir::WorkflowSource;
 use hiway_lang::{StaticWorkflow, TaskId, TaskSpec};
@@ -57,19 +58,8 @@ pub struct BaselineReport {
     pub placements: Vec<(TaskId, NodeId)>,
 }
 
-#[derive(PartialEq)]
-enum St {
-    Waiting,
-    Starting,
-    StageIn,
-    Running,
-    StageOut,
-    Done,
-}
-
 struct Run {
     spec: TaskSpec,
-    state: St,
     node: NodeId,
     remaining: usize,
     scratch_done: bool,
@@ -93,7 +83,6 @@ pub fn run_dag(
                 spec.id,
                 Run {
                     spec,
-                    state: St::Waiting,
                     node: NodeId(0),
                     remaining: 0,
                     scratch_done: false,
@@ -101,11 +90,7 @@ pub fn run_dag(
             )
         })
         .collect();
-    let mut order: Vec<TaskId> = tasks.keys().copied().collect();
-    order.sort();
-
-    // Volume-mode file availability (sizes of produced files are known).
-    let mut on_volume: HashSet<String> = HashSet::new();
+    // Sizes of produced files, for volume-mode stage-in.
     let sizes: HashMap<String, u64> = tasks
         .values()
         .flat_map(|r| r.spec.outputs.iter().map(|o| (o.path.clone(), o.size)))
@@ -130,55 +115,31 @@ pub fn run_dag(
     let mut rr = 0usize;
     let mut rng = StdRng::seed_from_u64(config.seed);
 
-    let input_ok = |cluster: &Cluster, on_volume: &HashSet<String>, path: &str| match config.storage
-    {
+    let input_ok = |path: &str| match config.storage {
         Storage::HdfsLocal => cluster.input_available(path),
+        // Files no task produces were staged on the volume by the caller.
         Storage::SharedVolume(_) => {
-            on_volume.contains(path) || cluster.external_file(path).is_some()
+            !sizes.contains_key(path) || cluster.external_file(path).is_some()
         }
     };
-
-    // For volume mode, seed availability with files that exist nowhere as
-    // outputs — the caller staged them on the volume.
-    if let Storage::SharedVolume(_) = config.storage {
-        for r in tasks.values() {
-            for p in &r.spec.inputs {
-                if !sizes.contains_key(p) {
-                    on_volume.insert(p.clone());
-                }
-            }
-        }
+    let mut waiting = ReadyTracker::default();
+    for run in tasks.values() {
+        waiting.add(run.spec.id, &run.spec.inputs, input_ok);
     }
 
     loop {
-        // Greedy dispatch of every runnable task onto free slots.
-        let mut launched = Vec::new();
-        for &tid in &order {
-            let run = &tasks[&tid];
-            if run.state != St::Waiting {
-                continue;
-            }
-            if !run
-                .spec
-                .inputs
-                .iter()
-                .all(|p| input_ok(cluster, &on_volume, p))
-            {
-                continue;
-            }
-            // Placement-agnostic: next node with a free slot, round-robin.
-            let slot = (0..nodes.len())
-                .map(|k| nodes[(rr + k) % nodes.len()])
-                .find(|n| free_slots[n] > 0);
-            if let Some(node) = slot {
-                rr = (nodes.iter().position(|x| *x == node).expect("member") + 1) % nodes.len();
-                *free_slots.get_mut(&node).expect("slot") -= 1;
-                launched.push((tid, node));
-            }
-        }
-        for (tid, node) in launched {
+        // Greedy dispatch of runnable tasks, lowest id first, onto the next
+        // node with a free slot, round-robin and placement-agnostic.
+        while let Some(node) = (0..nodes.len())
+            .map(|k| nodes[(rr + k) % nodes.len()])
+            .find(|n| free_slots[n] > 0)
+        {
+            let Some(tid) = waiting.pop() else {
+                break;
+            };
+            rr = (nodes.iter().position(|x| *x == node).expect("member") + 1) % nodes.len();
+            *free_slots.get_mut(&node).expect("slot") -= 1;
             let run = tasks.get_mut(&tid).expect("known");
-            run.state = St::Starting;
             run.node = node;
             cluster.engine.set_timer_after(
                 config.startup_secs,
@@ -190,7 +151,8 @@ pub fn run_dag(
             );
         }
 
-        if tasks.values().all(|r| r.state == St::Done) {
+        // Each finished task records exactly one placement.
+        if placements.len() == tasks.len() {
             break;
         }
 
@@ -199,7 +161,7 @@ pub fn run_dag(
             None => {
                 return Err(format!(
                     "baseline '{name}' deadlocked with {} unfinished tasks",
-                    tasks.values().filter(|r| r.state != St::Done).count()
+                    tasks.len() - placements.len()
                 ))
             }
         };
@@ -209,12 +171,10 @@ pub fn run_dag(
             };
             match tag {
                 Tag::ContainerStarted { task, .. } => {
-                    let run = tasks.get_mut(&task).expect("known");
-                    run.state = St::StageIn;
-                    let inputs = run.spec.inputs.clone();
+                    let run = &tasks[&task];
                     let node = run.node;
                     let mut acts = 0usize;
-                    for path in &inputs {
+                    for path in &run.spec.inputs {
                         let stage_tag = Tag::StageIn {
                             wf: u32::MAX,
                             task,
@@ -369,12 +329,10 @@ pub fn run_dag(
                             continue;
                         }
                     }
-                    let run = tasks.get_mut(&task).expect("known");
-                    run.state = St::StageOut;
+                    let run = &tasks[&task];
                     let node = run.node;
-                    let outputs = run.spec.outputs.clone();
                     let mut acts = 0usize;
-                    for out in &outputs {
+                    for out in &run.spec.outputs {
                         let stage_tag = Tag::StageOut {
                             wf: u32::MAX,
                             task,
@@ -413,10 +371,9 @@ pub fn run_dag(
                     if acts == 0 {
                         complete_task(
                             cluster,
-                            &mut tasks,
-                            task,
+                            &tasks[&task],
                             &mut free_slots,
-                            &mut on_volume,
+                            &mut waiting,
                             &config,
                             &mut placements,
                         );
@@ -428,10 +385,9 @@ pub fn run_dag(
                     if run.remaining == 0 {
                         complete_task(
                             cluster,
-                            &mut tasks,
-                            task,
+                            &tasks[&task],
                             &mut free_slots,
-                            &mut on_volume,
+                            &mut waiting,
                             &config,
                             &mut placements,
                         );
@@ -450,7 +406,6 @@ pub fn run_dag(
 }
 
 fn start_exec(cluster: &mut Cluster, run: &mut Run, task: TaskId, config: &BaselineConfig) {
-    run.state = St::Running;
     run.remaining = 1;
     run.scratch_done = run.spec.cost.scratch_bytes == 0;
     let node_cores = cluster.engine.spec().node(run.node).cores;
@@ -478,27 +433,21 @@ fn start_exec(cluster: &mut Cluster, run: &mut Run, task: TaskId, config: &Basel
     );
 }
 
-#[allow(clippy::too_many_arguments)]
 fn complete_task(
     cluster: &mut Cluster,
-    tasks: &mut HashMap<TaskId, Run>,
-    task: TaskId,
+    run: &Run,
     free_slots: &mut HashMap<NodeId, u32>,
-    on_volume: &mut HashSet<String>,
+    waiting: &mut ReadyTracker,
     config: &BaselineConfig,
     placements: &mut Vec<(TaskId, NodeId)>,
 ) {
-    let run = tasks.get_mut(&task).expect("known");
-    run.state = St::Done;
     *free_slots.get_mut(&run.node).expect("slot") += 1;
-    placements.push((task, run.node));
+    placements.push((run.spec.id, run.node));
     for out in &run.spec.outputs {
-        match config.storage {
-            Storage::SharedVolume(_) => {
-                on_volume.insert(out.path.clone());
-            }
-            Storage::HdfsLocal => cluster.commit_file(&out.path),
+        if let Storage::HdfsLocal = config.storage {
+            cluster.commit_file(&out.path);
         }
+        waiting.file_available(&out.path);
     }
 }
 
