@@ -1,9 +1,10 @@
 #!/usr/bin/env bash
 # CI entry point: build, test, lint, smoke-run the benchmarks, and run the
 # trace and experiment golden gates. Everything here is deterministic; the
-# bench smoke also regenerates BENCH_engine.json so regressions in the
-# engine hot path show up as a speedup drop in the artifact. Gate outputs
-# are left in trace_run1/, trace_run2/ and experiment_runs/ for upload.
+# bench smoke also regenerates BENCH_engine.json (engine speedup and the
+# tracing overhead) and BENCH_provdb.json, so regressions in either hot
+# path show up in the artifacts. Gate outputs are left in trace_run1/,
+# trace_run2/ and experiment_runs/ for upload.
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -26,10 +27,6 @@ cargo clippy --all-targets -p hiway -p hiway-obs -p hiway-sim -p hiway-hdfs -p h
 echo "==> engine benchmark smoke"
 ./target/release/bench_engine --quick BENCH_engine.json
 cat BENCH_engine.json
-
-echo "==> observability overhead smoke"
-./target/release/bench_obs --quick BENCH_obs.json
-cat BENCH_obs.json
 
 echo "==> provenance store benchmark smoke"
 ./target/release/bench_provdb --quick BENCH_provdb.json

@@ -1,86 +1,64 @@
 //! Engine hot-path benchmark: drives the Figure-4-shaped workload (24
-//! nodes, 576 task pipelines) through the incremental engine and the
-//! naive reference engine, prints the events/sec comparison, and emits
-//! `BENCH_engine.json` for regression tracking.
+//! nodes, 576 task pipelines) through the naive reference engine and
+//! through the incremental engine with the tracer off and on, checks that
+//! all three runs agree, and writes `BENCH_engine.json`: events/sec of
+//! each run, the incremental engine's speedup, and the tracing overhead.
+//! The tracing-off run is the zero-overhead contract for `hiway-obs`.
 //!
 //! Usage: `bench_engine [--quick] [output.json]`
 
-use std::time::Instant;
-
-use hiway_bench::engine_bench::{drive_incremental, drive_reference, make_plan, DriveResult};
-
-struct Measured {
-    result: DriveResult,
-    best_secs: f64,
-}
-
-fn measure(runs: usize, f: impl Fn() -> DriveResult) -> Measured {
-    let result = f(); // warm-up; also the result all timed runs must match
-    let mut best = f64::INFINITY;
-    for _ in 0..runs {
-        let t0 = Instant::now();
-        let r = f();
-        let dt = t0.elapsed().as_secs_f64();
-        assert_eq!(r, result, "benchmark run was not deterministic");
-        best = best.min(dt);
-    }
-    Measured {
-        result,
-        best_secs: best,
-    }
-}
+use hiway_bench::engine_bench::{drive_incremental, drive_reference, make_plan};
+use hiway_bench::report::{self, best_of, Report};
+use hiway_obs::Tracer;
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let out_path = args
-        .iter()
-        .find(|a| !a.starts_with("--"))
-        .cloned()
-        .unwrap_or_else(|| "BENCH_engine.json".to_string());
-
+    let args = report::args("BENCH_engine.json");
     // Figure 4 scale: 24 nodes behind one switch, 576 one-core containers.
-    let (nodes, tasks, runs) = if quick { (24, 576, 2) } else { (24, 576, 5) };
+    let (nodes, tasks) = (24, 576);
+    let runs = if args.quick { 2 } else { 5 };
     let plan = make_plan(nodes, tasks, 4242);
+    println!("engine hot-path benchmark: {nodes} nodes, {tasks} task pipelines, best of {runs}");
 
-    println!("engine hot-path benchmark: {nodes} nodes, {tasks} task pipelines");
-    let reference = measure(runs, || drive_reference(nodes, &plan));
-    println!(
-        "  reference:   {:>8.0} events/sec ({} events, {} steps, best of {runs}: {:.3}s)",
-        reference.result.events as f64 / reference.best_secs,
-        reference.result.events,
-        reference.result.steps,
-        reference.best_secs,
-    );
-    let incremental = measure(runs, || drive_incremental(nodes, &plan));
-    println!(
-        "  incremental: {:>8.0} events/sec ({} events, {} steps, best of {runs}: {:.3}s)",
-        incremental.result.events as f64 / incremental.best_secs,
-        incremental.result.events,
-        incremental.result.steps,
-        incremental.best_secs,
-    );
-
+    let (reference, reference_s) = best_of(runs, || (), |_| drive_reference(nodes, &plan));
+    // Each timed run gets a fresh tracer, so an enabled one's buffer
+    // allocation is counted every time, not amortized.
+    let incremental = |tracer: fn() -> Tracer| {
+        best_of(runs, tracer, |t| {
+            (drive_incremental(nodes, &plan, t), t.event_count())
+        })
+    };
+    let ((off, _), off_s) = incremental(Tracer::disabled);
+    let ((on, trace_events), on_s) = incremental(Tracer::enabled);
     assert_eq!(
-        incremental.result, reference.result,
+        off, reference,
         "engines disagreed on the benchmark workload"
     );
-    let ref_eps = reference.result.events as f64 / reference.best_secs;
-    let inc_eps = incremental.result.events as f64 / incremental.best_secs;
-    let speedup = inc_eps / ref_eps;
-    println!("  speedup:     {speedup:.1}x");
+    assert_eq!(on, reference, "tracing changed the simulation outcome");
 
-    let json = format!(
-        "{{\n  \"benchmark\": \"engine_hot_path\",\n  \"workload\": {{\n    \"shape\": \"fig4\",\n    \"nodes\": {nodes},\n    \"task_pipelines\": {tasks},\n    \"events\": {},\n    \"steps\": {},\n    \"virtual_secs\": {:.3}\n  }},\n  \"reference\": {{\n    \"wall_secs\": {:.6},\n    \"events_per_sec\": {:.1}\n  }},\n  \"incremental\": {{\n    \"wall_secs\": {:.6},\n    \"events_per_sec\": {:.1}\n  }},\n  \"speedup\": {:.2}\n}}\n",
-        reference.result.events,
-        reference.result.steps,
-        reference.result.virtual_secs,
-        reference.best_secs,
-        ref_eps,
-        incremental.best_secs,
-        inc_eps,
-        speedup,
-    );
-    std::fs::write(&out_path, &json).expect("write BENCH_engine.json");
-    println!("wrote {out_path}");
+    let events = reference.events as f64;
+    let mut report = Report::new("engine");
+    report
+        .workload("shape", "fig4")
+        .workload("nodes", nodes)
+        .workload("task_pipelines", tasks)
+        .workload("events", reference.events)
+        .workload("steps", reference.steps)
+        .workload("virtual_secs", reference.virtual_secs)
+        .workload("runs", runs);
+    for (run, secs) in [
+        ("reference", reference_s),
+        ("incremental", off_s),
+        ("incremental_traced", on_s),
+    ] {
+        report.metric(&format!("{run}.wall_s"), secs, "s").metric(
+            &format!("{run}.events_per_s"),
+            events / secs,
+            "events/s",
+        );
+    }
+    report
+        .metric("speedup", reference_s / off_s, "ratio")
+        .metric("trace_events", trace_events as f64, "count")
+        .metric("tracing_overhead_frac", on_s / off_s - 1.0, "ratio");
+    report.write(&args.out);
 }

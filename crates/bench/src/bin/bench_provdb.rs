@@ -6,10 +6,12 @@
 //! Usage: `bench_provdb [--quick] [output.json]`
 
 use std::path::PathBuf;
-use std::time::Instant;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
 
+use hiway_bench::report::{self, best_of, Report};
 use hiway_format::json::Json;
-use hiway_provdb::ProvDb;
+use hiway_provdb::{Collection, ProvDb};
 
 /// A provenance-event-shaped document, deterministic in `i`.
 fn doc(i: u64) -> Json {
@@ -36,95 +38,124 @@ fn scratch(tag: &str) -> PathBuf {
     dir
 }
 
-/// Best-of-`runs` wall time of `f`.
-fn best_of(runs: usize, mut f: impl FnMut()) -> f64 {
-    let mut best = f64::INFINITY;
-    for _ in 0..runs {
-        let t0 = Instant::now();
-        f();
-        best = best.min(t0.elapsed().as_secs_f64());
+/// Two threads that scan the collection (unindexed `find_eq`) until the
+/// value is dropped: the readers of a contended import.
+struct Readers {
+    stop: Arc<AtomicBool>,
+    threads: Vec<std::thread::JoinHandle<()>>,
+}
+
+impl Readers {
+    fn start(col: &Collection, probe: &Json) -> Readers {
+        let stop = Arc::new(AtomicBool::new(false));
+        let threads = (0..2)
+            .map(|_| {
+                let (reader, probe, stop) = (col.clone(), probe.clone(), stop.clone());
+                std::thread::spawn(move || {
+                    while !stop.load(Ordering::Relaxed) {
+                        let _ = reader.find_eq("key", &probe);
+                    }
+                })
+            })
+            .collect();
+        Readers { stop, threads }
     }
-    best
+}
+
+impl Drop for Readers {
+    fn drop(&mut self) {
+        self.stop.store(true, Ordering::Relaxed);
+        for t in self.threads.drain(..) {
+            // A second panic while the timed run unwinds would abort.
+            if t.join().is_err() && !std::thread::panicking() {
+                panic!("a reader thread panicked");
+            }
+        }
+    }
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let out_path = args
-        .iter()
-        .find(|a| !a.starts_with("--"))
-        .cloned()
-        .unwrap_or_else(|| "BENCH_provdb.json".to_string());
-
-    let (n_docs, n_lookups, runs) = if quick {
+    let args = report::args("BENCH_provdb.json");
+    let (n_docs, n_lookups, runs) = if args.quick {
         (5_000u64, 2_000u64, 2)
     } else {
         (50_000u64, 20_000u64, 3)
     };
     println!("provenance store benchmark: {n_docs} docs, {n_lookups} lookups, best of {runs}");
+    let mut report = Report::new("provdb");
+    report
+        .workload("docs", n_docs)
+        .workload("lookups", n_lookups)
+        .workload("runs", runs);
 
     // --- append throughput: in-memory vs durable WAL ---------------------
-    let mem_secs = best_of(runs, || {
-        let db = ProvDb::new();
-        let col = db.collection("events");
-        for i in 0..n_docs {
+    let append = |col: &Collection, n: u64| {
+        for i in 0..n {
             col.insert(doc(i));
         }
-        assert_eq!(col.len() as u64, n_docs);
-    });
-    let mem_dps = n_docs as f64 / mem_secs;
-    println!("  append in-memory: {mem_dps:>9.0} docs/sec ({mem_secs:.3}s)");
-
+        col.len()
+    };
+    let (len, mem_secs) = best_of(
+        runs,
+        || (),
+        |_| append(&ProvDb::new().collection("events"), n_docs),
+    );
+    assert_eq!(len as u64, n_docs);
     let dir = scratch("append");
-    let wal_secs = best_of(runs, || {
-        let _ = std::fs::remove_dir_all(&dir);
-        let db = ProvDb::open(&dir).expect("open durable");
-        let col = db.collection("events");
-        for i in 0..n_docs {
-            col.insert(doc(i));
-        }
-        assert_eq!(col.len() as u64, n_docs);
-    });
-    let wal_dps = n_docs as f64 / wal_secs;
-    println!("  append durable:   {wal_dps:>9.0} docs/sec ({wal_secs:.3}s)");
+    let (len, wal_secs) = best_of(
+        runs,
+        || {
+            let _ = std::fs::remove_dir_all(&dir);
+        },
+        |_| {
+            append(
+                &ProvDb::open(&dir)
+                    .expect("open durable")
+                    .collection("events"),
+                n_docs,
+            )
+        },
+    );
+    assert_eq!(len as u64, n_docs);
+    let _ = std::fs::remove_dir_all(&dir);
+    report
+        .metric(
+            "append.in_memory_docs_per_s",
+            n_docs as f64 / mem_secs,
+            "docs/s",
+        )
+        .metric(
+            "append.durable_docs_per_s",
+            n_docs as f64 / wal_secs,
+            "docs/s",
+        )
+        .metric(
+            "append.wal_overhead_frac",
+            wal_secs / mem_secs - 1.0,
+            "ratio",
+        );
 
     // --- lookups: hash index vs full scan --------------------------------
-    let db = ProvDb::new();
-    let col = db.collection("events");
-    let mut batch = Vec::with_capacity(n_docs as usize);
-    for i in 0..n_docs {
-        batch.push(doc(i));
-    }
-    col.insert_many(batch);
+    let col = ProvDb::new().collection("events");
+    col.insert_many((0..n_docs).map(doc).collect());
     // Point lookups by unique key — the memo layer's hot path.
     let probe = Json::String(format!(
         "{:016x}",
         4321u64.wrapping_mul(0x9e37_79b9_7f4a_7c15)
     ));
-    let scan_secs = best_of(runs, || {
-        // No index on "key" yet: find_eq falls back to a full scan.
-        let mut total = 0usize;
-        for _ in 0..n_lookups / 100 {
-            total += col.find_eq("key", &probe).len();
-        }
-        assert_eq!(total, n_lookups as usize / 100);
-    });
-    let scan_per = scan_secs / (n_lookups as f64 / 100.0);
+    let lookups = |n: u64| -> usize { (0..n).map(|_| col.find_eq("key", &probe).len()).sum() };
+    // No index on "key" yet: find_eq falls back to a full scan.
+    let (found, scan_secs) = best_of(runs, || (), |_| lookups(n_lookups / 100));
+    assert_eq!(found as u64, n_lookups / 100);
+    let scan_us = scan_secs / (n_lookups / 100) as f64 * 1e6;
     col.create_index("key");
-    let index_secs = best_of(runs, || {
-        let mut total = 0usize;
-        for _ in 0..n_lookups {
-            total += col.find_eq("key", &probe).len();
-        }
-        assert_eq!(total, n_lookups as usize);
-    });
-    let index_per = index_secs / n_lookups as f64;
-    println!(
-        "  lookup scan:    {:>9.1} us/op; indexed: {:>7.1} us/op ({:.0}x)",
-        scan_per * 1e6,
-        index_per * 1e6,
-        scan_per / index_per
-    );
+    let (found, index_secs) = best_of(runs, || (), |_| lookups(n_lookups));
+    assert_eq!(found as u64, n_lookups);
+    let index_us = index_secs / n_lookups as f64 * 1e6;
+    report
+        .metric("lookup.scan_us", scan_us, "us")
+        .metric("lookup.indexed_us", index_us, "us")
+        .metric("lookup.speedup", scan_us / index_us, "ratio");
 
     // --- import: one batch vs a per-line insert loop ---------------------
     // Pre-parsed so the comparison isolates the insert path (per-line
@@ -134,143 +165,91 @@ fn main() {
         .lines()
         .map(|l| Json::parse(l).expect("own dump"))
         .collect();
-    // Store setup/teardown happens outside the timed region — deleting a
-    // WAL directory is filesystem noise, not import cost.
+    // A fresh durable store per run, opened outside the timed region —
+    // deleting a WAL directory is filesystem noise, not import cost.
     let import_dir = scratch("import");
-    let timed_import = |per_line: bool| -> f64 {
-        let mut best = f64::INFINITY;
-        for _ in 0..runs {
-            let _ = std::fs::remove_dir_all(&import_dir);
-            let fresh = ProvDb::open(&import_dir)
-                .expect("open durable")
-                .collection("events");
-            let t0 = Instant::now();
-            if per_line {
-                // The old import path: re-acquire the locks per line.
-                for d in &parsed {
-                    fresh.insert(d.clone());
-                }
-            } else {
-                fresh.insert_many(parsed.clone());
+    let fresh = || {
+        let _ = std::fs::remove_dir_all(&import_dir);
+        ProvDb::open(&import_dir)
+            .expect("open durable")
+            .collection("events")
+    };
+    let import = |col: &Collection, per_line: bool| {
+        if per_line {
+            // The old import path: re-acquire the locks per line.
+            for d in &parsed {
+                col.insert(d.clone());
             }
-            best = best.min(t0.elapsed().as_secs_f64());
-            assert_eq!(fresh.len() as u64, n_docs);
+        } else {
+            col.insert_many(parsed.clone());
         }
-        best
+        col.len()
     };
-    let line_secs = timed_import(true);
-    let batch_secs = timed_import(false);
-    println!(
-        "  import {n_docs} docs: per-line {:.3}s, batched {:.3}s ({:.2}x)",
-        line_secs,
-        batch_secs,
-        line_secs / batch_secs
-    );
-    // Same comparison with concurrent readers (the provenance store's
-    // real situation: memo lookups and scheduler estimate scans run
-    // against the collection while a dump imports). Per-line inserts
-    // release and re-acquire the write lock between every document, so
-    // each scan slips in and stretches the import; the batched path takes
-    // the guard once.
-    let contended_import = |per_line: bool| -> f64 {
-        use std::sync::atomic::{AtomicBool, Ordering};
-        let mut best = f64::INFINITY;
-        for _ in 0..runs {
-            let _ = std::fs::remove_dir_all(&import_dir);
-            let fresh = ProvDb::open(&import_dir)
-                .expect("open durable")
-                .collection("events");
-            let stop = AtomicBool::new(false);
-            let secs = std::thread::scope(|s| {
-                for _ in 0..2 {
-                    let reader = fresh.clone();
-                    let stop = &stop;
-                    let probe = probe.clone();
-                    s.spawn(move || {
-                        while !stop.load(Ordering::Relaxed) {
-                            let _ = reader.find_eq("key", &probe); // unindexed: full scan
-                        }
-                    });
-                }
-                let t0 = Instant::now();
-                if per_line {
-                    for d in &parsed {
-                        fresh.insert(d.clone());
-                    }
-                } else {
-                    fresh.insert_many(parsed.clone());
-                }
-                let dt = t0.elapsed().as_secs_f64();
-                stop.store(true, Ordering::Relaxed);
-                dt
-            });
-            assert_eq!(fresh.len() as u64, n_docs);
-            best = best.min(secs);
+    // The same comparison runs again with two concurrent readers (the
+    // provenance store's real situation: memo lookups and scheduler
+    // estimate scans run against the collection while a dump imports).
+    // Per-line inserts release and re-acquire the write lock between
+    // every document, so each scan slips in and stretches the import; the
+    // batched path takes the guard once.
+    for (prefix, contended) in [("import", false), ("import.contended", true)] {
+        let mut secs = [0.0; 2];
+        for (slot, per_line) in [true, false].into_iter().enumerate() {
+            let (len, best) = best_of(
+                runs,
+                || {
+                    let col = fresh();
+                    let readers = contended.then(|| Readers::start(&col, &probe));
+                    (col, readers)
+                },
+                |(col, _)| import(col, per_line),
+            );
+            assert_eq!(len as u64, n_docs);
+            secs[slot] = best;
         }
-        best
-    };
-    let cont_line_secs = contended_import(true);
-    let cont_batch_secs = contended_import(false);
+        report
+            .metric(&format!("{prefix}.per_line_s"), secs[0], "s")
+            .metric(&format!("{prefix}.batched_s"), secs[1], "s")
+            .metric(&format!("{prefix}.speedup"), secs[0] / secs[1], "ratio");
+    }
     let _ = std::fs::remove_dir_all(&import_dir);
-    println!(
-        "  import w/ 2 readers: per-line {:.3}s, batched {:.3}s ({:.2}x)",
-        cont_line_secs,
-        cont_batch_secs,
-        cont_line_secs / cont_batch_secs
-    );
 
     // --- recovery time vs log size ---------------------------------------
-    let recovery_sizes: Vec<u64> = if quick {
-        vec![500, 2_000, 8_000]
+    let recovery_sizes: &[u64] = if args.quick {
+        &[500, 2_000, 8_000]
     } else {
-        vec![2_000, 10_000, 50_000]
+        &[2_000, 10_000, 50_000]
     };
-    let mut recovery = Vec::new();
-    for &size in &recovery_sizes {
+    for &size in recovery_sizes {
         let dir = scratch(&format!("recover-{size}"));
-        {
-            let db = ProvDb::open(&dir).expect("open durable");
-            let col = db.collection("events");
-            for i in 0..size {
-                col.insert(doc(i));
-            }
-        }
+        append(
+            &ProvDb::open(&dir)
+                .expect("open durable")
+                .collection("events"),
+            size,
+        );
         let log_bytes: u64 = std::fs::read_dir(&dir)
             .expect("list store")
             .map(|e| e.expect("entry").metadata().expect("meta").len())
             .sum();
-        let open_secs = best_of(runs, || {
-            let db = ProvDb::open(&dir).expect("recover");
-            assert_eq!(db.collection("events").len() as u64, size);
-        });
-        println!(
-            "  recovery: {size:>6} records / {:>9} bytes in {:>7.1} ms",
-            log_bytes,
-            open_secs * 1e3
+        let (len, open_secs) = best_of(
+            runs,
+            || (),
+            |_| {
+                ProvDb::open(&dir)
+                    .expect("recover")
+                    .collection("events")
+                    .len()
+            },
         );
-        recovery.push((size, log_bytes, open_secs));
+        assert_eq!(len as u64, size);
+        report
+            .metric(&format!("recovery.{size}.open_s"), open_secs, "s")
+            .metric(
+                &format!("recovery.{size}.log_bytes"),
+                log_bytes as f64,
+                "bytes",
+            );
         let _ = std::fs::remove_dir_all(&dir);
     }
-    let _ = std::fs::remove_dir_all(&dir);
-
-    let recovery_json: Vec<String> = recovery
-        .iter()
-        .map(|(size, bytes, secs)| {
-            format!(
-                "    {{ \"records\": {size}, \"log_bytes\": {bytes}, \"open_secs\": {secs:.6} }}"
-            )
-        })
-        .collect();
-    let json = format!(
-        "{{\n  \"benchmark\": \"provdb\",\n  \"docs\": {n_docs},\n  \"append\": {{\n    \"in_memory_docs_per_sec\": {mem_dps:.1},\n    \"durable_docs_per_sec\": {wal_dps:.1},\n    \"wal_overhead_frac\": {:.4}\n  }},\n  \"lookup\": {{\n    \"scan_us_per_op\": {:.2},\n    \"indexed_us_per_op\": {:.2},\n    \"speedup\": {:.1}\n  }},\n  \"import\": {{\n    \"per_line_secs\": {line_secs:.6},\n    \"batched_secs\": {batch_secs:.6},\n    \"speedup\": {:.2},\n    \"contended_per_line_secs\": {cont_line_secs:.6},\n    \"contended_batched_secs\": {cont_batch_secs:.6},\n    \"contended_speedup\": {:.2}\n  }},\n  \"recovery\": [\n{}\n  ]\n}}\n",
-        wal_secs / mem_secs - 1.0,
-        scan_per * 1e6,
-        index_per * 1e6,
-        scan_per / index_per,
-        line_secs / batch_secs,
-        cont_line_secs / cont_batch_secs,
-        recovery_json.join(",\n"),
-    );
-    std::fs::write(&out_path, &json).expect("write BENCH_provdb.json");
-    println!("wrote {out_path}");
+    report.write(&args.out);
 }

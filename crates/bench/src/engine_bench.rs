@@ -12,6 +12,7 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
+use hiway_obs::Tracer;
 use hiway_sim::reference::ReferenceEngine;
 use hiway_sim::{
     Activity, ActivityId, ClusterSpec, Completion, Endpoint, Engine, NodeId, NodeSpec,
@@ -217,19 +218,9 @@ fn bench_spec(nodes: usize) -> ClusterSpec {
     ClusterSpec::homogeneous(nodes, "bench", &NodeSpec::m3_large("p"))
 }
 
-/// Drives the plan through the incremental engine.
-pub fn drive_incremental(nodes: usize, plan: &[TaskPlan]) -> DriveResult {
-    drive_with!(Engine::<u64>::new(bench_spec(nodes)), nodes, plan)
-}
-
-/// Drives the plan through the incremental engine with `tracer` attached —
-/// the tracing-on side of the `BENCH_obs.json` overhead comparison. With
-/// a disabled tracer this is byte-for-byte the [`drive_incremental`] path.
-pub fn drive_incremental_traced(
-    nodes: usize,
-    plan: &[TaskPlan],
-    tracer: &hiway_obs::Tracer,
-) -> DriveResult {
+/// Drives the plan through the incremental engine with `tracer` attached;
+/// `Tracer::disabled()` is the untraced hot path.
+pub fn drive_incremental(nodes: usize, plan: &[TaskPlan], tracer: &Tracer) -> DriveResult {
     let mut engine = Engine::<u64>::new(bench_spec(nodes));
     engine.set_tracer(tracer);
     drive_with!(engine, nodes, plan)
@@ -250,7 +241,7 @@ mod tests {
     #[test]
     fn bench_workload_is_engine_invariant() {
         let plan = make_plan(6, 48, 42);
-        let a = drive_incremental(6, &plan);
+        let a = drive_incremental(6, &plan, &Tracer::disabled());
         let b = drive_reference(6, &plan);
         assert_eq!(a.events, b.events);
         assert_eq!(a.steps, b.steps);
@@ -259,17 +250,13 @@ mod tests {
         assert!(a.events as usize >= 6 * 48, "every phase completes");
     }
 
-    /// The tracing-off traced entry point must be indistinguishable from
-    /// the plain one (that's the zero-overhead contract), and an enabled
-    /// tracer must not change the simulation — only record it.
+    /// An enabled tracer must not change the simulation, only record it.
     #[test]
     fn tracer_does_not_perturb_the_benchmark_workload() {
         let plan = make_plan(4, 24, 7);
-        let plain = drive_incremental(4, &plan);
-        let off = drive_incremental_traced(4, &plan, &hiway_obs::Tracer::disabled());
-        assert_eq!(plain, off);
-        let tracer = hiway_obs::Tracer::enabled();
-        let on = drive_incremental_traced(4, &plan, &tracer);
+        let plain = drive_incremental(4, &plan, &Tracer::disabled());
+        let tracer = Tracer::enabled();
+        let on = drive_incremental(4, &plan, &tracer);
         assert_eq!(plain, on);
         assert!(tracer.event_count() > 0, "enabled tracer saw the run");
         assert_eq!(tracer.counter_value("engine.steps"), plain.steps);

@@ -70,9 +70,9 @@ pub fn run(params: &Fig4Params) -> Result<Vec<Fig4Point>, String> {
     let cells = common::par_map(jobs, |(containers, run_idx)| {
         let per_node = (containers as usize / params.nodes).max(1) as u32;
         let seed = 1000 * containers as u64 + run_idx as u64;
-        let h = run_hiway(params, &snv, per_node, seed)? / 60.0;
-        let t = run_tez_baseline(params, &snv, per_node, seed)? / 60.0;
-        Ok::<(f64, f64), String>((h, t))
+        let (h, _) = run_hiway(params, &snv, per_node, seed)?;
+        let (t, _) = run_tez_baseline(params, &snv, per_node, seed)?;
+        Ok::<(f64, f64), String>((h / 60.0, t / 60.0))
     });
     let mut points = Vec::new();
     let mut cells = cells.into_iter();
@@ -93,12 +93,13 @@ pub fn run(params: &Fig4Params) -> Result<Vec<Fig4Point>, String> {
     Ok(points)
 }
 
+/// One Hi-WAY run: `(makespan_secs, net_gb)`.
 fn run_hiway(
     params: &Fig4Params,
     snv: &SnvParams,
     containers_per_node: u32,
     seed: u64,
-) -> Result<f64, String> {
+) -> Result<(f64, f64), String> {
     let mut deployment = profiles::local_cluster(params.nodes, seed);
     for node in 0..params.nodes {
         deployment.runtime.cluster.rm.set_capacity(
@@ -118,20 +119,22 @@ fn run_hiway(
         write_trace: false, // not measured; avoids huge trace strings
         ..HiwayConfig::default()
     };
-    run_one(
+    let secs = run_one(
         &mut deployment.runtime,
         Box::new(source),
         config,
         ProvDb::new(),
-    )
+    )?;
+    Ok((secs, net_gb(&mut deployment.runtime)))
 }
 
+/// One Tez baseline run: `(makespan_secs, net_gb)`.
 fn run_tez_baseline(
     params: &Fig4Params,
     snv: &SnvParams,
     containers_per_node: u32,
     seed: u64,
-) -> Result<f64, String> {
+) -> Result<(f64, f64), String> {
     let mut deployment = profiles::local_cluster(params.nodes, seed);
     for (path, size) in snv.input_files() {
         deployment.runtime.cluster.prestage(&path, size);
@@ -152,17 +155,18 @@ fn run_tez_baseline(
             multithread_full_node: false,
         },
     )?;
-    Ok(report.runtime_secs)
+    Ok((report.runtime_secs, net_gb(&mut deployment.runtime)))
 }
 
 /// Diagnostic single-point probe returning `(hiway_secs, hiway_net_gb,
-/// tez_secs, tez_net_gb)` — network volume measured at the NICs.
+/// tez_secs, tez_net_gb)` — network volume measured at the NICs. Both
+/// runs use the probe seed.
 pub fn run_probe(params: &Fig4Params, containers: u32) -> Result<(f64, f64, f64, f64), String> {
     let snv = SnvParams::fig4(params.samples).scaled(params.cpu_scale);
     let per_node = (containers as usize / params.nodes).max(1) as u32;
     let seed = 123;
-    let (h, hg) = run_hiway_probe(params, &snv, per_node, seed)?;
-    let (t, tg) = run_tez_probe(params, &snv, per_node, seed)?;
+    let (h, hg) = run_hiway(params, &snv, per_node, seed)?;
+    let (t, tg) = run_tez_baseline(params, &snv, per_node, seed)?;
     Ok((h, hg, t, tg))
 }
 
@@ -178,69 +182,6 @@ fn net_gb(runtime: &mut hiway_core::driver::Runtime) -> f64 {
         })
         .sum::<f64>()
         / 1.0e9
-}
-
-fn run_hiway_probe(
-    params: &Fig4Params,
-    snv: &SnvParams,
-    containers_per_node: u32,
-    seed: u64,
-) -> Result<(f64, f64), String> {
-    let mut deployment = profiles::local_cluster(params.nodes, seed);
-    for node in 0..params.nodes {
-        deployment.runtime.cluster.rm.set_capacity(
-            NodeId(node as u32),
-            Resource::new(containers_per_node, containers_per_node as u64 * 1024),
-        );
-    }
-    for (path, size) in snv.input_files() {
-        deployment.runtime.cluster.prestage(&path, size);
-    }
-    let source = CuneiformWorkflow::parse("snv-fig4", &snv.cuneiform_source(), seed)
-        .map_err(|e| e.to_string())?;
-    let config = HiwayConfig {
-        container_resource: Resource::new(1, 1024),
-        scheduler: SchedulerPolicy::DataAware,
-        seed,
-        write_trace: false,
-        ..HiwayConfig::default()
-    };
-    let secs = run_one(
-        &mut deployment.runtime,
-        Box::new(source),
-        config,
-        ProvDb::new(),
-    )?;
-    Ok((secs, net_gb(&mut deployment.runtime)))
-}
-
-fn run_tez_probe(
-    params: &Fig4Params,
-    snv: &SnvParams,
-    containers_per_node: u32,
-    seed: u64,
-) -> Result<(f64, f64), String> {
-    let mut deployment = profiles::local_cluster(params.nodes, seed);
-    for (path, size) in snv.input_files() {
-        deployment.runtime.cluster.prestage(&path, size);
-    }
-    let source = CuneiformWorkflow::parse("snv-fig4", &snv.cuneiform_source(), seed)
-        .map_err(|e| e.to_string())?;
-    let workflow = materialize(Box::new(source))?;
-    let report = run_dag(
-        &mut deployment.runtime.cluster,
-        workflow,
-        BaselineConfig {
-            storage: Storage::HdfsLocal,
-            slots_per_node: containers_per_node,
-            slot_vcores: 1,
-            shuffle_edges: true,
-            seed: 321,
-            startup_secs: 0.2,
-            multithread_full_node: false,
-        },
-    )?;
-    Ok((report.runtime_secs, net_gb(&mut deployment.runtime)))
 }
 
 /// Renders the figure as a text table.

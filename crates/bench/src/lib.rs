@@ -15,13 +15,16 @@
 //! | `fig8`    | Figure 8       | TRAPLINE on Hi-WAY vs Galaxy CloudMan |
 //! | `fig9`    | Figure 9       | Montage: HEFT vs FCFS over provenance warm-up |
 //!
-//! Supplementary binaries: `ablation`, `multiwf`, `chaos`, `bench_engine`
-//! (engine hot-path vs reference), `bench_obs` (tracing-on overhead →
-//! `BENCH_obs.json`), and `hiway-trace` (one fully-traced run exported as
-//! Perfetto JSON / JSON-lines / text Gantt; see [`trace_run`]).
+//! Supplementary binaries: `ablation`, `multiwf`, `chaos`, `resume`,
+//! `bench_engine` (engine hot path vs the reference engine, tracing off
+//! and on → `BENCH_engine.json`), `bench_provdb` (provenance store →
+//! `BENCH_provdb.json`), and `hiway-trace` (one fully-traced run exported
+//! as Perfetto JSON / JSON-lines / text Gantt; see [`trace_run`]). Both
+//! bench bins time and write through [`report`].
 
 pub mod engine_bench;
 pub mod experiments;
+pub mod report;
 pub mod stats;
 pub mod trace_run;
 

@@ -36,6 +36,14 @@ use crate::ir::{LangError, OutputSpec, TaskCost, TaskId, TaskSpec, WorkflowSourc
 use super::ast::{Expr, FunDef, Item, Program, TaskDef};
 use super::parser::parse_program;
 
+/// The deepest `eval` nesting a round may reach. Syntactic nesting (at
+/// most 128 levels per expression, see the parser) and `defun` recursion
+/// both count, so a recursion without a blocking `val()` guard stops here
+/// with a `LangError`. Sized so that a round at the limit fits a 2 MiB
+/// thread in a debug build; SNV, k-means and the examples reach depth 6
+/// at most.
+const MAX_EVAL_DEPTH: usize = 256;
+
 /// A runtime value.
 #[derive(Clone, Debug, PartialEq)]
 pub enum Value {
@@ -144,8 +152,7 @@ pub struct CuneiformWorkflow {
     /// Whether the last round returned `Ok`; until then, and after an
     /// error, every completion re-evaluates.
     settled: bool,
-    /// Current evaluation recursion depth (guards against `defun`
-    /// recursion that lacks a blocking `val()` guard).
+    /// Current `eval` nesting, bounded by [`MAX_EVAL_DEPTH`].
     depth: usize,
 }
 
@@ -217,26 +224,12 @@ impl CuneiformWorkflow {
         Ok(())
     }
 
-    /// Runs one evaluation round from the root on a dedicated 32 MiB stack
-    /// (deep `defun` recursion is legitimate up to the frame cap, and
-    /// debug-build frames are fat); returns the newly discovered tasks and
-    /// records the round's wait set. `on_task_completed` runs a round only
-    /// when that wait set (or a failed round) says it can find something.
+    /// Runs one evaluation round from the root; returns the newly
+    /// discovered tasks and records the round's wait set.
+    /// `on_task_completed` runs a round only when that wait set (or a
+    /// failed round) says it can find something.
     fn evaluate_round(&mut self) -> Result<Vec<TaskSpec>, LangError> {
-        let round = std::thread::scope(|scope| {
-            std::thread::Builder::new()
-                .name("cuneiform-eval".to_string())
-                .stack_size(32 << 20)
-                .spawn_scoped(scope, || self.evaluate_round_inner())
-                .expect("spawn evaluation thread")
-                .join()
-                .expect("evaluation thread must not panic")
-        });
-        self.settled = round.is_ok();
-        round
-    }
-
-    fn evaluate_round_inner(&mut self) -> Result<Vec<TaskSpec>, LangError> {
+        self.settled = false;
         self.newly.clear();
         self.waiting_on.clear();
         let mut env: Vec<(String, Value)> = Vec::new();
@@ -260,6 +253,7 @@ impl CuneiformWorkflow {
                 Err(Stop::Error(e)) => return Err(e),
             }
         }
+        self.settled = true;
         Ok(std::mem::take(&mut self.newly))
     }
 
@@ -267,7 +261,24 @@ impl CuneiformWorkflow {
         Stop::Error(LangError::new("cuneiform", msg))
     }
 
+    /// Evaluates `expr`, counting the nesting against
+    /// [`MAX_EVAL_DEPTH`]: syntactic nesting and `defun` recursion share
+    /// the one budget, so a runaway recursion is an error, not a stack
+    /// overflow.
     fn eval(&mut self, expr: &Expr, env: &[(String, Value)]) -> Eval {
+        if self.depth == MAX_EVAL_DEPTH {
+            return Err(self.error(format!(
+                "evaluation nested more than {MAX_EVAL_DEPTH} levels deep — \
+                 unbounded recursion needs a data-dependent val() guard"
+            )));
+        }
+        self.depth += 1;
+        let value = self.eval_expr(expr, env);
+        self.depth -= 1;
+        value
+    }
+
+    fn eval_expr(&mut self, expr: &Expr, env: &[(String, Value)]) -> Eval {
         match expr {
             Expr::Num(n) => Ok(Value::Num(*n)),
             Expr::Str(s) => Ok(Value::Str(s.clone())),
@@ -343,22 +354,8 @@ impl CuneiformWorkflow {
                     values.len()
                 )));
             }
-            // Evaluation runs on a dedicated 32 MiB stack (see
-            // evaluate_round), so 2000 DSL frames fit comfortably even in
-            // debug builds; real iterative workflows block on val() every
-            // round and stay in the tens of frames.
-            self.depth += 1;
-            if self.depth > 2_000 {
-                self.depth -= 1;
-                return Err(self.error(format!(
-                    "recursion in '{name}' exceeded 2000 frames — unbounded \
-                     recursion needs a data-dependent val() guard"
-                )));
-            }
             let inner: Vec<(String, Value)> = fun.params.iter().cloned().zip(values).collect();
-            let result = self.eval(&fun.body, &inner);
-            self.depth -= 1;
-            return result;
+            return self.eval(&fun.body, &inner);
         }
         if let Some(def) = self.tasks_defs.get(name).cloned() {
             return self.apply_task(&def, &values);
@@ -1014,6 +1011,55 @@ mod tests {
     fn unknown_identifier_is_an_error() {
         let mut wf = parse("target nope(1);");
         assert!(wf.initial_tasks().is_err());
+    }
+
+    /// A `defun` that recurses without a `val()` guard stops at the depth
+    /// budget with an error, on the test harness's own thread.
+    #[test]
+    fn runaway_recursion_is_an_error() {
+        let mut wf = parse("defun f(x) = f(add(x, 1)); target f(0);");
+        let err = wf.initial_tasks().unwrap_err();
+        assert!(err.message.contains("val() guard"), "{}", err.message);
+    }
+
+    /// An expression at the parser's 128-level limit evaluates.
+    #[test]
+    fn expression_at_the_nesting_limit_evaluates() {
+        let levels = 127;
+        let src = format!(
+            "defun g(x) = x; target {}1{};",
+            "g(".repeat(levels),
+            ")".repeat(levels)
+        );
+        let mut wf = parse(&src);
+        assert!(wf.initial_tasks().unwrap().is_empty());
+        assert!(wf.is_complete());
+    }
+
+    /// The deepest round the budget accepts: a recursion that ends exactly
+    /// at `MAX_EVAL_DEPTH` in a task whose `cpu` expression is at the
+    /// parser's nesting limit (evaluated below the deepest `eval`). It
+    /// must fit the test harness's thread; one level more is an error.
+    #[test]
+    fn deepest_accepted_round_fits_a_test_thread() {
+        let cpu = format!("{}1{}", "add(1, ".repeat(127), ")".repeat(127));
+        let program = |n: usize| {
+            format!(
+                r#"
+                deftask t( out("t.dat", 1) : x ) cpu {cpu};
+                defun f(n) = if gt(n, 0) then f(sub(n, 1)) else t(n);
+                target f({n});
+                "#
+            )
+        };
+        // Level k's body sits at depth 2k; the base case's `t(n)` argument
+        // at 2n + 4.
+        let deepest = (MAX_EVAL_DEPTH - 4) / 2;
+        let tasks = parse(&program(deepest)).initial_tasks().unwrap();
+        assert_eq!(tasks.len(), 1);
+        assert_eq!(tasks[0].cost.cpu_seconds, 128.0);
+        let err = parse(&program(deepest + 1)).initial_tasks().unwrap_err();
+        assert!(err.message.contains("val() guard"), "{}", err.message);
     }
 
     #[test]

@@ -15,6 +15,8 @@
 //!   value of the task that produced `x`);
 //! * **recursion** through user functions (`defun`), enabling unbounded
 //!   iteration such as the k-means refinement loop from the paper §3.3.
+//!   Each round's recursion must block on a `val()` before the evaluator's
+//!   depth budget (256 nested evaluations) runs out.
 //!
 //! The evaluator discovers tasks incrementally: evaluation proceeds until
 //! it *blocks* on a not-yet-completed task, at which point every task whose

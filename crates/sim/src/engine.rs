@@ -98,7 +98,6 @@ pub enum Completion<T> {
 }
 
 struct Act<T> {
-    id: u64,
     kind: Activity,
     remaining: f64,
     rate: f64,
@@ -418,7 +417,6 @@ impl<T: Clone> Engine<T> {
             }
         };
         let slot = self.alloc_slot(Act {
-            id,
             kind,
             remaining,
             rate: 0.0,
@@ -508,19 +506,6 @@ impl<T: Clone> Engine<T> {
         if let Some(t) = self.timers.get_mut(&id.0) {
             t.cancelled = true;
         }
-    }
-
-    /// Debug: dump remaining activities (id, kind, remaining, rate).
-    pub fn debug_activities(&mut self) -> Vec<(u64, String, f64, f64)> {
-        self.refresh_rates();
-        let mut out: Vec<(u64, String, f64, f64)> = self
-            .slab
-            .iter()
-            .filter_map(|s| s.act.as_ref())
-            .map(|a| (a.id, format!("{:?}", a.kind), a.remaining, a.rate))
-            .collect();
-        out.sort_by_key(|e| e.0);
-        out
     }
 
     /// Debug: pending (non-cancelled) timer count.
