@@ -63,4 +63,15 @@ for bin in table1 fig4 table2 fig6 fig8 fig9 ablation multiwf chaos resume; do
   echo "$bin deterministic, matches results/$bin.txt"
 done
 
+echo "==> serial chaos sweep (one thread, matches results/chaos.txt)"
+# The chaos sweep drives every mid-phase attempt failure; a serial run
+# shows the thread fan-out hides no ordering dependence.
+HIWAY_BENCH_THREADS=1 ./target/release/chaos > experiment_runs/chaos.serial.txt
+if ! cmp -s experiment_runs/chaos.serial.txt results/chaos.txt; then
+  echo "FAIL: serial chaos output drifted from results/chaos.txt" >&2
+  diff results/chaos.txt experiment_runs/chaos.serial.txt >&2 || true
+  exit 1
+fi
+echo "serial chaos matches results/chaos.txt"
+
 echo "CI OK"

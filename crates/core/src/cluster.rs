@@ -1,13 +1,15 @@
 //! The simulated substrate bundle a Hi-WAY deployment runs on: the
 //! discrete-event engine, the HDFS NameNode, and the YARN RM, plus the
-//! client-side helpers that stand in for setup-time data staging.
+//! client-side helpers that stand in for setup-time data staging and the
+//! transfers that move a task's files onto and off a worker node.
 
 use std::collections::{HashMap, HashSet};
 
-use hiway_hdfs::{Hdfs, HdfsConfig};
+use hiway_hdfs::exec as hdfs_exec;
+use hiway_hdfs::{Hdfs, HdfsConfig, HdfsError};
 use hiway_lang::TaskId;
 use hiway_sim::stress;
-use hiway_sim::{ActivityId, ClusterSpec, Engine, ExternalId, NodeId};
+use hiway_sim::{Activity, ActivityId, ClusterSpec, Endpoint, Engine, ExternalId, NodeId};
 use hiway_yarn::{Container, ResourceManager, RmConfig};
 
 /// Completion tags flowing through the engine. `wf` is the AM index
@@ -141,6 +143,65 @@ impl Cluster {
     /// served by an external service.
     pub fn input_available(&self, path: &str) -> bool {
         self.committed.contains(path) || self.externals.contains_key(path)
+    }
+
+    /// The size of `path`: an external file's registered size, else its
+    /// HDFS length, else 0.
+    pub fn file_size(&self, path: &str) -> u64 {
+        self.external_file(path)
+            .map(|e| e.size)
+            .or_else(|| self.hdfs.len(path).ok())
+            .unwrap_or(0)
+    }
+
+    /// Starts moving input `path` onto `node` (stage-in): one fetch from
+    /// its external service, or the HDFS reads of its blocks. Returns the
+    /// started activities, none for an empty file.
+    pub fn start_input(
+        &mut self,
+        path: &str,
+        node: NodeId,
+        tag: Tag,
+    ) -> Result<Vec<ActivityId>, HdfsError> {
+        if let Some(ext) = self.external_file(path) {
+            if ext.size == 0 {
+                return Ok(Vec::new());
+            }
+            let fetch = Activity::Flow {
+                src: Endpoint::External(ext.service),
+                dst: Endpoint::Node(node),
+                src_disk: false,
+                dst_disk: true,
+            };
+            return Ok(vec![self.engine.start(fetch, ext.size as f64, tag)]);
+        }
+        let plan = self.hdfs.read_plan(path, node)?;
+        Ok(hdfs_exec::start_read(&mut self.engine, &plan, tag))
+    }
+
+    /// Creates output `path` in HDFS with `node` as the writer and starts
+    /// its replica pipeline (stage-out). Returns the started activities,
+    /// none for an empty file.
+    pub fn start_output(
+        &mut self,
+        path: &str,
+        size: u64,
+        node: NodeId,
+        tag: Tag,
+    ) -> Result<Vec<ActivityId>, HdfsError> {
+        let plan = self.hdfs.create(path, size, node)?;
+        Ok(hdfs_exec::start_write(&mut self.engine, &plan, tag))
+    }
+
+    /// Starts a tool's working-directory I/O on `node`'s local disk: it
+    /// writes `bytes` of temporary files and reads them back.
+    pub fn start_scratch(&mut self, node: NodeId, bytes: u64, tag: Tag) -> Vec<ActivityId> {
+        let bytes = bytes as f64;
+        let write = self
+            .engine
+            .start(Activity::DiskWrite { node }, bytes, tag.clone());
+        let read = self.engine.start(Activity::DiskRead { node }, bytes, tag);
+        vec![write, read]
     }
 
     /// Starts `procs` CPU hogs on `node` (cf. the Linux `stress` tool).

@@ -25,12 +25,11 @@
 //! carries the attempt id it belongs to, so late events of a cancelled
 //! attempt are recognized as stale and dropped.
 
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{BTreeMap, HashMap};
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use hiway_hdfs::exec as hdfs_exec;
 use hiway_lang::trace::{FileEvent, TaskEvent};
 use hiway_lang::{TaskId, TaskSpec, WorkflowSource};
 use hiway_obs::{Tracer, TrackId};
@@ -89,13 +88,16 @@ struct Attempt {
     container: Container,
     phase: AttemptPhase,
     speculative: bool,
-    /// Remaining engine activities per phase-file group.
-    group_remaining: HashMap<u32, usize>,
-    group_started: HashMap<u32, SimTime>,
-    /// All in-flight activity ids, for cancellation on failure.
-    inflight: HashSet<ActivityId>,
-    files_remaining: usize,
-    /// Whether the working-directory (scratch) I/O phase has run.
+    /// Engine activities still running for each file of the current phase
+    /// (the compute phase is one file: the command, then its scratch I/O).
+    pending: Vec<usize>,
+    /// Files of the current phase not yet finished.
+    files_left: usize,
+    /// When the current phase began; every file's transfer starts then.
+    phase_started: SimTime,
+    /// The current phase's activities in start order, for cancellation.
+    inflight: Vec<ActivityId>,
+    /// Whether the working-directory (scratch) I/O has run.
     scratch_done: bool,
     t_start: f64,
     /// When the compute phase began (straggler detection).
@@ -108,10 +110,10 @@ impl Attempt {
             container,
             phase: AttemptPhase::Starting,
             speculative,
-            group_remaining: HashMap::new(),
-            group_started: HashMap::new(),
-            inflight: HashSet::new(),
-            files_remaining: 0,
+            pending: Vec::new(),
+            files_left: 0,
+            phase_started: SimTime::ZERO,
+            inflight: Vec::new(),
             scratch_done: false,
             t_start: now,
             t_exec_start: 0.0,
@@ -556,9 +558,10 @@ impl Runtime {
     }
 
     /// Checks the RM's invariants and the driver's own: every Done task's
-    /// outputs are available, and each AM's tracker holds exactly its
-    /// Waiting tasks with their counts of unavailable inputs (which a file
-    /// appearing without reaching the trackers would break).
+    /// outputs are available, each AM's tracker holds exactly its Waiting
+    /// tasks with their counts of unavailable inputs (which a file
+    /// appearing without reaching the trackers would break), and each AM's
+    /// ready list holds each of its Requested tasks exactly once.
     pub fn check_invariants(&self) -> Result<(), String> {
         self.cluster.rm.check_invariants()?;
         let available = |p: &String| self.cluster.input_available(p);
@@ -578,6 +581,19 @@ impl Runtime {
             if held != waiting {
                 return Err(format!(
                     "workflow {wf}: tracker {held:?}, Waiting {waiting:?}"
+                ));
+            }
+            let mut listed = am.ready_order.clone();
+            listed.sort_unstable();
+            let requested: Vec<TaskId> = am
+                .tasks
+                .iter()
+                .filter(|(_, t)| t.state == TaskState::Requested)
+                .map(|(id, _)| *id)
+                .collect();
+            if listed != requested {
+                return Err(format!(
+                    "workflow {wf}: ready list {listed:?}, Requested {requested:?}"
                 ));
             }
         }
@@ -654,21 +670,23 @@ impl Runtime {
         match tag {
             Tag::Heartbeat { .. } => self.on_heartbeat(),
             Tag::ContainerStarted { wf, task, attempt } => {
-                self.begin_stage_in(wf as usize, task, attempt)
+                self.next_phase(wf as usize, task, attempt)
             }
             Tag::StageIn {
                 wf,
                 task,
                 attempt,
                 file,
-            } => self.on_stage_in_done(wf as usize, task, attempt, file),
-            Tag::Exec { wf, task, attempt } => self.on_exec_done(wf as usize, task, attempt),
+            } => self.on_activity_done(wf as usize, task, attempt, AttemptPhase::StageIn, file),
+            Tag::Exec { wf, task, attempt } => {
+                self.on_activity_done(wf as usize, task, attempt, AttemptPhase::Running, 0)
+            }
             Tag::StageOut {
                 wf,
                 task,
                 attempt,
                 file,
-            } => self.on_stage_out_done(wf as usize, task, attempt, file),
+            } => self.on_activity_done(wf as usize, task, attempt, AttemptPhase::StageOut, file),
             Tag::RetryTask { wf, task } => self.on_retry_due(wf as usize, task),
             Tag::Stress | Tag::Replication => {}
         }
@@ -777,7 +795,6 @@ impl Runtime {
         let candidates: Vec<&TaskSpec> = am
             .ready_order
             .iter()
-            .filter(|id| am.tasks[id].state == TaskState::Requested)
             .filter(|id| !(multi_node && am.tasks[id].avoid_node == Some(node)))
             .map(|id| &am.tasks[id].spec)
             .collect();
@@ -827,22 +844,8 @@ impl Runtime {
     /// Issues a fresh container request for the head Requested task (used
     /// after handing a container back).
     fn re_request_head(&mut self, wf: usize) {
-        let am = &self.ams[wf];
-        let tid = am
-            .ready_order
-            .iter()
-            .find(|id| am.tasks[id].state == TaskState::Requested)
-            .copied();
-        if let Some(tid) = tid {
-            let resource = {
-                let spec = &self.ams[wf].tasks[&tid].spec;
-                self.container_resource_for(wf, spec)
-            };
-            let am = &mut self.ams[wf];
-            let req = am
-                .scheduler
-                .container_request(&am.tasks[&tid].spec, resource);
-            self.cluster.rm.request(am.app, req);
+        if let Some(&tid) = self.ams[wf].ready_order.first() {
+            self.request_container(wf, tid);
         }
     }
 
@@ -952,7 +955,7 @@ impl Runtime {
             }
             let factor = self.ams[wf].config.speculation_factor;
             let min_secs = self.ams[wf].config.speculation_min_secs;
-            let mut to_speculate: Vec<(TaskId, Resource)> = Vec::new();
+            let mut to_speculate: Vec<TaskId> = Vec::new();
             {
                 let am = &self.ams[wf];
                 for (tid, task) in &am.tasks {
@@ -970,13 +973,13 @@ impl Runtime {
                     }
                     match am.prov.average_runtime(&task.spec.name) {
                         Some(est) if est > 0.0 && elapsed > factor * est => {
-                            to_speculate.push((*tid, Resource::ZERO));
+                            to_speculate.push(*tid);
                         }
                         _ => {}
                     }
                 }
             }
-            for (tid, _) in to_speculate {
+            for tid in to_speculate {
                 let resource = {
                     let spec = &self.ams[wf].tasks[&tid].spec;
                     self.container_resource_for(wf, spec)
@@ -1110,18 +1113,22 @@ impl Runtime {
                     continue;
                 }
             }
-            let resource = {
-                let spec = &self.ams[wf].tasks[&id].spec;
-                self.container_resource_for(wf, spec)
-            };
             let am = &mut self.ams[wf];
             let task = am.tasks.get_mut(&id).expect("listed");
             task.state = TaskState::Requested;
             task.t_ready = now;
             am.ready_order.push(id);
-            let req = am.scheduler.container_request(&task.spec, resource);
-            self.cluster.rm.request(am.app, req);
+            self.request_container(wf, id);
         }
+    }
+
+    /// Asks the RM for a container sized for `task_id`, placed as the
+    /// scheduler wants it.
+    fn request_container(&mut self, wf: usize, task_id: TaskId) {
+        let spec = &self.ams[wf].tasks[&task_id].spec;
+        let resource = self.container_resource_for(wf, spec);
+        let req = self.ams[wf].scheduler.container_request(spec, resource);
+        self.cluster.rm.request(self.ams[wf].app, req);
     }
 
     /// The memo key of a task, from its signature and the canonical
@@ -1250,146 +1257,199 @@ impl Runtime {
 
     // ----- worker container lifecycle --------------------------------------
 
-    fn begin_stage_in(&mut self, wf: usize, task_id: TaskId, attempt: u32) {
-        let peer = self.ams[wf]
+    fn attempt_mut(&mut self, wf: usize, task_id: TaskId, attempt: u32) -> &mut Attempt {
+        self.ams[wf]
             .tasks
-            .get(&task_id)
-            .and_then(|t| t.active.get(&attempt))
-            .map(|a| a.container.node);
-        if peer.is_none() {
-            return; // attempt was cancelled before its container came up
-        }
-        self.charge_master_overhead_from(false, peer);
-        let (node, inputs) = {
-            let task = self.ams[wf].tasks.get_mut(&task_id).expect("known task");
-            let att = task.active.get_mut(&attempt).expect("checked above");
-            att.phase = AttemptPhase::StageIn;
-            (att.container.node, task.spec.inputs.clone())
+            .get_mut(&task_id)
+            .and_then(|t| t.active.get_mut(&attempt))
+            .expect("attempt live")
+    }
+
+    /// Starts whatever follows the attempt's current phase once all its
+    /// files are done: container up → stage-in → compute → scratch I/O →
+    /// stage-out → finished. An attempt cancelled before its container
+    /// came up is gone, and nothing happens.
+    fn next_phase(&mut self, wf: usize, task_id: TaskId, attempt: u32) {
+        let Some(task) = self.ams[wf].tasks.get(&task_id) else {
+            return;
         };
-        let now = self.cluster.engine.now();
-        let mut instantly_done: Vec<u32> = Vec::new();
-        {
-            let task = self.ams[wf].tasks.get_mut(&task_id).expect("known task");
-            let att = task.active.get_mut(&attempt).expect("checked above");
-            att.files_remaining = inputs.len();
-        }
-        for (fi, path) in inputs.iter().enumerate() {
-            let fi = fi as u32;
-            let tag = Tag::StageIn {
-                wf: wf as u32,
-                task: task_id,
-                attempt,
-                file: fi,
-            };
-            let acts: Vec<ActivityId> = if let Some(ext) = self.cluster.external_file(path) {
-                if ext.size == 0 {
-                    Vec::new()
-                } else {
-                    vec![self.cluster.engine.start(
-                        Activity::Flow {
-                            src: Endpoint::External(ext.service),
-                            dst: Endpoint::Node(node),
-                            src_disk: false,
-                            dst_disk: true,
-                        },
-                        ext.size as f64,
-                        tag,
-                    )]
-                }
-            } else {
-                match self.cluster.hdfs.read_plan(path, node) {
-                    Ok(plan) => hdfs_exec::start_read(&mut self.cluster.engine, &plan, tag),
-                    Err(e) => {
+        let Some(att) = task.active.get(&attempt) else {
+            return;
+        };
+        let node = att.container.node;
+        match (att.phase, att.scratch_done) {
+            (AttemptPhase::Starting, _) => {
+                let inputs = task.spec.inputs.clone();
+                self.charge_master_overhead_from(false, Some(node));
+                self.begin_phase(
+                    wf,
+                    task_id,
+                    attempt,
+                    AttemptPhase::StageIn,
+                    inputs.len(),
+                    |rt, file, tag| {
                         // Replica loss mid-run is an infrastructure fault:
                         // retry (re-replication may restore the data)
                         // rather than failing the whole workflow.
-                        let cid = {
-                            let task = self.ams[wf].tasks.get_mut(&task_id).expect("known task");
-                            task.active.get(&attempt).expect("checked").container.id
-                        };
-                        self.containers.remove(&cid);
-                        self.cluster.rm.release(cid);
-                        self.handle_attempt_failure(
-                            wf,
-                            task_id,
-                            attempt,
-                            node,
-                            FailureKind::Infra,
-                            &format!("stage-in of '{path}' failed: {e}"),
-                        );
-                        return;
-                    }
-                }
-            };
-            let task = self.ams[wf].tasks.get_mut(&task_id).expect("known task");
-            let att = task.active.get_mut(&attempt).expect("checked above");
-            att.group_started.insert(fi, now);
-            if acts.is_empty() {
-                instantly_done.push(fi);
-            } else {
-                att.group_remaining.insert(fi, acts.len());
-                att.inflight.extend(acts);
+                        let path = &inputs[file];
+                        rt.cluster
+                            .start_input(path, node, tag)
+                            .map_err(|e| format!("stage-in of '{path}' failed: {e}"))
+                    },
+                );
             }
-        }
-        for fi in instantly_done {
-            self.on_stage_in_done(wf, task_id, attempt, fi);
-        }
-        // Zero-input tasks go straight to execution.
-        if inputs.is_empty() {
-            self.begin_exec(wf, task_id, attempt);
+            (AttemptPhase::StageIn, _) => self.begin_exec(wf, task_id, attempt),
+            (AttemptPhase::Running, false) => {
+                // Working-directory I/O: the tool writes its temporary
+                // files and reads them back — on the node's *local* disk
+                // under Hi-WAY (cf. Figure 8's analysis).
+                let bytes = task.spec.cost.scratch_bytes;
+                self.attempt_mut(wf, task_id, attempt).scratch_done = true;
+                self.begin_phase(
+                    wf,
+                    task_id,
+                    attempt,
+                    AttemptPhase::Running,
+                    1,
+                    |rt, _, tag| Ok(rt.cluster.start_scratch(node, bytes, tag)),
+                );
+            }
+            (AttemptPhase::Running, true) => self.end_exec(wf, task_id, attempt),
+            (AttemptPhase::StageOut, _) => self.finish_task(wf, task_id, attempt),
         }
     }
 
-    fn on_stage_in_done(&mut self, wf: usize, task_id: TaskId, attempt: u32, file: u32) {
+    /// Moves an attempt into `phase` and starts the engine activities of
+    /// each of its `files` files through `start`, in file order. Files
+    /// without activities finish once every file has started, in file
+    /// order; a phase without files is over at once. A `start` error fails
+    /// the attempt as an infrastructure loss, cancelling what the earlier
+    /// files started.
+    fn begin_phase(
+        &mut self,
+        wf: usize,
+        task_id: TaskId,
+        attempt: u32,
+        phase: AttemptPhase,
+        files: usize,
+        mut start: impl FnMut(&mut Runtime, usize, Tag) -> Result<Vec<ActivityId>, String>,
+    ) {
         let now = self.cluster.engine.now();
-        let finished_file = {
-            let att = match self.ams[wf]
-                .tasks
-                .get_mut(&task_id)
-                .and_then(|t| t.active.get_mut(&attempt))
-            {
-                Some(a) if a.phase == AttemptPhase::StageIn => a,
-                _ => return, // stale event after failure/cancel
+        let att = self.attempt_mut(wf, task_id, attempt);
+        att.phase = phase;
+        att.phase_started = now;
+        att.files_left = files;
+        att.pending.clear();
+        att.inflight.clear();
+        let node = att.container.node;
+        let (w, task) = (wf as u32, task_id);
+        for file in 0..files {
+            let tag = match phase {
+                AttemptPhase::StageIn => Tag::StageIn {
+                    wf: w,
+                    task,
+                    attempt,
+                    file: file as u32,
+                },
+                AttemptPhase::Running => Tag::Exec {
+                    wf: w,
+                    task,
+                    attempt,
+                },
+                AttemptPhase::StageOut => Tag::StageOut {
+                    wf: w,
+                    task,
+                    attempt,
+                    file: file as u32,
+                },
+                AttemptPhase::Starting => unreachable!("a container starts on a timer"),
             };
-            match att.group_remaining.get_mut(&file) {
-                Some(rem) if *rem > 1 => {
-                    *rem -= 1;
-                    false
+            match start(self, file, tag) {
+                Ok(acts) => {
+                    let att = self.attempt_mut(wf, task_id, attempt);
+                    att.pending.push(acts.len());
+                    att.inflight.extend(acts);
                 }
-                _ => {
-                    att.group_remaining.remove(&file);
-                    true
+                Err(why) => {
+                    let kind = FailureKind::Infra;
+                    self.handle_attempt_failure(wf, task_id, attempt, node, kind, &why);
+                    return;
                 }
             }
-        };
-        if !finished_file {
-            return;
         }
-        // Record the file-level provenance event.
-        let (path, size, started) = {
-            let task = &self.ams[wf].tasks[&task_id];
-            let att = &task.active[&attempt];
-            let path = task.spec.inputs[file as usize].clone();
-            let size = self
-                .cluster
-                .external_file(&path)
-                .map(|e| e.size)
-                .or_else(|| self.cluster.hdfs.len(&path).ok())
-                .unwrap_or(0);
-            (path, size, att.group_started[&file])
+        let att = self.attempt_mut(wf, task_id, attempt);
+        let idle: Vec<usize> = (0..files).filter(|&f| att.pending[f] == 0).collect();
+        for file in idle {
+            self.file_done(wf, task_id, attempt, file);
+        }
+        if files == 0 {
+            self.next_phase(wf, task_id, attempt);
+        }
+    }
+
+    /// One engine activity of an attempt's `phase` finished. Events of an
+    /// attempt that failed, was cancelled or has moved on are stale and
+    /// dropped.
+    fn on_activity_done(
+        &mut self,
+        wf: usize,
+        task_id: TaskId,
+        attempt: u32,
+        phase: AttemptPhase,
+        file: u32,
+    ) {
+        let att = match self.ams[wf]
+            .tasks
+            .get_mut(&task_id)
+            .and_then(|t| t.active.get_mut(&attempt))
+        {
+            Some(a) if a.phase == phase => a,
+            _ => return,
         };
-        self.ams[wf].prov.record_file(FileEvent {
-            path,
-            size,
-            task: task_id.0,
-            direction: "in".into(),
-            transfer_seconds: now.since(started),
-        });
+        let left = &mut att.pending[file as usize];
+        *left -= 1;
+        if *left == 0 {
+            self.file_done(wf, task_id, attempt, file as usize);
+        }
+    }
+
+    /// A file of the attempt's current phase is done: record a staged
+    /// input, or commit and publish an output. After the phase's last
+    /// file, the next phase starts.
+    fn file_done(&mut self, wf: usize, task_id: TaskId, attempt: u32, file: usize) {
+        let now = self.cluster.engine.now();
         let task = self.ams[wf].tasks.get_mut(&task_id).expect("known task");
-        let att = task.active.get_mut(&attempt).expect("checked above");
-        att.files_remaining -= 1;
-        if att.files_remaining == 0 {
-            self.begin_exec(wf, task_id, attempt);
+        let att = task.active.get_mut(&attempt).expect("attempt live");
+        att.files_left -= 1;
+        let last = att.files_left == 0;
+        let transfer_seconds = now.since(att.phase_started);
+        let moved = match att.phase {
+            AttemptPhase::StageIn => {
+                let path = &task.spec.inputs[file];
+                Some((path.clone(), self.cluster.file_size(path), "in"))
+            }
+            AttemptPhase::StageOut => {
+                let out = &task.spec.outputs[file];
+                self.cluster.commit_file(&out.path);
+                Some((out.path.clone(), out.size, "out"))
+            }
+            // The compute phase's one "file" moves no data.
+            AttemptPhase::Starting | AttemptPhase::Running => None,
+        };
+        if let Some((path, size, direction)) = moved {
+            if direction == "out" {
+                self.file_available(&path);
+            }
+            self.ams[wf].prov.record_file(FileEvent {
+                path,
+                size,
+                task: task_id.0,
+                direction: direction.into(),
+                transfer_seconds,
+            });
+        }
+        if last {
+            self.next_phase(wf, task_id, attempt);
         }
     }
 
@@ -1398,116 +1458,85 @@ impl Runtime {
         let am = &mut self.ams[wf];
         let task = am.tasks.get_mut(&task_id).expect("known task");
         let att = task.active.get_mut(&attempt).expect("attempt live");
-        att.phase = AttemptPhase::Running;
-        att.inflight.clear();
-        att.files_remaining = 1;
         att.t_exec_start = now;
         att.scratch_done = task.spec.cost.scratch_bytes == 0;
-        let container = att.container;
-        let node_cores = self.cluster.engine.spec().node(container.node).cores;
+        let node = att.container.node;
         let cap = if am.config.multithread_full_node {
-            node_cores
+            self.cluster.engine.spec().node(node).cores
         } else {
-            container.resource.vcores
+            att.container.resource.vcores
         };
         let threads = task.spec.cost.threads.min(cap.max(1)).max(1) as f64;
-        let act = self.cluster.engine.start(
-            Activity::Compute {
-                node: container.node,
-                threads,
-            },
-            task.spec.cost.cpu_seconds,
-            Tag::Exec {
-                wf: wf as u32,
-                task: task_id,
-                attempt,
+        let cpu = task.spec.cost.cpu_seconds;
+        self.begin_phase(
+            wf,
+            task_id,
+            attempt,
+            AttemptPhase::Running,
+            1,
+            |rt, _, tag| {
+                let compute = Activity::Compute { node, threads };
+                Ok(vec![rt.cluster.engine.start(compute, cpu, tag)])
             },
         );
-        task.active
-            .get_mut(&attempt)
-            .expect("attempt live")
-            .inflight
-            .insert(act);
     }
 
-    fn on_exec_done(&mut self, wf: usize, task_id: TaskId, attempt: u32) {
-        let scratch_pending = {
-            let att = match self.ams[wf]
-                .tasks
-                .get_mut(&task_id)
-                .and_then(|t| t.active.get_mut(&attempt))
-            {
-                Some(a) if a.phase == AttemptPhase::Running => a,
-                _ => return,
-            };
-            att.files_remaining = att.files_remaining.saturating_sub(1);
-            if att.files_remaining > 0 {
-                return; // more execution-phase activities outstanding
-            }
-            att.inflight.clear();
-            !att.scratch_done
-        };
-        if scratch_pending {
-            // Working-directory I/O: the tool writes its temporary files
-            // and reads them back — on the node's *local* disk under
-            // Hi-WAY (cf. Figure 8's analysis).
-            let task = self.ams[wf].tasks.get_mut(&task_id).expect("known");
-            let att = task.active.get_mut(&attempt).expect("live");
-            att.scratch_done = true;
-            let node = att.container.node;
-            let bytes = task.spec.cost.scratch_bytes as f64;
-            let tag = Tag::Exec {
-                wf: wf as u32,
-                task: task_id,
-                attempt,
-            };
-            let w = self
-                .cluster
-                .engine
-                .start(Activity::DiskWrite { node }, bytes, tag.clone());
-            let r = self
-                .cluster
-                .engine
-                .start(Activity::DiskRead { node }, bytes, tag);
-            let att = self.ams[wf]
-                .tasks
-                .get_mut(&task_id)
-                .expect("known")
-                .active
-                .get_mut(&attempt)
-                .expect("live");
-            att.files_remaining = 2;
-            att.inflight.insert(w);
-            att.inflight.insert(r);
-            return;
-        }
+    /// The command and its scratch I/O are done: this attempt wins any
+    /// speculation race, then either draws a simulated tool crash or
+    /// starts stage-out.
+    fn end_exec(&mut self, wf: usize, task_id: TaskId, attempt: u32) {
         let now = self.cluster.engine.now().as_secs();
         // Speculation race resolved: this attempt wins, twins are cancelled.
         self.cancel_other_attempts(wf, task_id, attempt);
-        {
-            let task = self.ams[wf].tasks.get_mut(&task_id).expect("known");
-            task.t_exec_end = now;
-            task.t_start = task.active[&attempt].t_start;
-            task.speculating = false;
-        }
-
-        // Simulated tool crash?
-        let fail_prob = self.ams[wf].config.task_failure_prob;
-        if fail_prob > 0.0 && self.ams[wf].rng.gen_bool(fail_prob.clamp(0.0, 1.0)) {
-            let container = self.ams[wf].tasks[&task_id].active[&attempt].container;
-            self.containers.remove(&container.id);
-            self.cluster.rm.release(container.id);
-            self.handle_attempt_failure(
-                wf,
-                task_id,
-                attempt,
-                container.node,
-                FailureKind::Task,
-                "simulated tool failure",
-            );
+        let am = &mut self.ams[wf];
+        let task = am.tasks.get_mut(&task_id).expect("known");
+        task.t_exec_end = now;
+        task.t_start = task.active[&attempt].t_start;
+        task.speculating = false;
+        let node = task.active[&attempt].container.node;
+        let fail_prob = am.config.task_failure_prob;
+        if fail_prob > 0.0 && am.rng.gen_bool(fail_prob.clamp(0.0, 1.0)) {
+            let why = "simulated tool failure";
+            self.handle_attempt_failure(wf, task_id, attempt, node, FailureKind::Task, why);
             return;
         }
-        self.begin_stage_out(wf, task_id, attempt);
+        let outputs = am.tasks[&task_id].spec.outputs.clone();
+        let files = outputs.len();
+        self.begin_phase(
+            wf,
+            task_id,
+            attempt,
+            AttemptPhase::StageOut,
+            files,
+            |rt, file, tag| {
+                let out = &outputs[file];
+                rt.charge_master_overhead(false);
+                // A previous attempt may have died mid-stage-out, leaving a
+                // registered-but-uncommitted file behind; drop it so the
+                // retry's create succeeds.
+                rt.cluster.discard_uncommitted(&out.path);
+                rt.cluster
+                    .start_output(&out.path, out.size, node, tag)
+                    .map_err(|e| format!("stage-out of '{}' failed: {e}", out.path))
+            },
+        );
+    }
+
+    /// Removes a live attempt, cancels its in-flight activities in start
+    /// order and releases its container (a no-op for a lease that a node
+    /// failure or preemption already dropped).
+    fn drop_attempt(&mut self, wf: usize, task_id: TaskId, attempt: u32) -> Option<Attempt> {
+        let att = self.ams[wf]
+            .tasks
+            .get_mut(&task_id)?
+            .active
+            .remove(&attempt)?;
+        for &act in &att.inflight {
+            self.cluster.engine.cancel(act);
+        }
+        self.containers.remove(&att.container.id);
+        self.cluster.rm.release(att.container.id);
+        Some(att)
     }
 
     /// Cancels every active attempt of the task except `winner` — the
@@ -1522,18 +1551,7 @@ impl Runtime {
             .collect();
         let now = self.cluster.engine.now().as_secs();
         for aid in losers {
-            let att = self.ams[wf]
-                .tasks
-                .get_mut(&task_id)
-                .expect("known")
-                .active
-                .remove(&aid)
-                .expect("listed");
-            for act in att.inflight {
-                self.cluster.engine.cancel(act);
-            }
-            self.containers.remove(&att.container.id);
-            self.cluster.rm.release(att.container.id);
+            let att = self.drop_attempt(wf, task_id, aid).expect("listed");
             let wasted = (now - att.t_start).max(0.0);
             let node_name = self.cluster.node_name(att.container.node).to_string();
             // Either twin can lose the race: the duplicate overtaking the
@@ -1567,118 +1585,6 @@ impl Runtime {
         }
     }
 
-    fn begin_stage_out(&mut self, wf: usize, task_id: TaskId, attempt: u32) {
-        let (node, outputs) = {
-            let task = self.ams[wf].tasks.get_mut(&task_id).expect("known task");
-            let att = task.active.get_mut(&attempt).expect("live");
-            att.phase = AttemptPhase::StageOut;
-            (att.container.node, task.spec.outputs.clone())
-        };
-        let now = self.cluster.engine.now();
-        {
-            let task = self.ams[wf].tasks.get_mut(&task_id).expect("known task");
-            let att = task.active.get_mut(&attempt).expect("live");
-            att.files_remaining = outputs.len();
-        }
-        if outputs.is_empty() {
-            self.finish_task(wf, task_id, attempt);
-            return;
-        }
-        let mut instantly_done: Vec<u32> = Vec::new();
-        for (oi, out) in outputs.iter().enumerate() {
-            let oi = oi as u32;
-            self.charge_master_overhead(false);
-            // A previous attempt may have died mid-stage-out, leaving a
-            // registered-but-uncommitted file behind; drop it so the
-            // retry's create succeeds.
-            self.cluster.discard_uncommitted(&out.path);
-            let plan = match self.cluster.hdfs.create(&out.path, out.size, node) {
-                Ok(plan) => plan,
-                Err(e) => {
-                    let cid = self.ams[wf].tasks[&task_id].active[&attempt].container.id;
-                    self.containers.remove(&cid);
-                    self.cluster.rm.release(cid);
-                    self.handle_attempt_failure(
-                        wf,
-                        task_id,
-                        attempt,
-                        node,
-                        FailureKind::Infra,
-                        &format!("stage-out of '{}' failed: {e}", out.path),
-                    );
-                    return;
-                }
-            };
-            let tag = Tag::StageOut {
-                wf: wf as u32,
-                task: task_id,
-                attempt,
-                file: oi,
-            };
-            let acts = hdfs_exec::start_write(&mut self.cluster.engine, &plan, tag);
-            let task = self.ams[wf].tasks.get_mut(&task_id).expect("known task");
-            let att = task.active.get_mut(&attempt).expect("live");
-            att.group_started.insert(oi, now);
-            if acts.is_empty() {
-                instantly_done.push(oi);
-            } else {
-                att.group_remaining.insert(oi, acts.len());
-                att.inflight.extend(acts);
-            }
-        }
-        for oi in instantly_done {
-            self.on_stage_out_done(wf, task_id, attempt, oi);
-        }
-    }
-
-    fn on_stage_out_done(&mut self, wf: usize, task_id: TaskId, attempt: u32, file: u32) {
-        let now = self.cluster.engine.now();
-        let finished_file = {
-            let att = match self.ams[wf]
-                .tasks
-                .get_mut(&task_id)
-                .and_then(|t| t.active.get_mut(&attempt))
-            {
-                Some(a) if a.phase == AttemptPhase::StageOut => a,
-                _ => return,
-            };
-            match att.group_remaining.get_mut(&file) {
-                Some(rem) if *rem > 1 => {
-                    *rem -= 1;
-                    false
-                }
-                _ => {
-                    att.group_remaining.remove(&file);
-                    true
-                }
-            }
-        };
-        if !finished_file {
-            return;
-        }
-        let (path, size, started) = {
-            let task = &self.ams[wf].tasks[&task_id];
-            let att = &task.active[&attempt];
-            let out = &task.spec.outputs[file as usize];
-            (out.path.clone(), out.size, att.group_started[&file])
-        };
-        self.cluster.commit_file(&path);
-        self.file_available(&path);
-        self.ams[wf].prov.record_file(FileEvent {
-            path,
-            size,
-            task: task_id.0,
-            direction: "out".into(),
-            transfer_seconds: now.since(started),
-        });
-        let task = self.ams[wf].tasks.get_mut(&task_id).expect("known task");
-        let att = task.active.get_mut(&attempt).expect("live");
-        att.files_remaining -= 1;
-        if att.files_remaining == 0 {
-            self.finish_task(wf, task_id, attempt);
-        }
-    }
-
     fn finish_task(&mut self, wf: usize, task_id: TaskId, attempt: u32) {
         // Defensive: a twin should already have been cancelled at exec-win.
         self.cancel_other_attempts(wf, task_id, attempt);
@@ -1698,15 +1604,7 @@ impl Runtime {
                 inputs: spec
                     .inputs
                     .iter()
-                    .map(|p| {
-                        let size = self
-                            .cluster
-                            .external_file(p)
-                            .map(|e| e.size)
-                            .or_else(|| self.cluster.hdfs.len(p).ok())
-                            .unwrap_or(0);
-                        (p.clone(), size)
-                    })
+                    .map(|p| (p.clone(), self.cluster.file_size(p)))
                     .collect(),
                 outputs: spec
                     .outputs
@@ -1800,10 +1698,9 @@ impl Runtime {
     /// One attempt of a task died. The failure kind decides which retry
     /// budget it burns: infrastructure losses (node crash, preemption,
     /// storage loss) are not the task's fault and have their own, larger
-    /// allowance. The caller has already released the container lease (or
-    /// the node failure did). Surviving speculative twins keep the task
-    /// going without a retry; otherwise the task re-enters the queue after
-    /// an exponential backoff.
+    /// allowance. The attempt's container lease is released here. Surviving
+    /// speculative twins keep the task going without a retry; otherwise the
+    /// task re-enters the queue after an exponential backoff.
     fn handle_attempt_failure(
         &mut self,
         wf: usize,
@@ -1814,16 +1711,9 @@ impl Runtime {
         why: &str,
     ) {
         let now = self.cluster.engine.now().as_secs();
-        let Some(task) = self.ams[wf].tasks.get_mut(&task_id) else {
-            return;
-        };
-        let Some(att) = task.active.remove(&attempt) else {
+        let Some(att) = self.drop_attempt(wf, task_id, attempt) else {
             return; // already cancelled or finished
         };
-        for act in att.inflight {
-            self.cluster.engine.cancel(act);
-        }
-        self.containers.remove(&att.container.id);
         let wasted = (now - att.t_start).max(0.0);
         let node_name = self.cluster.node_name(node).to_string();
         let am = &mut self.ams[wf];
@@ -1939,38 +1829,24 @@ impl Runtime {
     }
 
     fn requeue_task(&mut self, wf: usize, task_id: TaskId) {
-        let resource = {
-            let spec = &self.ams[wf].tasks[&task_id].spec;
-            self.container_resource_for(wf, spec)
-        };
         let am = &mut self.ams[wf];
-        let task = am.tasks.get_mut(&task_id).expect("known task");
-        task.state = TaskState::Requested;
+        am.tasks.get_mut(&task_id).expect("known task").state = TaskState::Requested;
         am.ready_order.push(task_id);
-        let req = am.scheduler.container_request(&task.spec, resource);
-        self.cluster.rm.request(am.app, req);
+        self.request_container(wf, task_id);
     }
 
     fn fail_workflow(&mut self, wf: usize, message: String) {
         let am = &mut self.ams[wf];
         am.error = Some(message);
         // Cancel everything in flight and release the containers.
-        let inflight: Vec<(ContainerId, TaskId, u32)> = self
+        let inflight: Vec<(TaskId, u32)> = self
             .containers
-            .iter()
-            .filter(|(_, (w, _, _))| *w == wf)
-            .map(|(cid, (_, tid, aid))| (*cid, *tid, *aid))
+            .values()
+            .filter(|(w, _, _)| *w == wf)
+            .map(|(_, tid, aid)| (*tid, *aid))
             .collect();
-        for (cid, tid, aid) in inflight {
-            if let Some(task) = self.ams[wf].tasks.get_mut(&tid) {
-                if let Some(att) = task.active.remove(&aid) {
-                    for act in att.inflight {
-                        self.cluster.engine.cancel(act);
-                    }
-                }
-            }
-            self.containers.remove(&cid);
-            self.cluster.rm.release(cid);
+        for (tid, aid) in inflight {
+            self.drop_attempt(wf, tid, aid);
         }
         if let Some(c) = self.ams[wf].am_container.take() {
             self.cluster.rm.release(c.id);

@@ -1139,3 +1139,137 @@ fn front_end_error_on_a_memo_hit_stops_requesting_containers() {
     assert_eq!(rt.cluster.rm.pending_requests(), 0);
     rt.check_invariants().unwrap();
 }
+
+#[test]
+fn files_without_transfers_still_finish_and_report_one_event_each() {
+    // Every way a file can move no bytes: a task without inputs, a
+    // zero-byte HDFS input (next to one that does transfer), a zero-size
+    // external input, a task without outputs and a zero-byte output.
+    let mut spec = ClusterSpec::homogeneous(3, "w", &NodeSpec::m3_large("p"));
+    let s3 = spec.add_external(hiway_sim::ExternalSpec::s3());
+    let mut cluster = Cluster::new(spec, 3);
+    cluster.prestage("/in", 1 << 20);
+    cluster.prestage("/empty", 0);
+    cluster.register_external_file("s3://bucket/empty", s3, 0);
+    let tasks = vec![
+        task(0, "source", &[], &[("/zero", 0), ("/data", 1 << 20)], 2.0),
+        task(1, "sink", &["/zero", "/in", "/empty"], &[], 2.0),
+        task(2, "fetch", &["s3://bucket/empty"], &[("/fetched", 0)], 2.0),
+    ];
+    let db = ProvDb::new();
+    let mut rt = Runtime::new(cluster);
+    let config = HiwayConfig::default().with_scheduler(SchedulerPolicy::Fcfs);
+    let wf = rt.submit(
+        Box::new(StaticWorkflow::new("no-transfer", "test", tasks.clone())),
+        config,
+        db.clone(),
+    );
+    let reports = rt.run_to_completion();
+    assert!(rt.error_of(wf).is_none(), "{:?}", rt.error_of(wf));
+    assert_eq!(reports[wf].tasks.len(), 3);
+    rt.check_invariants().unwrap();
+
+    let events = db
+        .collection(hiway_core::provenance::FILES_COLLECTION)
+        .snapshot();
+    let event = |doc: &hiway_format::Json| {
+        (
+            doc.get("task").and_then(|v| v.as_u64()).unwrap(),
+            doc.get("direction")
+                .and_then(|v| v.as_str())
+                .unwrap()
+                .to_string(),
+            doc.get("path")
+                .and_then(|v| v.as_str())
+                .unwrap()
+                .to_string(),
+            doc.get("size").and_then(|v| v.as_u64()).unwrap(),
+        )
+    };
+    let mut got: Vec<_> = events.iter().map(event).collect();
+    got.sort();
+    let size_of = |p: &str| match p {
+        "/in" | "/data" => 1 << 20,
+        _ => 0,
+    };
+    let mut want: Vec<_> = tasks
+        .iter()
+        .flat_map(|t| {
+            let ins = t.inputs.iter().map(|p| ("in", p.clone()));
+            let outs = t.outputs.iter().map(|o| ("out", o.path.clone()));
+            ins.chain(outs)
+                .map(|(d, p)| (t.id.0, d.to_string(), p.clone(), size_of(&p)))
+                .collect::<Vec<_>>()
+        })
+        .collect();
+    want.sort();
+    assert_eq!(got, want);
+}
+
+#[test]
+fn stage_in_failure_cancels_the_transfers_of_earlier_files() {
+    // Replication 1: `/b`'s only DataNode is gone before the task runs,
+    // so its stage-in fails after `/a`'s read has already started.
+    let spec = ClusterSpec::homogeneous(3, "w", &NodeSpec::m3_large("p"));
+    let hdfs = hiway_hdfs::HdfsConfig {
+        replication: 1,
+        ..Default::default()
+    };
+    let mut cluster = Cluster::with_hdfs_config(spec, hdfs, 5);
+    cluster.prestage("/a", 64 << 20);
+    cluster.prestage("/b", 1 << 20);
+    let holder = |c: &Cluster, p: &str| c.hdfs.status(p).unwrap().blocks[0].replicas[0];
+    let lost = holder(&cluster, "/b");
+    assert_ne!(holder(&cluster, "/a"), lost);
+    cluster.fail_node(lost);
+    let mut rt = Runtime::new(cluster);
+    let config = HiwayConfig {
+        infra_retries: 0,
+        ..HiwayConfig::default().with_scheduler(SchedulerPolicy::Fcfs)
+    };
+    let wf = rt.submit(
+        Box::new(StaticWorkflow::new(
+            "lost-input",
+            "test",
+            vec![task(0, "t", &["/a", "/b"], &[("/o", 1 << 10)], 5.0)],
+        )),
+        config,
+        ProvDb::new(),
+    );
+    rt.run_to_completion();
+    let err = rt.error_of(wf).expect("the lost input fails the run");
+    assert!(err.contains("stage-in of '/b' failed"), "{err}");
+    assert_eq!(
+        rt.cluster.engine.active_count(),
+        0,
+        "/a's read was cancelled"
+    );
+    rt.check_invariants().unwrap();
+}
+
+#[test]
+fn stage_out_failure_fails_the_attempt() {
+    // The output path is already committed, so the task's create fails.
+    let mut cluster = small_cluster(2);
+    cluster.prestage("/in", 1 << 20);
+    cluster.prestage("/o", 1 << 10);
+    let mut rt = Runtime::new(cluster);
+    let config = HiwayConfig {
+        infra_retries: 0,
+        ..HiwayConfig::default().with_scheduler(SchedulerPolicy::Fcfs)
+    };
+    let wf = rt.submit(
+        Box::new(StaticWorkflow::new(
+            "taken-output",
+            "test",
+            vec![task(0, "t", &["/in"], &[("/o", 1 << 10)], 5.0)],
+        )),
+        config,
+        ProvDb::new(),
+    );
+    rt.run_to_completion();
+    let err = rt.error_of(wf).expect("the taken output fails the run");
+    assert!(err.contains("stage-out of '/o' failed"), "{err}");
+    assert_eq!(rt.cluster.engine.active_count(), 0);
+    rt.check_invariants().unwrap();
+}

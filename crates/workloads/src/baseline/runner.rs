@@ -9,7 +9,6 @@ use std::collections::HashMap;
 
 use hiway_core::cluster::{Cluster, Tag};
 use hiway_core::ReadyTracker;
-use hiway_hdfs::exec as hdfs_exec;
 use hiway_lang::ir::WorkflowSource;
 use hiway_lang::{StaticWorkflow, TaskId, TaskSpec};
 use hiway_sim::{Activity, Completion, Endpoint, ExternalId, NodeId};
@@ -202,59 +201,40 @@ pub fn run_dag(
                                     acts += 1;
                                 }
                             }
-                            Storage::HdfsLocal => {
-                                if let Some(ext) = cluster.external_file(path) {
-                                    if ext.size > 0 {
-                                        cluster.engine.start(
-                                            Activity::Flow {
-                                                src: Endpoint::External(ext.service),
-                                                dst: Endpoint::Node(node),
-                                                src_disk: false,
-                                                dst_disk: true,
-                                            },
-                                            ext.size as f64,
-                                            stage_tag,
-                                        );
-                                        acts += 1;
-                                    }
-                                } else if config.shuffle_edges {
-                                    // Shuffle edge: the bytes cross the
-                                    // network from a random upstream
-                                    // container's node.
-                                    let size = cluster.hdfs.len(path).map_err(|e| e.to_string())?;
-                                    let src = nodes[rng.gen_range(0..nodes.len())];
-                                    if size > 0 && src != node {
-                                        cluster.engine.start(
-                                            Activity::Flow {
-                                                src: Endpoint::Node(src),
-                                                dst: Endpoint::Node(node),
-                                                src_disk: true,
-                                                dst_disk: true,
-                                            },
-                                            size as f64,
-                                            stage_tag,
-                                        );
-                                        acts += 1;
-                                    } else if size > 0 {
-                                        cluster.engine.start(
-                                            Activity::DiskRead { node },
-                                            size as f64,
-                                            stage_tag,
-                                        );
-                                        acts += 1;
-                                    }
-                                } else {
-                                    let plan = cluster
-                                        .hdfs
-                                        .read_plan(path, node)
-                                        .map_err(|e| e.to_string())?;
-                                    acts += hdfs_exec::start_read(
-                                        &mut cluster.engine,
-                                        &plan,
+                            Storage::HdfsLocal
+                                if config.shuffle_edges
+                                    && cluster.external_file(path).is_none() =>
+                            {
+                                // Shuffle edge: the bytes cross the network
+                                // from a random upstream container's node.
+                                let size = cluster.hdfs.len(path).map_err(|e| e.to_string())?;
+                                let src = nodes[rng.gen_range(0..nodes.len())];
+                                if size > 0 && src != node {
+                                    cluster.engine.start(
+                                        Activity::Flow {
+                                            src: Endpoint::Node(src),
+                                            dst: Endpoint::Node(node),
+                                            src_disk: true,
+                                            dst_disk: true,
+                                        },
+                                        size as f64,
                                         stage_tag,
-                                    )
-                                    .len();
+                                    );
+                                    acts += 1;
+                                } else if size > 0 {
+                                    cluster.engine.start(
+                                        Activity::DiskRead { node },
+                                        size as f64,
+                                        stage_tag,
+                                    );
+                                    acts += 1;
                                 }
+                            }
+                            Storage::HdfsLocal => {
+                                acts += cluster
+                                    .start_input(path, node, stage_tag)
+                                    .map_err(|e| e.to_string())?
+                                    .len();
                             }
                         }
                     }
@@ -283,7 +263,7 @@ pub fn run_dag(
                             // the shared volume for CloudMan — the
                             // difference Figure 8 measures.
                             run.scratch_done = true;
-                            let bytes = run.spec.cost.scratch_bytes as f64;
+                            let bytes = run.spec.cost.scratch_bytes;
                             let node = run.node;
                             let tag = Tag::Exec {
                                 wf: u32::MAX,
@@ -292,14 +272,7 @@ pub fn run_dag(
                             };
                             match config.storage {
                                 Storage::HdfsLocal => {
-                                    cluster.engine.start(
-                                        Activity::DiskWrite { node },
-                                        bytes,
-                                        tag.clone(),
-                                    );
-                                    cluster
-                                        .engine
-                                        .start(Activity::DiskRead { node }, bytes, tag);
+                                    cluster.start_scratch(node, bytes, tag);
                                 }
                                 Storage::SharedVolume(vol) => {
                                     cluster.engine.start(
@@ -309,7 +282,7 @@ pub fn run_dag(
                                             src_disk: false,
                                             dst_disk: false,
                                         },
-                                        bytes,
+                                        bytes as f64,
                                         tag.clone(),
                                     );
                                     cluster.engine.start(
@@ -319,7 +292,7 @@ pub fn run_dag(
                                             src_disk: false,
                                             dst_disk: false,
                                         },
-                                        bytes,
+                                        bytes as f64,
                                         tag,
                                     );
                                 }
@@ -356,13 +329,10 @@ pub fn run_dag(
                                 }
                             }
                             Storage::HdfsLocal => {
-                                let plan = cluster
-                                    .hdfs
-                                    .create(&out.path, out.size, node)
-                                    .map_err(|e| e.to_string())?;
-                                acts +=
-                                    hdfs_exec::start_write(&mut cluster.engine, &plan, stage_tag)
-                                        .len();
+                                acts += cluster
+                                    .start_output(&out.path, out.size, node, stage_tag)
+                                    .map_err(|e| e.to_string())?
+                                    .len();
                             }
                         }
                     }
