@@ -19,6 +19,9 @@ cargo fmt --check -p hiway -p hiway-obs -p hiway-sim -p hiway-hdfs -p hiway-yarn
 echo "==> tests"
 cargo test -q --workspace
 
+echo "==> perfbench (builds the benchmark against the workspace, runs its small-shape tests)"
+cargo test --release --offline --manifest-path perfbench/Cargo.toml
+
 echo "==> clippy (first-party crates; compat/ shims are vendored as-is)"
 cargo clippy --all-targets -p hiway -p hiway-obs -p hiway-sim -p hiway-hdfs -p hiway-yarn \
   -p hiway-format -p hiway-lang -p hiway-provdb -p hiway-core \

@@ -15,7 +15,7 @@ use hiway_core::{HiwayConfig, SchedulerPolicy};
 use hiway_lang::cuneiform::CuneiformWorkflow;
 use hiway_provdb::ProvDb;
 use hiway_sim::NodeId;
-use hiway_workloads::baseline::{run_dag, BaselineConfig, Storage};
+use hiway_workloads::baseline::{run_dag, Baseline};
 use hiway_workloads::profiles;
 use hiway_workloads::snv::SnvParams;
 use hiway_yarn::Resource;
@@ -145,14 +145,9 @@ fn run_tez_baseline(
     let report = run_dag(
         &mut deployment.runtime.cluster,
         workflow,
-        BaselineConfig {
-            storage: Storage::HdfsLocal,
+        Baseline::Tez {
             slots_per_node: containers_per_node,
-            slot_vcores: 1, // one-core containers, like Hi-WAY's
-            shuffle_edges: true,
             seed,
-            startup_secs: 0.2,
-            multithread_full_node: false,
         },
     )?;
     Ok((report.runtime_secs, net_gb(&mut deployment.runtime)))

@@ -17,7 +17,7 @@ use hiway_yarn::{Container, ResourceManager, RmConfig};
 #[derive(Clone, Debug, PartialEq)]
 pub enum Tag {
     /// AM–RM heartbeat timer.
-    Heartbeat { wf: u32 },
+    Heartbeat,
     /// Worker container finished starting up (localization done).
     ContainerStarted { wf: u32, task: TaskId, attempt: u32 },
     /// One stage-in transfer (input file `file` of the attempt) finished.

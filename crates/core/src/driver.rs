@@ -124,14 +124,14 @@ impl Attempt {
 struct TaskRun {
     spec: TaskSpec,
     state: TaskState,
-    /// Attempts launched so far (primary + speculative).
-    attempts: u32,
     task_failures: u32,
     infra_failures: u32,
     /// Node of the last failed attempt, avoided on retry when possible.
     avoid_node: Option<NodeId>,
     /// Containers declined by the adaptive policy for this task so far.
     declines: u32,
+    /// Attempts launched so far (primary + speculative), which is also
+    /// the id of the next one.
     next_attempt: u32,
     /// In-flight attempts by attempt id (1 normally, 2 while speculating).
     active: BTreeMap<u32, Attempt>,
@@ -148,7 +148,6 @@ impl TaskRun {
         TaskRun {
             spec,
             state: TaskState::Waiting,
-            attempts: 0,
             task_failures: 0,
             infra_failures: 0,
             avoid_node: None,
@@ -187,7 +186,6 @@ struct Am {
     /// Nodes this workflow has seen attempts fail on, with decay.
     blacklist: BTreeMap<NodeId, Strikes>,
     started: bool,
-    planned: bool,
     done: bool,
     error: Option<String>,
     am_container: Option<Container>,
@@ -396,7 +394,6 @@ impl Runtime {
             spec_pending: Vec::new(),
             blacklist: BTreeMap::new(),
             started: false,
-            planned: false,
             done: false,
             error: submit_error,
             am_container: None,
@@ -420,7 +417,7 @@ impl Runtime {
             self.heartbeat_armed = true;
             self.cluster
                 .engine
-                .set_timer_after(self.heartbeat_secs, Tag::Heartbeat { wf: 0 });
+                .set_timer_after(self.heartbeat_secs, Tag::Heartbeat);
         }
     }
 
@@ -668,7 +665,7 @@ impl Runtime {
 
     fn dispatch(&mut self, tag: Tag) {
         match tag {
-            Tag::Heartbeat { .. } => self.on_heartbeat(),
+            Tag::Heartbeat => self.on_heartbeat(),
             Tag::ContainerStarted { wf, task, attempt } => {
                 self.next_phase(wf as usize, task, attempt)
             }
@@ -863,7 +860,6 @@ impl Runtime {
         let startup = self.ams[wf].config.container_startup_secs;
         let am = &mut self.ams[wf];
         let task = am.tasks.get_mut(&task_id).expect("known task");
-        task.attempts += 1;
         let attempt = task.next_attempt;
         task.next_attempt += 1;
         task.active
@@ -1038,7 +1034,6 @@ impl Runtime {
                     let now = self.cluster.engine.now().as_secs();
                     am.scheduler
                         .plan(&tasks, &nodes, &names, &am.prov, &self.tracer, now);
-                    am.planned = true;
                 }
                 self.register_tasks(wf, tasks);
                 self.check_ready(wf);
@@ -1617,7 +1612,7 @@ impl Runtime {
                 node: node_name.clone(),
                 t_start: task.t_start,
                 t_end: now,
-                attempts: task.attempts,
+                attempts: task.next_attempt,
                 stdout: format!("task {} ok", spec.name),
                 stderr: String::new(),
             };
@@ -1673,7 +1668,7 @@ impl Runtime {
                 t_ready: task.t_ready,
                 t_start: task.t_start,
                 t_end: now,
-                attempts: task.attempts,
+                attempts: task.next_attempt,
                 localize_secs,
                 commit_secs,
             };

@@ -1,4 +1,5 @@
-//! Baseline systems the paper compares against.
+//! Baseline systems the paper compares against, both run by
+//! [`run_dag`]; a [`Baseline`] variant picks the system.
 //!
 //! * **Tez** (§4.1, Figure 4): "an application master for YARN that
 //!   enables the execution of DAGs comprising map, reduce, and custom
@@ -17,29 +18,11 @@
 
 pub mod runner;
 
-pub use runner::{run_dag, BaselineConfig, BaselineReport, Storage};
+pub use runner::{run_dag, Baseline, BaselineReport};
 
 use hiway_core::cluster::Cluster;
 use hiway_lang::StaticWorkflow;
 use hiway_sim::ExternalId;
-
-/// Runs a workflow the way Apache Tez would: greedy, placement-agnostic,
-/// reused containers, data in HDFS.
-pub fn run_tez(cluster: &mut Cluster, workflow: StaticWorkflow) -> Result<BaselineReport, String> {
-    run_dag(
-        cluster,
-        workflow,
-        BaselineConfig {
-            storage: Storage::HdfsLocal,
-            slots_per_node: 0, // one slot per core
-            slot_vcores: 1,
-            shuffle_edges: true, // map/reduce-style edges between stages
-            seed: 1,
-            startup_secs: 0.2, // container reuse
-            multithread_full_node: false,
-        },
-    )
-}
 
 /// Galaxy CloudMan "only supports the automated setup of virtual
 /// clusters of up to 20 nodes" (paper §4.2) — the baseline refuses to
@@ -58,17 +41,5 @@ pub fn run_cloudman(
             cluster.node_count()
         ));
     }
-    run_dag(
-        cluster,
-        workflow,
-        BaselineConfig {
-            storage: Storage::SharedVolume(ebs),
-            slots_per_node: 1, // one task per node, as configured in §4.2
-            slot_vcores: 0,
-            shuffle_edges: false,
-            seed: 2,
-            startup_secs: 1.0,
-            multithread_full_node: true,
-        },
-    )
+    run_dag(cluster, workflow, Baseline::CloudMan { volume: ebs })
 }

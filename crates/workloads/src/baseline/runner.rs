@@ -1,9 +1,10 @@
 //! A minimal DAG executor used by both baseline models.
 //!
 //! Deliberately simpler than the Hi-WAY AM: greedy slot scheduling in task
-//! id order, no provenance, no retries, no data-aware selection. Storage
-//! is pluggable: HDFS with node-local replicas (Tez) or a shared
-//! network-attached volume (CloudMan's EBS).
+//! id order, no provenance, no retries, no data-aware selection. Each task
+//! walks one countdown through its phases (startup, stage-in, compute,
+//! scratch, stage-out), skipping any phase that starts no activity; the
+//! [`Baseline`] decides where the bytes of each phase go.
 
 use std::collections::HashMap;
 
@@ -15,139 +16,127 @@ use hiway_sim::{Activity, Completion, Endpoint, ExternalId, NodeId};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-/// Where a baseline engine keeps workflow data.
+/// The system a baseline run models; each variant fixes every knob.
 #[derive(Clone, Copy, Debug)]
-pub enum Storage {
-    /// HDFS on the cluster's local disks (Tez).
-    HdfsLocal,
-    /// A shared network-attached volume (CloudMan's EBS).
-    SharedVolume(ExternalId),
-}
-
-/// Baseline engine configuration.
-#[derive(Clone, Copy, Debug)]
-pub struct BaselineConfig {
-    pub storage: Storage,
-    /// Concurrent tasks per node; 0 means one per core.
-    pub slots_per_node: u32,
-    /// Cores a task may use; 0 divides the node's cores by the slot
-    /// count. The Figure 4 Tez setup uses 1 (one-core containers).
-    pub slot_vcores: u32,
-    /// Model map/reduce-style *shuffle edges*: intermediate data moves
-    /// between stages through the network regardless of where replicas
-    /// sit. This is what wrapping file-based black-box tools into a Tez
-    /// DAG costs — "external tools consuming and producing file-based
-    /// data need to be wrapped in order to be used in Tez" (paper §2.2) —
-    /// and the traffic the data-aware scheduler avoids in Figure 4.
-    pub shuffle_edges: bool,
-    /// Seed for shuffle-source draws.
-    pub seed: u64,
-    /// Per-task startup latency in seconds.
-    pub startup_secs: f64,
-    /// Whether a task may use all node cores regardless of slot count.
-    pub multithread_full_node: bool,
+pub enum Baseline {
+    /// Apache Tez (Figure 4): data in HDFS on the local disks,
+    /// `slots_per_node` one-core containers per node, reused containers
+    /// (0.2 s startup), and map/reduce-style *shuffle edges*: intermediate
+    /// data crosses the network from a random (`seed`ed) upstream node
+    /// regardless of where replicas sit. This is what wrapping file-based
+    /// black-box tools into a Tez DAG costs — "external tools consuming
+    /// and producing file-based data need to be wrapped in order to be
+    /// used in Tez" (paper §2.2) — and the traffic the data-aware
+    /// scheduler avoids in Figure 4.
+    Tez { slots_per_node: u32, seed: u64 },
+    /// Galaxy CloudMan (Figure 8): every file and every working directory
+    /// on the shared `volume`, one task per node using all of its cores,
+    /// 1 s startup.
+    CloudMan { volume: ExternalId },
 }
 
 /// Result of a baseline run.
 #[derive(Clone, Debug)]
 pub struct BaselineReport {
-    pub name: String,
     pub runtime_secs: f64,
     /// Node that executed each task.
     pub placements: Vec<(TaskId, NodeId)>,
 }
 
+/// A task's phases, in order.
+#[derive(Clone, Copy, Debug, PartialEq)]
+enum Phase {
+    Startup,
+    StageIn,
+    Compute,
+    Scratch,
+    StageOut,
+    Done,
+}
+
+impl Phase {
+    fn next(self) -> Phase {
+        match self {
+            Phase::Startup => Phase::StageIn,
+            Phase::StageIn => Phase::Compute,
+            Phase::Compute => Phase::Scratch,
+            Phase::Scratch => Phase::StageOut,
+            Phase::StageOut | Phase::Done => Phase::Done,
+        }
+    }
+}
+
 struct Run {
     spec: TaskSpec,
-    node: NodeId,
+    /// Index of the executing node in the runner's node list.
+    node_idx: usize,
+    phase: Phase,
+    /// Activities (or the startup timer) of `phase` still running.
     remaining: usize,
-    scratch_done: bool,
 }
 
 /// Executes `workflow` to completion on `cluster`. Inputs must already be
-/// present (pre-staged in HDFS, or — for [`Storage::SharedVolume`] —
-/// registered as external files on the volume's service by the caller).
+/// present: pre-staged in HDFS for Tez, registered as external files on
+/// the volume for CloudMan.
 pub fn run_dag(
     cluster: &mut Cluster,
     mut workflow: StaticWorkflow,
-    config: BaselineConfig,
+    baseline: Baseline,
 ) -> Result<BaselineReport, String> {
-    let name = workflow.name().to_string();
     let t0 = cluster.engine.now();
-    let specs = workflow.initial_tasks().map_err(|e| e.to_string())?;
-    let mut tasks: HashMap<TaskId, Run> = specs
+    let mut tasks: HashMap<TaskId, Run> = workflow
+        .initial_tasks()
+        .map_err(|e| e.to_string())?
         .into_iter()
         .map(|spec| {
-            (
-                spec.id,
-                Run {
-                    spec,
-                    node: NodeId(0),
-                    remaining: 0,
-                    scratch_done: false,
-                },
-            )
+            let run = Run {
+                spec,
+                node_idx: 0,
+                phase: Phase::Startup,
+                remaining: 0,
+            };
+            (run.spec.id, run)
         })
         .collect();
-    // Sizes of produced files, for volume-mode stage-in.
-    let sizes: HashMap<String, u64> = tasks
-        .values()
-        .flat_map(|r| r.spec.outputs.iter().map(|o| (o.path.clone(), o.size)))
-        .collect();
-
     let nodes: Vec<NodeId> = cluster.rm.alive_nodes();
     if nodes.is_empty() {
         return Err("no alive nodes".to_string());
     }
-    let mut free_slots: HashMap<NodeId, u32> = nodes
-        .iter()
-        .map(|&n| {
-            let slots = if config.slots_per_node == 0 {
-                cluster.engine.spec().node(n).cores
-            } else {
-                config.slots_per_node
-            };
-            (n, slots)
-        })
-        .collect();
+    let (slots_per_node, startup_secs, seed) = match baseline {
+        Baseline::Tez {
+            slots_per_node,
+            seed,
+        } => (slots_per_node, 0.2, seed),
+        // One task per node, as configured in §4.2.
+        Baseline::CloudMan { .. } => (1, 1.0, 0),
+    };
+    let mut free_slots = vec![slots_per_node; nodes.len()];
     let mut placements = Vec::new();
     let mut rr = 0usize;
-    let mut rng = StdRng::seed_from_u64(config.seed);
-
-    let input_ok = |path: &str| match config.storage {
-        Storage::HdfsLocal => cluster.input_available(path),
-        // Files no task produces were staged on the volume by the caller.
-        Storage::SharedVolume(_) => {
-            !sizes.contains_key(path) || cluster.external_file(path).is_some()
-        }
-    };
+    let mut rng = StdRng::seed_from_u64(seed);
     let mut waiting = ReadyTracker::default();
     for run in tasks.values() {
-        waiting.add(run.spec.id, &run.spec.inputs, input_ok);
+        waiting.add(run.spec.id, &run.spec.inputs, |p| {
+            cluster.input_available(p)
+        });
     }
 
     loop {
         // Greedy dispatch of runnable tasks, lowest id first, onto the next
         // node with a free slot, round-robin and placement-agnostic.
-        while let Some(node) = (0..nodes.len())
-            .map(|k| nodes[(rr + k) % nodes.len()])
-            .find(|n| free_slots[n] > 0)
+        while let Some(node_idx) = (rr..rr + nodes.len())
+            .map(|k| k % nodes.len())
+            .find(|&k| free_slots[k] > 0)
         {
-            let Some(tid) = waiting.pop() else {
+            let Some(task) = waiting.pop() else {
                 break;
             };
-            rr = (nodes.iter().position(|x| *x == node).expect("member") + 1) % nodes.len();
-            *free_slots.get_mut(&node).expect("slot") -= 1;
-            let run = tasks.get_mut(&tid).expect("known");
-            run.node = node;
-            cluster.engine.set_timer_after(
-                config.startup_secs,
-                Tag::ContainerStarted {
-                    wf: u32::MAX,
-                    task: tid,
-                    attempt: 0,
-                },
-            );
+            rr = (node_idx + 1) % nodes.len();
+            free_slots[node_idx] -= 1;
+            let run = tasks.get_mut(&task).expect("known");
+            run.node_idx = node_idx;
+            run.remaining = 1;
+            cluster.engine.set_timer_after(startup_secs, tag(task));
         }
 
         // Each finished task records exactly one placement.
@@ -155,270 +144,164 @@ pub fn run_dag(
             break;
         }
 
-        let events = match cluster.engine.step() {
-            Some(events) => events,
-            None => {
-                return Err(format!(
-                    "baseline '{name}' deadlocked with {} unfinished tasks",
-                    tasks.len() - placements.len()
-                ))
-            }
+        let Some(events) = cluster.engine.step() else {
+            return Err(format!(
+                "baseline '{}' deadlocked with {} unfinished tasks",
+                workflow.name(),
+                tasks.len() - placements.len()
+            ));
         };
         for ev in events {
-            let tag = match ev {
-                Completion::Activity { tag, .. } | Completion::Timer { tag, .. } => tag,
+            let (Completion::Activity {
+                tag: Tag::Exec { task, .. },
+                ..
+            }
+            | Completion::Timer {
+                tag: Tag::Exec { task, .. },
+                ..
+            }) = ev
+            else {
+                continue;
             };
-            match tag {
-                Tag::ContainerStarted { task, .. } => {
-                    let run = &tasks[&task];
-                    let node = run.node;
-                    let mut acts = 0usize;
-                    for path in &run.spec.inputs {
-                        let stage_tag = Tag::StageIn {
-                            wf: u32::MAX,
-                            task,
-                            attempt: 0,
-                            file: 0,
-                        };
-                        match config.storage {
-                            Storage::SharedVolume(vol) => {
-                                let size = cluster
-                                    .external_file(path)
-                                    .map(|e| e.size)
-                                    .or_else(|| sizes.get(path).copied())
-                                    .unwrap_or(0);
-                                if size > 0 {
-                                    cluster.engine.start(
-                                        Activity::Flow {
-                                            src: Endpoint::External(vol),
-                                            dst: Endpoint::Node(node),
-                                            src_disk: false,
-                                            dst_disk: true,
-                                        },
-                                        size as f64,
-                                        stage_tag,
-                                    );
-                                    acts += 1;
-                                }
-                            }
-                            Storage::HdfsLocal
-                                if config.shuffle_edges
-                                    && cluster.external_file(path).is_none() =>
-                            {
-                                // Shuffle edge: the bytes cross the network
-                                // from a random upstream container's node.
-                                let size = cluster.hdfs.len(path).map_err(|e| e.to_string())?;
-                                let src = nodes[rng.gen_range(0..nodes.len())];
-                                if size > 0 && src != node {
-                                    cluster.engine.start(
-                                        Activity::Flow {
-                                            src: Endpoint::Node(src),
-                                            dst: Endpoint::Node(node),
-                                            src_disk: true,
-                                            dst_disk: true,
-                                        },
-                                        size as f64,
-                                        stage_tag,
-                                    );
-                                    acts += 1;
-                                } else if size > 0 {
-                                    cluster.engine.start(
-                                        Activity::DiskRead { node },
-                                        size as f64,
-                                        stage_tag,
-                                    );
-                                    acts += 1;
-                                }
-                            }
-                            Storage::HdfsLocal => {
-                                acts += cluster
-                                    .start_input(path, node, stage_tag)
-                                    .map_err(|e| e.to_string())?
-                                    .len();
-                            }
+            let run = tasks.get_mut(&task).expect("known");
+            run.remaining -= 1;
+            // Advance past every phase that starts no activity.
+            while run.remaining == 0 && run.phase != Phase::Done {
+                run.phase = run.phase.next();
+                run.remaining = start_phase(cluster, baseline, run, &nodes, &mut rng)?;
+            }
+            if run.remaining == 0 {
+                free_slots[run.node_idx] += 1;
+                placements.push((task, nodes[run.node_idx]));
+                for out in &run.spec.outputs {
+                    match baseline {
+                        Baseline::Tez { .. } => cluster.commit_file(&out.path),
+                        // Later stage-ins fetch it from the volume.
+                        Baseline::CloudMan { volume } => {
+                            cluster.register_external_file(&out.path, volume, out.size)
                         }
                     }
-                    let run = tasks.get_mut(&task).expect("known");
-                    run.remaining = acts;
-                    if acts == 0 {
-                        start_exec(cluster, run, task, &config);
-                    }
+                    waiting.file_available(&out.path);
                 }
-                Tag::StageIn { task, .. } => {
-                    let run = tasks.get_mut(&task).expect("known");
-                    run.remaining -= 1;
-                    if run.remaining == 0 {
-                        start_exec(cluster, run, task, &config);
-                    }
-                }
-                Tag::Exec { task, .. } => {
-                    {
-                        let run = tasks.get_mut(&task).expect("known");
-                        run.remaining = run.remaining.saturating_sub(1);
-                        if run.remaining > 0 {
-                            continue;
-                        }
-                        if !run.scratch_done && run.spec.cost.scratch_bytes > 0 {
-                            // Working-directory I/O: local disk for Tez,
-                            // the shared volume for CloudMan — the
-                            // difference Figure 8 measures.
-                            run.scratch_done = true;
-                            let bytes = run.spec.cost.scratch_bytes;
-                            let node = run.node;
-                            let tag = Tag::Exec {
-                                wf: u32::MAX,
-                                task,
-                                attempt: 0,
-                            };
-                            match config.storage {
-                                Storage::HdfsLocal => {
-                                    cluster.start_scratch(node, bytes, tag);
-                                }
-                                Storage::SharedVolume(vol) => {
-                                    cluster.engine.start(
-                                        Activity::Flow {
-                                            src: Endpoint::Node(node),
-                                            dst: Endpoint::External(vol),
-                                            src_disk: false,
-                                            dst_disk: false,
-                                        },
-                                        bytes as f64,
-                                        tag.clone(),
-                                    );
-                                    cluster.engine.start(
-                                        Activity::Flow {
-                                            src: Endpoint::External(vol),
-                                            dst: Endpoint::Node(node),
-                                            src_disk: false,
-                                            dst_disk: false,
-                                        },
-                                        bytes as f64,
-                                        tag,
-                                    );
-                                }
-                            }
-                            let run = tasks.get_mut(&task).expect("known");
-                            run.remaining = 2;
-                            continue;
-                        }
-                    }
-                    let run = &tasks[&task];
-                    let node = run.node;
-                    let mut acts = 0usize;
-                    for out in &run.spec.outputs {
-                        let stage_tag = Tag::StageOut {
-                            wf: u32::MAX,
-                            task,
-                            attempt: 0,
-                            file: 0,
-                        };
-                        match config.storage {
-                            Storage::SharedVolume(vol) => {
-                                if out.size > 0 {
-                                    cluster.engine.start(
-                                        Activity::Flow {
-                                            src: Endpoint::Node(node),
-                                            dst: Endpoint::External(vol),
-                                            src_disk: false,
-                                            dst_disk: false,
-                                        },
-                                        out.size as f64,
-                                        stage_tag,
-                                    );
-                                    acts += 1;
-                                }
-                            }
-                            Storage::HdfsLocal => {
-                                acts += cluster
-                                    .start_output(&out.path, out.size, node, stage_tag)
-                                    .map_err(|e| e.to_string())?
-                                    .len();
-                            }
-                        }
-                    }
-                    let run = tasks.get_mut(&task).expect("known");
-                    run.remaining = acts;
-                    if acts == 0 {
-                        complete_task(
-                            cluster,
-                            &tasks[&task],
-                            &mut free_slots,
-                            &mut waiting,
-                            &config,
-                            &mut placements,
-                        );
-                    }
-                }
-                Tag::StageOut { task, .. } => {
-                    let run = tasks.get_mut(&task).expect("known");
-                    run.remaining -= 1;
-                    if run.remaining == 0 {
-                        complete_task(
-                            cluster,
-                            &tasks[&task],
-                            &mut free_slots,
-                            &mut waiting,
-                            &config,
-                            &mut placements,
-                        );
-                    }
-                }
-                _ => {}
             }
         }
     }
 
     Ok(BaselineReport {
-        name,
         runtime_secs: cluster.engine.now().since(t0),
         placements,
     })
 }
 
-fn start_exec(cluster: &mut Cluster, run: &mut Run, task: TaskId, config: &BaselineConfig) {
-    run.remaining = 1;
-    run.scratch_done = run.spec.cost.scratch_bytes == 0;
-    let node_cores = cluster.engine.spec().node(run.node).cores;
-    let cap = if config.multithread_full_node {
-        node_cores
-    } else if config.slot_vcores > 0 {
-        config.slot_vcores
-    } else if config.slots_per_node == 0 {
-        node_cores
-    } else {
-        (node_cores / config.slots_per_node.max(1)).max(1)
-    };
-    let threads = run.spec.cost.threads.min(cap).max(1) as f64;
-    cluster.engine.start(
-        Activity::Compute {
-            node: run.node,
-            threads,
-        },
-        run.spec.cost.cpu_seconds,
-        Tag::Exec {
-            wf: u32::MAX,
-            task,
-            attempt: 0,
-        },
-    );
+/// The tag of every event the runner waits on, the startup timer
+/// included; the task's own countdown knows which phase the event ends.
+fn tag(task: TaskId) -> Tag {
+    Tag::Exec {
+        wf: u32::MAX,
+        task,
+        attempt: 0,
+    }
 }
 
-fn complete_task(
+/// Starts `run`'s activities for its current phase and returns how many
+/// it started.
+fn start_phase(
     cluster: &mut Cluster,
+    baseline: Baseline,
     run: &Run,
-    free_slots: &mut HashMap<NodeId, u32>,
-    waiting: &mut ReadyTracker,
-    config: &BaselineConfig,
-    placements: &mut Vec<(TaskId, NodeId)>,
-) {
-    *free_slots.get_mut(&run.node).expect("slot") += 1;
-    placements.push((run.spec.id, run.node));
-    for out in &run.spec.outputs {
-        if let Storage::HdfsLocal = config.storage {
-            cluster.commit_file(&out.path);
+    nodes: &[NodeId],
+    rng: &mut StdRng,
+) -> Result<usize, String> {
+    let node = nodes[run.node_idx];
+    let tag = tag(run.spec.id);
+    let flow = |src, dst, src_disk, dst_disk| Activity::Flow {
+        src,
+        dst,
+        src_disk,
+        dst_disk,
+    };
+    let mut acts = 0;
+    match (run.phase, baseline) {
+        (Phase::Startup | Phase::Done, _) => {}
+        (Phase::StageIn, _) => {
+            for path in &run.spec.inputs {
+                if matches!(baseline, Baseline::CloudMan { .. })
+                    || cluster.external_file(path).is_some()
+                {
+                    acts += cluster
+                        .start_input(path, node, tag.clone())
+                        .map_err(|e| e.to_string())?
+                        .len();
+                    continue;
+                }
+                // Shuffle edge: the bytes cross the network from a random
+                // upstream container's node.
+                let size = cluster.hdfs.len(path).map_err(|e| e.to_string())? as f64;
+                let src = nodes[rng.gen_range(0..nodes.len())];
+                if size > 0.0 {
+                    let act = if src != node {
+                        flow(Endpoint::Node(src), Endpoint::Node(node), true, true)
+                    } else {
+                        Activity::DiskRead { node }
+                    };
+                    cluster.engine.start(act, size, tag.clone());
+                    acts += 1;
+                }
+            }
         }
-        waiting.file_available(&out.path);
+        (Phase::Compute, _) => {
+            let cap = match baseline {
+                Baseline::Tez { .. } => 1, // one-core containers, like Hi-WAY's
+                Baseline::CloudMan { .. } => cluster.engine.spec().node(node).cores,
+            };
+            let threads = run.spec.cost.threads.min(cap).max(1) as f64;
+            let compute = Activity::Compute { node, threads };
+            cluster
+                .engine
+                .start(compute, run.spec.cost.cpu_seconds, tag);
+            acts = 1;
+        }
+        // Working-directory I/O: local disk for Tez, the shared volume for
+        // CloudMan — the difference Figure 8 measures.
+        (Phase::Scratch, _) if run.spec.cost.scratch_bytes == 0 => {}
+        (Phase::Scratch, Baseline::Tez { .. }) => {
+            acts = cluster
+                .start_scratch(node, run.spec.cost.scratch_bytes, tag)
+                .len();
+        }
+        (Phase::Scratch, Baseline::CloudMan { volume }) => {
+            let bytes = run.spec.cost.scratch_bytes as f64;
+            let (n, v) = (Endpoint::Node(node), Endpoint::External(volume));
+            cluster
+                .engine
+                .start(flow(n, v, false, false), bytes, tag.clone());
+            cluster.engine.start(flow(v, n, false, false), bytes, tag);
+            acts = 2;
+        }
+        (Phase::StageOut, Baseline::Tez { .. }) => {
+            for out in &run.spec.outputs {
+                acts += cluster
+                    .start_output(&out.path, out.size, node, tag.clone())
+                    .map_err(|e| e.to_string())?
+                    .len();
+            }
+        }
+        (Phase::StageOut, Baseline::CloudMan { volume }) => {
+            for out in run.spec.outputs.iter().filter(|o| o.size > 0) {
+                let to_volume = flow(
+                    Endpoint::Node(node),
+                    Endpoint::External(volume),
+                    false,
+                    false,
+                );
+                cluster
+                    .engine
+                    .start(to_volume, out.size as f64, tag.clone());
+                acts += 1;
+            }
+        }
     }
+    Ok(acts)
 }
 
 #[cfg(test)]
@@ -444,6 +327,19 @@ mod tests {
         }
     }
 
+    /// Tez with one container per core.
+    fn tez(cluster: &mut Cluster, workflow: StaticWorkflow) -> Result<BaselineReport, String> {
+        let slots_per_node = cluster.engine.spec().node(NodeId(0)).cores;
+        run_dag(
+            cluster,
+            workflow,
+            Baseline::Tez {
+                slots_per_node,
+                seed: 1,
+            },
+        )
+    }
+
     fn chain() -> StaticWorkflow {
         StaticWorkflow::new(
             "chain",
@@ -460,7 +356,7 @@ mod tests {
         let spec = ClusterSpec::homogeneous(3, "n", &NodeSpec::m3_large("p"));
         let mut cluster = Cluster::new(spec, 1);
         cluster.prestage("/in", 10 << 20);
-        let report = crate::baseline::run_tez(&mut cluster, chain()).unwrap();
+        let report = tez(&mut cluster, chain()).unwrap();
         assert_eq!(report.placements.len(), 2);
         assert!(report.runtime_secs > 10.0);
         assert!(cluster.hdfs.exists("/out"));
@@ -498,7 +394,7 @@ mod tests {
         let spec = ClusterSpec::homogeneous(2, "n", &NodeSpec::c3_2xlarge("p"));
         let mut tez_cluster = Cluster::new(spec, 3);
         tez_cluster.prestage("/in", 64 << 20);
-        let tez = crate::baseline::run_tez(&mut tez_cluster, heavy()).unwrap();
+        let tez = tez(&mut tez_cluster, heavy()).unwrap();
 
         let mut spec2 = ClusterSpec::homogeneous(2, "n", &NodeSpec::c3_2xlarge("p"));
         let ebs = spec2.add_external(ExternalSpec::ebs_shared());
@@ -518,7 +414,7 @@ mod tests {
     fn missing_input_is_a_deadlock_error() {
         let spec = ClusterSpec::homogeneous(1, "n", &NodeSpec::m3_large("p"));
         let mut cluster = Cluster::new(spec, 4);
-        let err = crate::baseline::run_tez(&mut cluster, chain()).unwrap_err();
+        let err = tez(&mut cluster, chain()).unwrap_err();
         assert!(err.contains("deadlocked"), "{err}");
     }
 
