@@ -16,8 +16,8 @@
 //! | `fig9`    | Figure 9       | Montage: HEFT vs FCFS over provenance warm-up |
 //!
 //! Supplementary binaries: `ablation`, `multiwf`, `chaos`, `resume`,
-//! `bench_engine` (engine hot path vs the reference engine, tracing off
-//! and on → `BENCH_engine.json`), `bench_provdb` (provenance store →
+//! `bench_engine` (engine hot path at Fig 4 and Table 2 scale vs the
+//! reference engine, tracing off and on → `BENCH_engine.json`), `bench_provdb` (provenance store →
 //! `BENCH_provdb.json`), and `hiway-trace` (one fully-traced run exported
 //! as Perfetto JSON / JSON-lines / text Gantt; see [`trace_run`]). Both
 //! bench bins time and write through [`report`].

@@ -144,6 +144,12 @@ struct TaskRun {
 }
 
 impl TaskRun {
+    /// A live attempt or a pending retry: the task will make progress
+    /// without a new container grant.
+    fn inflight(&self) -> bool {
+        !self.active.is_empty() || self.state == TaskState::Backoff
+    }
+
     fn new(spec: TaskSpec) -> TaskRun {
         TaskRun {
             spec,
@@ -177,6 +183,9 @@ struct Am {
     prov: ProvenanceManager,
     scheduler: Scheduler,
     tasks: BTreeMap<TaskId, TaskRun>,
+    /// Tasks for which [`TaskRun::inflight`] holds; kept in step by
+    /// [`Am::with_task`].
+    inflight_tasks: usize,
     /// The Waiting tasks and the inputs each still misses.
     waiting: ReadyTracker,
     /// Ready-but-unlaunched tasks in readiness order.
@@ -208,9 +217,22 @@ impl Am {
     }
 
     fn has_inflight_tasks(&self) -> bool {
-        self.tasks
-            .values()
-            .any(|t| !t.active.is_empty() || t.state == TaskState::Backoff)
+        self.inflight_tasks > 0
+    }
+
+    /// Applies `f` to task `id`, keeping `inflight_tasks` in step. Every
+    /// change to a task's attempts or to or from `Backoff` goes through
+    /// here.
+    fn with_task<R>(&mut self, id: TaskId, f: impl FnOnce(&mut TaskRun) -> R) -> R {
+        let task = self.tasks.get_mut(&id).expect("known task");
+        let was = task.inflight();
+        let out = f(task);
+        match (was, task.inflight()) {
+            (false, true) => self.inflight_tasks += 1,
+            (true, false) => self.inflight_tasks -= 1,
+            _ => {}
+        }
+        out
     }
 
     /// Whether this workflow currently refuses containers on `node`.
@@ -389,6 +411,7 @@ impl Runtime {
             prov: ProvenanceManager::new(prov_db),
             scheduler,
             tasks: BTreeMap::new(),
+            inflight_tasks: 0,
             waiting: ReadyTracker::default(),
             ready_order: Vec::new(),
             spec_pending: Vec::new(),
@@ -557,8 +580,9 @@ impl Runtime {
     /// Checks the RM's invariants and the driver's own: every Done task's
     /// outputs are available, each AM's tracker holds exactly its Waiting
     /// tasks with their counts of unavailable inputs (which a file
-    /// appearing without reaching the trackers would break), and each AM's
-    /// ready list holds each of its Requested tasks exactly once.
+    /// appearing without reaching the trackers would break), each AM's
+    /// ready list holds each of its Requested tasks exactly once, and its
+    /// in-flight count matches its tasks.
     pub fn check_invariants(&self) -> Result<(), String> {
         self.cluster.rm.check_invariants()?;
         let available = |p: &String| self.cluster.input_available(p);
@@ -578,6 +602,13 @@ impl Runtime {
             if held != waiting {
                 return Err(format!(
                     "workflow {wf}: tracker {held:?}, Waiting {waiting:?}"
+                ));
+            }
+            let inflight = am.tasks.values().filter(|t| t.inflight()).count();
+            if inflight != am.inflight_tasks {
+                return Err(format!(
+                    "workflow {wf}: {} in-flight tasks counted, {inflight} found",
+                    am.inflight_tasks
                 ));
             }
             let mut listed = am.ready_order.clone();
@@ -859,16 +890,20 @@ impl Runtime {
         let now = self.cluster.engine.now().as_secs();
         let startup = self.ams[wf].config.container_startup_secs;
         let am = &mut self.ams[wf];
-        let task = am.tasks.get_mut(&task_id).expect("known task");
-        let attempt = task.next_attempt;
-        task.next_attempt += 1;
-        task.active
-            .insert(attempt, Attempt::new(container, now, speculative));
+        let attempt = am.with_task(task_id, |task| {
+            let attempt = task.next_attempt;
+            task.next_attempt += 1;
+            task.active
+                .insert(attempt, Attempt::new(container, now, speculative));
+            if !speculative {
+                task.state = TaskState::Active;
+                task.t_start = now;
+            }
+            attempt
+        });
         if speculative {
             am.speculative_attempts += 1;
         } else {
-            task.state = TaskState::Active;
-            task.t_start = now;
             am.ready_order.retain(|id| *id != task_id);
         }
         self.containers.insert(container.id, (wf, task_id, attempt));
@@ -1521,11 +1556,9 @@ impl Runtime {
     /// order and releases its container (a no-op for a lease that a node
     /// failure or preemption already dropped).
     fn drop_attempt(&mut self, wf: usize, task_id: TaskId, attempt: u32) -> Option<Attempt> {
-        let att = self.ams[wf]
-            .tasks
-            .get_mut(&task_id)?
-            .active
-            .remove(&attempt)?;
+        let am = &mut self.ams[wf];
+        am.tasks.get(&task_id)?;
+        let att = am.with_task(task_id, |t| t.active.remove(&attempt))?;
         for &act in &att.inflight {
             self.cluster.engine.cancel(act);
         }
@@ -1585,10 +1618,12 @@ impl Runtime {
         self.cancel_other_attempts(wf, task_id, attempt);
         let now = self.cluster.engine.now().as_secs();
         let (container, event, report) = {
-            let task = self.ams[wf].tasks.get_mut(&task_id).expect("known task");
-            task.state = TaskState::Done;
-            task.t_end = now;
-            let att = task.active.remove(&attempt).expect("winner is live");
+            let att = self.ams[wf].with_task(task_id, |task| {
+                task.state = TaskState::Done;
+                task.t_end = now;
+                task.active.remove(&attempt).expect("winner is live")
+            });
+            let task = &self.ams[wf].tasks[&task_id];
             let container = att.container;
             let node_name = self.cluster.node_name(container.node).to_string();
             let spec = &task.spec;
@@ -1793,7 +1828,7 @@ impl Runtime {
         let max = self.ams[wf].config.retry_backoff_max_secs;
         let delay = (base * 2f64.powi(failures as i32 - 1)).min(max.max(base));
         if delay > 0.0 {
-            self.ams[wf].tasks.get_mut(&task_id).expect("known").state = TaskState::Backoff;
+            self.ams[wf].with_task(task_id, |t| t.state = TaskState::Backoff);
             self.cluster.engine.set_timer_after(
                 delay,
                 Tag::RetryTask {
@@ -1825,7 +1860,7 @@ impl Runtime {
 
     fn requeue_task(&mut self, wf: usize, task_id: TaskId) {
         let am = &mut self.ams[wf];
-        am.tasks.get_mut(&task_id).expect("known task").state = TaskState::Requested;
+        am.with_task(task_id, |t| t.state = TaskState::Requested);
         am.ready_order.push(task_id);
         self.request_container(wf, task_id);
     }

@@ -139,7 +139,6 @@ pub struct CuneiformWorkflow {
     /// Memoized applications: rendered key → state.
     memo: BTreeMap<String, TaskState>,
     by_id: HashMap<TaskId, String>,
-    specs: HashMap<TaskId, TaskSpec>,
     next_task: u64,
     /// Tasks discovered by the current evaluation round.
     newly: Vec<TaskSpec>,
@@ -192,7 +191,6 @@ impl CuneiformWorkflow {
             target,
             memo: BTreeMap::new(),
             by_id: HashMap::new(),
-            specs: HashMap::new(),
             next_task: 0,
             newly: Vec::new(),
             promised_outputs: HashMap::new(),
@@ -207,11 +205,6 @@ impl CuneiformWorkflow {
     /// Number of tasks submitted so far.
     pub fn submitted_count(&self) -> usize {
         self.memo.len()
-    }
-
-    /// The spec of a previously discovered task.
-    pub fn task_spec(&self, id: TaskId) -> Option<&TaskSpec> {
-        self.specs.get(&id)
     }
 
     /// Marks `task` finished, so `val()` on its outputs yields its exit value.
@@ -659,7 +652,6 @@ impl CuneiformWorkflow {
             },
         );
         self.by_id.insert(id, key);
-        self.specs.insert(id, spec.clone());
         self.newly.push(spec);
         Ok(result)
     }

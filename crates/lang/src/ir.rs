@@ -88,13 +88,6 @@ pub struct TaskSpec {
     pub cost: TaskCost,
 }
 
-impl TaskSpec {
-    /// Paths of all declared outputs.
-    pub fn output_paths(&self) -> Vec<String> {
-        self.outputs.iter().map(|o| o.path.clone()).collect()
-    }
-}
-
 /// Error type shared by all front-ends.
 #[derive(Clone, Debug)]
 pub struct LangError {

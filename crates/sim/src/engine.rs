@@ -19,15 +19,15 @@
 //! compute-only churn no longer pays the O(flows × constraints)
 //! progressive-filling loop. The IO constraint vector is built once at
 //! construction (the cluster spec is immutable) and each activity's
-//! [`FlowPath`] once at `start`, with the filling itself running in a
-//! preallocated [`NetFairWorkspace`].
+//! [`FlowPath`] once at `start`, when it joins the [`NetFairWorkspace`]
+//! under its slab slot; it leaves when the activity ends or is cancelled.
 //!
 //! Activities live in a slab (dense slots with a free list), so the
 //! per-step settle and completion passes are straight array walks rather
 //! than hash or tree lookups. Event lookup is heap-based: timers sit in a
 //! deadline-ordered binary heap, and activity completions in a
 //! predicted-completion heap whose entries are lazily invalidated (via
-//! per-slot stamps) when an activity's rate changes or its slot is
+//! per-slot stamps) when an activity's rate bits change or its slot is
 //! reused. Remaining volumes are still settled with one subtraction per
 //! finite activity per step — the exact arithmetic of the naive engine
 //! (see [`crate::reference`]), which keeps virtual timestamps bit-for-bit
@@ -104,8 +104,8 @@ struct Act<T> {
     tag: T,
 }
 
-/// One slab slot. The stamp is bumped on every rate assignment *and* on
-/// slot reuse, so completion-heap entries carrying an older stamp — or
+/// One slab slot. The stamp is bumped on every rate change *and* on slot
+/// reuse, so completion-heap entries carrying an older stamp — or
 /// pointing at a freed slot — are recognizably stale.
 struct Slot<T> {
     stamp: u64,
@@ -235,15 +235,14 @@ pub struct Engine<T> {
     /// Compute activities per node as `(id, slot, threads)`, id-ascending —
     /// the same member order the naive engine derives from its sorted map.
     compute_members: Vec<Vec<(u64, u32, f64)>>,
-    /// IO activities `(id, slot)` (id-ascending) with their precomputed
-    /// flow paths, parallel vectors feeding `max_min_rates` directly.
+    /// IO activities `(id, slot)`, id-ascending.
     io: Vec<(u64, u32)>,
-    io_paths: Vec<FlowPath>,
-    /// IO constraint vector, built once (the cluster spec is immutable).
-    constraints: Vec<Constraint>,
     switch_idx: usize,
     ext_base: usize,
-    netfair_ws: NetFairWorkspace,
+    /// The IO activities' flow paths, keyed by slab slot, over the
+    /// constraint vector built once at construction (the cluster spec is
+    /// immutable).
+    netfair: NetFairWorkspace,
     caps_buf: Vec<f64>,
     alloc_buf: Vec<f64>,
     order_buf: Vec<usize>,
@@ -306,11 +305,9 @@ impl<T: Clone> Engine<T> {
             io_dirty: false,
             compute_members: vec![Vec::new(); n],
             io: Vec::new(),
-            io_paths: Vec::new(),
-            constraints,
             switch_idx,
             ext_base,
-            netfair_ws: NetFairWorkspace::default(),
+            netfair: NetFairWorkspace::new(&constraints),
             caps_buf: Vec::new(),
             alloc_buf: Vec::new(),
             order_buf: Vec::new(),
@@ -407,14 +404,11 @@ impl<T: Clone> Engine<T> {
             );
             self.tracer.inc("engine.activities_started", 1);
         }
-        // Classify before `kind` moves into the slab.
+        // Classify before `kind` moves into the slab: compute work as
+        // `Ok((node, threads))`, IO as `Err(flow path)`.
         let compute = match &kind {
-            Activity::Compute { node, threads } => Some((node.0, *threads)),
-            io => {
-                let path = io_flow_path(&self.spec, io, self.switch_idx, self.ext_base);
-                self.io_paths.push(path);
-                None
-            }
+            Activity::Compute { node, threads } => Ok((node.0, *threads)),
+            io => Err(io_flow_path(&self.spec, io, self.switch_idx, self.ext_base)),
         };
         let slot = self.alloc_slot(Act {
             kind,
@@ -428,11 +422,12 @@ impl<T: Clone> Engine<T> {
             self.finite.push((id, slot));
         }
         match compute {
-            Some((node, threads)) => {
+            Ok((node, threads)) => {
                 self.compute_members[node as usize].push((id, slot, threads));
                 self.mark_cpu_dirty(node);
             }
-            None => {
+            Err(path) => {
+                self.netfair.insert(slot as usize, &path);
                 self.io.push((id, slot));
                 self.io_dirty = true;
             }
@@ -442,7 +437,7 @@ impl<T: Clone> Engine<T> {
 
     /// Unlinks a removed activity from the rate-sharing sets and marks the
     /// affected model dirty.
-    fn detach(&mut self, id: u64, kind: &Activity) {
+    fn detach(&mut self, id: u64, slot: u32, kind: &Activity) {
         match kind {
             Activity::Compute { node, .. } => {
                 let members = &mut self.compute_members[node.index()];
@@ -454,8 +449,8 @@ impl<T: Clone> Engine<T> {
             _ => {
                 if let Ok(pos) = self.io.binary_search_by_key(&id, |&(i, _)| i) {
                     self.io.remove(pos);
-                    self.io_paths.remove(pos);
                 }
+                self.netfair.remove(slot as usize);
                 self.io_dirty = true;
             }
         }
@@ -466,7 +461,7 @@ impl<T: Clone> Engine<T> {
         let slot = self.id_to_slot.remove(&id.0)?;
         let act = self.slab[slot as usize].act.take().expect("slot mapped");
         self.free.push(slot);
-        self.detach(id.0, &act.kind);
+        self.detach(id.0, slot, &act.kind);
         if act.remaining.is_finite() {
             if let Ok(pos) = self.finite.binary_search_by_key(&id.0, |&(i, _)| i) {
                 self.finite.remove(pos);
@@ -518,6 +513,16 @@ impl<T: Clone> Engine<T> {
     /// within the float-drift window of the top is re-evaluated from its
     /// current remaining volume, so the returned instant is exactly the
     /// naive engine's scan minimum.
+    ///
+    /// A refresh that leaves an activity's rate bits unchanged keeps its
+    /// stamp and its old entry, however many refreshes ago that entry was
+    /// pushed: IO flows whose fill gave the same bits, and compute on
+    /// nodes whose compute set did not change. With the rate fixed, the
+    /// old key `t0 + remaining0 / rate` differs from a fresh `now +
+    /// remaining / rate` only by the rounding of the settle subtractions
+    /// since `t0`, far inside the window, and the value returned is the
+    /// fresh one either way. So an old entry surfaces exactly when a fresh
+    /// one would, and gives the same instant.
     fn peek_completion(&mut self) -> Option<SimTime> {
         // Bound stale-entry buildup: rebuild from live activities when the
         // heap far outgrows them.
@@ -632,7 +637,7 @@ impl<T: Clone> Engine<T> {
                     .expect("collected above");
                 self.free.push(slot);
                 self.id_to_slot.remove(&id);
-                self.detach(id, &act.kind);
+                self.detach(id, slot, &act.kind);
                 if self.tracer.is_enabled() {
                     let (track, what) = self.act_track(&act.kind);
                     self.tracer.instant(
@@ -677,17 +682,10 @@ impl<T: Clone> Engine<T> {
             });
         }
         if self.tracer.is_enabled() {
-            let now = self.now.as_secs();
-            self.tracer.counter(
-                self.engine_track,
-                "engine.heap_depth",
-                now,
-                self.comp_heap.len() as f64,
-            );
             self.tracer.counter(
                 self.engine_track,
                 "engine.active",
-                now,
+                self.now.as_secs(),
                 self.id_to_slot.len() as f64,
             );
             self.tracer.inc("engine.steps", 1);
@@ -728,8 +726,9 @@ impl<T: Clone> Engine<T> {
 
     /// Recomputes the rates invalidated since the last refresh: one
     /// `fair_cores` run per dirty node, one max-min fill iff the IO set
-    /// changed. Every freshly rated activity gets a new completion-heap
-    /// entry; its previous entries go stale via the stamp bump.
+    /// changed. A compute activity on a dirty node, and an IO activity
+    /// whose rate bits changed, gets a new completion-heap entry; its
+    /// previous entries go stale via the stamp bump.
     fn refresh_rates(&mut self) {
         while let Some(n) = self.cpu_dirty_list.pop() {
             let n = n as usize;
@@ -766,26 +765,30 @@ impl<T: Clone> Engine<T> {
 
         if self.io_dirty {
             self.io_dirty = false;
-            let rates = self.netfair_ws.compute(&self.constraints, &self.io_paths);
+            self.netfair.fill();
             for row in self.inst.iter_mut() {
                 row[1] = 0.0;
                 row[2] = 0.0;
                 row[3] = 0.0;
                 row[4] = 0.0;
             }
-            for (idx, &(_, slot)) in self.io.iter().enumerate() {
-                let rate = rates[idx];
+            for &(_, slot) in &self.io {
+                let rate = self.netfair.rate(slot as usize);
                 let s = &mut self.slab[slot as usize];
                 let act = s.act.as_mut().expect("flow exists");
-                act.rate = rate;
-                s.stamp += 1;
-                if act.remaining.is_finite() && rate > 0.0 {
-                    let key = if is_complete(act.remaining, rate) {
-                        self.now
-                    } else {
-                        self.now + act.remaining / rate
-                    };
-                    self.comp_heap.push(Reverse((key, slot, s.stamp)));
+                // An unchanged rate keeps its stamp and heap entry (see
+                // `peek_completion`).
+                if act.rate.to_bits() != rate.to_bits() {
+                    act.rate = rate;
+                    s.stamp += 1;
+                    if act.remaining.is_finite() && rate > 0.0 {
+                        let key = if is_complete(act.remaining, rate) {
+                            self.now
+                        } else {
+                            self.now + act.remaining / rate
+                        };
+                        self.comp_heap.push(Reverse((key, slot, s.stamp)));
+                    }
                 }
                 match &act.kind {
                     Activity::DiskRead { node } => self.inst[node.index()][1] += rate,
@@ -1172,7 +1175,7 @@ mod tests {
         );
         e.step().unwrap();
         let data = tracer.snapshot().unwrap();
-        // start + end instants, plus the per-step heap/active counters.
+        // start + end instants, plus the per-step active counter.
         let names: Vec<&str> = data
             .events
             .iter()
@@ -1184,12 +1187,7 @@ mod tests {
             .collect();
         assert_eq!(
             names,
-            vec![
-                "act.start:compute",
-                "act.end:compute",
-                "engine.heap_depth",
-                "engine.active"
-            ]
+            vec!["act.start:compute", "act.end:compute", "engine.active"]
         );
         assert_eq!(tracer.counter_value("engine.activities_started"), 1);
         assert_eq!(tracer.counter_value("engine.steps"), 1);

@@ -38,161 +38,311 @@ pub fn max_min_rates(constraints: &[Constraint], flows: &[FlowPath]) -> Vec<f64>
     ws.compute(constraints, flows).to_vec()
 }
 
-/// Reusable scratch buffers for [`max_min_rates`]. The engine runs one
-/// refill per IO-set change; holding the workspace across refreshes keeps
-/// the progressive-filling loop allocation-free.
+/// The flow set of a max-min network plus the scratch state of its
+/// progressive fill. Flows are keyed by a caller-chosen small integer (the
+/// engine uses the activity's slab slot), so membership survives the
+/// caller reordering or removing other flows, and the engine adds or
+/// removes one path per IO start or end instead of rebuilding the whole
+/// membership before every fill.
 ///
-/// Each filling round touches only what is still live: the loaded
-/// finite constraints and the unfrozen flows, each kept as a compact
-/// ascending index list. At Table 2 scale most of the four-per-node
-/// constraints carry no flow, so a full scan per round would dominate.
+/// A fill does work only for what is live: the loaded finite constraints,
+/// the flows that freeze, and the capped flows in cap order. Every
+/// unfrozen flow starts at `0.0` and gains the same increment each round,
+/// so all unfrozen flows hold one value, the running level; a flow that
+/// freezes takes the level of its round, and the flows still unfrozen at
+/// the end take the final level. No round loops over unfrozen flows.
 #[derive(Default)]
 pub struct NetFairWorkspace {
-    rates: Vec<f64>,
-    frozen: Vec<bool>,
+    capacity: Vec<f64>,
+    /// Saturation threshold per constraint, relative to its capacity.
+    eps: Vec<f64>,
+    /// Path per key; `present` says which keys hold a flow.
+    paths: Vec<FlowPath>,
+    present: Vec<bool>,
+    flows: usize,
+    /// Member keys per constraint, one entry per path occurrence, in no
+    /// particular order.
+    members: Vec<Vec<usize>>,
+    /// Constraints with at least one member, in no particular order, and
+    /// each one's index in it (`usize::MAX` when unloaded).
+    loaded: Vec<usize>,
+    loaded_pos: Vec<usize>,
+    /// Capped flows as `(cap, key)` ascending by cap, and as
+    /// `(threshold, key)` ascending by freeze threshold. Rounding can
+    /// order the two differently, so each keeps its own order.
+    by_cap: Vec<(f64, usize)>,
+    by_threshold: Vec<(f64, usize)>,
+    // Per-fill state.
     residual: Vec<f64>,
     count: Vec<usize>,
-    caps: Vec<f64>,
-    members: Vec<Vec<usize>>,
-    /// Finite constraints with `count > 0`, ascending.
-    live_cons: Vec<usize>,
-    /// Unfrozen flows, ascending.
-    live_flows: Vec<usize>,
-    newly_frozen: Vec<usize>,
+    live: Vec<usize>,
+    saturated: Vec<usize>,
+    /// The fill a key froze in, and the level it froze at.
+    frozen_in: Vec<u64>,
+    frozen_level: Vec<f64>,
+    fill_no: u64,
+    /// The rate of every flow still unfrozen when the last fill ended.
+    rest: f64,
+    out: Vec<f64>,
+}
+
+/// The level at or above which a flow capped at `cap` freezes. Relative,
+/// like the constraint thresholds.
+fn cap_threshold(cap: f64) -> f64 {
+    cap - (1e-9 + cap.abs() * 1e-9)
+}
+
+/// Inserts `(value, key)` into an ascending order.
+fn insert_sorted(order: &mut Vec<(f64, usize)>, value: f64, key: usize) {
+    let pos = order
+        .binary_search_by(|&(v, k)| v.total_cmp(&value).then(k.cmp(&key)))
+        .unwrap_or_else(|p| p);
+    order.insert(pos, (value, key));
+}
+
+/// Removes `(value, key)` from an ascending order.
+fn remove_sorted(order: &mut Vec<(f64, usize)>, value: f64, key: usize) {
+    if let Ok(pos) = order.binary_search_by(|&(v, k)| v.total_cmp(&value).then(k.cmp(&key))) {
+        order.remove(pos);
+    }
 }
 
 impl NetFairWorkspace {
-    /// [`max_min_rates`] into the workspace's buffers. The returned slice
-    /// is valid until the next `compute` call. Identical arithmetic to the
-    /// free function (which delegates here).
-    pub fn compute(&mut self, constraints: &[Constraint], flows: &[FlowPath]) -> &[f64] {
-        let nf = flows.len();
-        self.rates.clear();
-        if nf == 0 {
-            return &self.rates;
+    /// An empty flow set over `constraints`.
+    pub fn new(constraints: &[Constraint]) -> NetFairWorkspace {
+        let mut ws = NetFairWorkspace::default();
+        ws.reset(constraints);
+        ws
+    }
+
+    /// Drops every flow and takes `constraints` as the constraint set,
+    /// keeping the buffers.
+    fn reset(&mut self, constraints: &[Constraint]) {
+        for &c in &self.loaded {
+            self.members[c].clear();
         }
+        self.loaded.clear();
+        self.present.iter_mut().for_each(|p| *p = false);
+        self.flows = 0;
+        self.by_cap.clear();
+        self.by_threshold.clear();
+        let n = constraints.len();
+        self.capacity.clear();
+        self.capacity.extend(constraints.iter().map(|c| c.capacity));
+        self.eps.clear();
+        self.eps
+            .extend(constraints.iter().map(|c| 1e-6 + c.capacity.abs() * 1e-9));
+        self.members.resize_with(n, Vec::new);
+        self.loaded_pos.clear();
+        self.loaded_pos.resize(n, usize::MAX);
+        self.residual.resize(n, 0.0);
+        self.count.resize(n, 0);
+    }
 
-        self.rates.resize(nf, 0.0);
-        self.frozen.clear();
-        self.frozen.resize(nf, false);
-        let rates = &mut self.rates;
-        let frozen = &mut self.frozen;
-
-        // Residual capacity and unfrozen-flow count per constraint. A
-        // flow's private cap is modelled as one extra single-flow
-        // constraint.
-        self.residual.clear();
-        self.residual.extend(constraints.iter().map(|c| c.capacity));
-        let residual = &mut self.residual;
-        self.count.clear();
-        self.count.resize(constraints.len(), 0);
-        let count = &mut self.count;
-        for f in flows {
-            for &c in &f.constraints {
-                count[c] += 1;
+    /// Adds a flow under `key`, which must not hold one.
+    pub fn insert(&mut self, key: usize, path: &FlowPath) {
+        if self.paths.len() <= key {
+            self.paths.resize_with(key + 1, FlowPath::default);
+            self.present.resize(key + 1, false);
+            self.frozen_in.resize(key + 1, 0);
+            self.frozen_level.resize(key + 1, 0.0);
+        }
+        debug_assert!(!self.present[key], "key {key} already holds a flow");
+        self.present[key] = true;
+        self.flows += 1;
+        for &c in &path.constraints {
+            if self.members[c].is_empty() {
+                self.loaded_pos[c] = self.loaded.len();
+                self.loaded.push(c);
             }
+            self.members[c].push(key);
         }
-        self.caps.clear();
-        self.caps
-            .extend(flows.iter().map(|f| f.rate_cap.unwrap_or(f64::INFINITY)));
-        let caps = &mut self.caps;
+        if let Some(cap) = path.rate_cap.filter(|c| c.is_finite()) {
+            insert_sorted(&mut self.by_cap, cap, key);
+            insert_sorted(&mut self.by_threshold, cap_threshold(cap), key);
+        }
+        let stored = &mut self.paths[key];
+        stored.constraints.clear();
+        stored.constraints.extend_from_slice(&path.constraints);
+        stored.rate_cap = path.rate_cap;
+    }
 
-        // Constraint → member-flow index, so freezing on saturation is
-        // O(members) instead of a scan over every flow (the Figure 4
-        // experiment runs hundreds of concurrent flows).
-        if self.members.len() < constraints.len() {
-            self.members.resize_with(constraints.len(), Vec::new);
+    /// Removes the flow under `key`, if any.
+    pub fn remove(&mut self, key: usize) {
+        if !self.present.get(key).copied().unwrap_or(false) {
+            return;
         }
-        for m in self.members.iter_mut() {
-            m.clear();
-        }
-        let members = &mut self.members;
-        for (fi, f) in flows.iter().enumerate() {
-            for &c in &f.constraints {
-                members[c].push(fi);
-            }
-        }
-
-        // An infinite constraint never binds and its residual stays
-        // infinite, so it is never live.
-        self.live_cons.clear();
-        self.live_cons.extend(
-            (0..constraints.len()).filter(|&c| count[c] > 0 && constraints[c].capacity.is_finite()),
-        );
-        let live_cons = &mut self.live_cons;
-        self.live_flows.clear();
-        self.live_flows.extend(0..nf);
-        let live_flows = &mut self.live_flows;
-        let newly_frozen = &mut self.newly_frozen;
-
-        while !live_flows.is_empty() {
-            // Smallest uniform increment saturating a constraint or a cap.
-            let mut inc = f64::INFINITY;
-            for &i in live_cons.iter() {
-                inc = inc.min(residual[i] / count[i] as f64);
-            }
-            for &i in live_flows.iter() {
-                if caps[i].is_finite() {
-                    inc = inc.min(caps[i] - rates[i]);
+        self.present[key] = false;
+        self.flows -= 1;
+        let path = &self.paths[key];
+        for &c in &path.constraints {
+            let members = &mut self.members[c];
+            let at = members
+                .iter()
+                .position(|&k| k == key)
+                .expect("a flow is a member of every constraint on its path");
+            members.swap_remove(at);
+            if members.is_empty() {
+                let pos = self.loaded_pos[c];
+                self.loaded.swap_remove(pos);
+                if let Some(&moved) = self.loaded.get(pos) {
+                    self.loaded_pos[moved] = pos;
                 }
+                self.loaded_pos[c] = usize::MAX;
+            }
+        }
+        if let Some(cap) = path.rate_cap.filter(|c| c.is_finite()) {
+            remove_sorted(&mut self.by_cap, cap, key);
+            remove_sorted(&mut self.by_threshold, cap_threshold(cap), key);
+        }
+    }
+
+    /// The rate the last [`fill`](Self::fill) gave the flow under `key`.
+    pub fn rate(&self, key: usize) -> f64 {
+        if self.frozen_in[key] == self.fill_no {
+            self.frozen_level[key]
+        } else {
+            self.rest
+        }
+    }
+
+    /// Runs the progressive fill over the current flow set; read the
+    /// result with [`rate`](Self::rate).
+    ///
+    /// Bit-exact with the textbook loop that raises every unfrozen flow
+    /// each round:
+    /// - The cap increment is `min_i(cap_i - L)` over unfrozen capped
+    ///   flows. Float subtraction is monotone in `cap_i`, so that is
+    ///   `min_i(cap_i) - L`: the first unfrozen entry of `by_cap`.
+    /// - A capped flow freezes when `L >= cap_i - eps_i`: a prefix of the
+    ///   unfrozen entries of `by_threshold`.
+    /// - The order of `live` does not matter. The `min` over
+    ///   `residual / count` sees no NaN, so it is order-free; counts are
+    ///   integers; and every flow frozen in a round takes the same `L`.
+    pub fn fill(&mut self) {
+        self.fill_no += 1;
+        let fill = self.fill_no;
+        let NetFairWorkspace {
+            capacity,
+            eps,
+            paths,
+            flows,
+            members,
+            loaded,
+            by_cap,
+            by_threshold,
+            residual,
+            count,
+            live,
+            saturated,
+            frozen_in,
+            frozen_level,
+            rest,
+            ..
+        } = self;
+        // An infinite constraint never binds and its residual stays
+        // infinite, so it is never live. Each pass over `live` also takes
+        // the smallest constraint increment for the next round.
+        live.clear();
+        let mut cons_inc = f64::INFINITY;
+        for &c in loaded.iter() {
+            residual[c] = capacity[c];
+            count[c] = members[c].len();
+            if capacity[c].is_finite() {
+                live.push(c);
+                cons_inc = cons_inc.min(residual[c] / count[c] as f64);
+            }
+        }
+        let mut level = 0.0f64;
+        let mut unfrozen = *flows;
+        let (mut next_cap, mut next_threshold) = (0, 0);
+        while unfrozen > 0 {
+            // Smallest uniform increment saturating a constraint or a cap.
+            let mut inc = cons_inc;
+            while next_cap < by_cap.len() && frozen_in[by_cap[next_cap].1] == fill {
+                next_cap += 1;
+            }
+            if let Some(&(cap, _)) = by_cap.get(next_cap) {
+                inc = inc.min(cap - level);
             }
             if !inc.is_finite() {
                 // No binding constraint: remaining flows are unconstrained.
-                for &i in live_flows.iter() {
-                    rates[i] = UNCONSTRAINED_BPS;
-                }
-                break;
+                *rest = UNCONSTRAINED_BPS;
+                return;
             }
 
-            // Raise every unfrozen flow by `inc`; charge the constraints.
-            for &i in live_flows.iter() {
-                rates[i] += inc;
-            }
-            for &i in live_cons.iter() {
-                residual[i] -= inc * count[i] as f64;
+            // Raise the level by `inc`; charge the constraints and note
+            // the saturated ones. Thresholds are *relative* to the
+            // capacity: with capacities in the 1e9 range, the float error
+            // of repeated subtraction can exceed any fixed absolute
+            // epsilon.
+            level += inc;
+            saturated.clear();
+            for &c in live.iter() {
+                residual[c] -= inc * count[c] as f64;
+                if residual[c] <= eps[c] {
+                    saturated.push(c);
+                }
             }
 
             // Freeze flows on saturated constraints or at their private
-            // cap. Thresholds are *relative* to the capacity: with
-            // capacities in the 1e9 range, the float error of repeated
-            // subtraction can exceed any fixed absolute epsilon.
-            newly_frozen.clear();
-            for &ci in live_cons.iter() {
-                let eps = 1e-6 + constraints[ci].capacity.abs() * 1e-9;
-                if residual[ci] <= eps {
-                    for &fi in &members[ci] {
-                        if !frozen[fi] {
-                            frozen[fi] = true;
-                            newly_frozen.push(fi);
-                        }
+            // cap.
+            let before = unfrozen;
+            let mut freeze = |k: usize| {
+                if frozen_in[k] != fill {
+                    frozen_in[k] = fill;
+                    frozen_level[k] = level;
+                    for &c in &paths[k].constraints {
+                        count[c] -= 1;
                     }
+                    unfrozen -= 1;
                 }
+            };
+            for &c in saturated.iter() {
+                members[c].iter().for_each(|&k| freeze(k));
             }
-            for &fi in live_flows.iter() {
-                if !frozen[fi] && caps[fi].is_finite() {
-                    let eps = 1e-9 + caps[fi].abs() * 1e-9;
-                    if rates[fi] >= caps[fi] - eps {
-                        frozen[fi] = true;
-                        newly_frozen.push(fi);
-                    }
+            // Entries before the cursor are all frozen, so the cursor
+            // only moves past thresholds the level has reached.
+            while let Some(&(threshold, k)) = by_threshold.get(next_threshold) {
+                if threshold > level {
+                    break;
                 }
+                freeze(k);
+                next_threshold += 1;
             }
-            if newly_frozen.is_empty() {
+            if unfrozen == before {
                 // Numeric fallback: the increment was swallowed by
                 // rounding. Stop at the current (feasible) rates — this
                 // sacrifices at most an epsilon of max-min optimality
                 // while guaranteeing termination.
                 break;
             }
-            for &fi in newly_frozen.iter() {
-                for &c in &flows[fi].constraints {
-                    count[c] -= 1;
+            cons_inc = f64::INFINITY;
+            live.retain(|&c| {
+                let keep = count[c] > 0;
+                if keep {
+                    cons_inc = cons_inc.min(residual[c] / count[c] as f64);
                 }
-            }
-            live_cons.retain(|&c| count[c] > 0);
-            live_flows.retain(|&fi| !frozen[fi]);
+                keep
+            });
         }
-        &self.rates
+        *rest = level;
+    }
+
+    /// [`max_min_rates`] into the workspace's buffers: replaces the flow
+    /// set with `flows`, keyed by index, and fills. The returned slice is
+    /// valid until the next call.
+    pub fn compute(&mut self, constraints: &[Constraint], flows: &[FlowPath]) -> &[f64] {
+        self.reset(constraints);
+        for (k, f) in flows.iter().enumerate() {
+            self.insert(k, f);
+        }
+        self.fill();
+        let mut out = std::mem::take(&mut self.out);
+        out.clear();
+        out.extend((0..flows.len()).map(|k| self.rate(k)));
+        self.out = out;
+        &self.out
     }
 }
 
@@ -200,6 +350,7 @@ impl NetFairWorkspace {
 mod tests {
     use super::*;
     use proptest::prelude::*;
+    use proptest::test_runner::TestCaseError;
 
     /// The progressive fill before compact lists: every round scans every
     /// constraint and every flow. The oracle `compute` must match bit for
@@ -366,6 +517,110 @@ mod tests {
                         "flow {i} of {prefix}: compact {g:e} vs full scan {w:e}"
                     );
                 }
+            }
+        }
+    }
+
+    /// `got` and `want` hold the same bits, flow by flow.
+    fn same_bits(got: &[f64], want: &[f64], what: &str) -> Result<(), TestCaseError> {
+        prop_assert_eq!(got.len(), want.len());
+        for (i, (g, w)) in got.iter().zip(want).enumerate() {
+            prop_assert!(
+                g.to_bits() == w.to_bits(),
+                "flow {i} {what}: workspace {g:e} vs full scan {w:e}"
+            );
+        }
+        Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Capped and uncapped flows on one shared finite constraint:
+        /// equal caps, caps below the fair share, caps of `0.0` and caps
+        /// above it, some flows also behind a private constraint. The
+        /// running level and the two cap orders must give the full
+        /// scan's bits.
+        #[test]
+        fn capped_flows_on_a_shared_constraint_match_full_scan(
+            shared in 0.0f64..1.0,
+            gens in proptest::collection::vec((0u8..6, 0.0f64..1.0, any::<bool>(), 0.0f64..1.0), 1..=40),
+        ) {
+            let shared = 1.0e9 * shared + 1.0;
+            let fair = shared / gens.len() as f64;
+            let mut constraints = vec![Constraint { capacity: shared }];
+            let mut flows = Vec::new();
+            for &(kind, u, private, v) in &gens {
+                let rate_cap = match kind {
+                    0 => None,
+                    1 => Some(0.0),
+                    2 => Some([0.5 * fair, fair, 1.0e7, 1.0e8][(4.0 * u) as usize % 4]),
+                    3 => Some(fair * u),
+                    4 => Some(shared * u),
+                    _ => Some(2.0 * fair + u),
+                };
+                let mut path = vec![0];
+                if private {
+                    path.push(constraints.len());
+                    constraints.push(Constraint { capacity: 1.0e8 * (0.1 + v) });
+                }
+                flows.push(FlowPath { constraints: path, rate_cap });
+            }
+            let mut ws = NetFairWorkspace::default();
+            same_bits(ws.compute(&constraints, &flows), &full_scan_rates(&constraints, &flows), "")?;
+        }
+
+        /// One workspace kept across random flow starts and ends, keyed
+        /// like engine slab slots (freed keys are reused), matches a fresh
+        /// full scan of the current flow set after every change.
+        #[test]
+        fn kept_membership_matches_fresh_full_scan(
+            nodes in 1usize..=12,
+            caps in proptest::collection::vec((any::<u8>(), 0.0f64..1.0), 50),
+            ops in proptest::collection::vec(
+                (
+                    0u8..3,
+                    any::<u16>(),
+                    (
+                        any::<u8>(),
+                        any::<u16>(),
+                        any::<u16>(),
+                        proptest::collection::vec(any::<u16>(), 0..4),
+                        any::<u8>(),
+                        0.0f64..1.0,
+                    ),
+                ),
+                1..=120,
+            ),
+        ) {
+            let constraints: Vec<Constraint> = caps[..4 * nodes + 2]
+                .iter()
+                .map(|&(sel, u)| Constraint { capacity: capacity(sel, u) })
+                .collect();
+            let mut ws = NetFairWorkspace::new(&constraints);
+            let mut slots: Vec<Option<FlowPath>> = Vec::new();
+            let mut free: Vec<usize> = Vec::new();
+            for (step, (op, pick, gen)) in ops.iter().enumerate() {
+                let live: Vec<usize> = (0..slots.len()).filter(|&k| slots[k].is_some()).collect();
+                if *op == 0 && !live.is_empty() {
+                    let key = live[*pick as usize % live.len()];
+                    slots[key] = None;
+                    free.push(key);
+                    ws.remove(key);
+                } else {
+                    let path = flow_path(nodes, gen);
+                    let key = free.pop().unwrap_or(slots.len());
+                    if key == slots.len() {
+                        slots.push(None);
+                    }
+                    ws.insert(key, &path);
+                    slots[key] = Some(path);
+                }
+                ws.fill();
+                let keys: Vec<usize> = (0..slots.len()).filter(|&k| slots[k].is_some()).collect();
+                let flows: Vec<FlowPath> = keys.iter().map(|&k| slots[k].clone().unwrap()).collect();
+                let got: Vec<f64> = keys.iter().map(|&k| ws.rate(k)).collect();
+                same_bits(&got, &full_scan_rates(&constraints, &flows), &format!("after op {step}"))?;
             }
         }
     }

@@ -177,10 +177,6 @@ impl ClusterSpec {
         NodeId(self.nodes.len() as u32 - 1)
     }
 
-    pub fn node_ids(&self) -> impl Iterator<Item = NodeId> + '_ {
-        (0..self.nodes.len() as u32).map(NodeId)
-    }
-
     pub fn node(&self, id: NodeId) -> &NodeSpec {
         &self.nodes[id.index()]
     }

@@ -337,3 +337,43 @@ proptest! {
         lockstep(nodes, switch, &ops)?;
     }
 }
+
+/// One long flow alone on its NICs keeps the same rate bits through
+/// thousands of fills caused by disk, compute and S3 churn on other
+/// nodes, so its completion-heap entry from the first fill is the one
+/// that finally fires. Its completion instant must still match the
+/// reference engine's to the bit.
+#[test]
+fn long_flow_keeps_its_key_through_churn_elsewhere() {
+    let mut ops = vec![Op::Flow {
+        src: 0,
+        dst: 1,
+        src_disk: false,
+        dst_disk: false,
+        volume: 3.0e11,
+    }];
+    for k in 0..3000u32 {
+        let volume = 1.0e6 + f64::from(k % 97) * 3.7e4;
+        ops.push(match k % 4 {
+            0 => Op::DiskRead { node: 2, volume },
+            1 => Op::DiskWrite { node: 3, volume },
+            2 => Op::External {
+                node: 2 + (k % 2) as u8,
+                upload: k % 8 == 2,
+                volume,
+            },
+            _ => Op::Compute {
+                node: (k % 4) as u8,
+                threads: 1.0,
+                volume: 0.01 + f64::from(k % 13) * 1e-3,
+            },
+        });
+        ops.push(Op::Step);
+        if k % 50 == 0 {
+            ops.push(Op::Advance { dt: 0.003 });
+        }
+    }
+    if let Err(e) = lockstep(4, None, &ops) {
+        panic!("{}", e.message);
+    }
+}
