@@ -22,6 +22,23 @@ cargo test -q --workspace
 echo "==> perfbench (builds the benchmark against the workspace, runs its small-shape tests)"
 cargo test --release --offline --manifest-path perfbench/Cargo.toml
 
+echo "==> perfbench correctness smoke (each workload at paper scale, --seconds 1)"
+# A pass whose workflow digest drifts from perfbench/digests.txt counts as
+# failed, so a behaviour change in any layer a workload uses fails here.
+mkdir -p experiment_runs
+for w in snv-cuneiform montage-heft snv-static-weak; do
+  last=$(cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
+    --workload "$w" --seconds 1 2> "experiment_runs/perfbench.$w.log" | tail -n 1) || true
+  case "$last" in
+    *'"correct": true'*'"failed": 0,'*) echo "perfbench $w correct" ;;
+    *)
+      echo "FAIL: perfbench $w is not correct: $last" >&2
+      cat "experiment_runs/perfbench.$w.log" >&2
+      exit 1
+      ;;
+  esac
+done
+
 echo "==> clippy (first-party crates; compat/ shims are vendored as-is)"
 cargo clippy --all-targets -p hiway -p hiway-obs -p hiway-sim -p hiway-hdfs -p hiway-yarn \
   -p hiway-format -p hiway-lang -p hiway-provdb -p hiway-core \
@@ -47,9 +64,8 @@ done
 echo "trace artifacts byte-identical across runs"
 
 echo "==> experiment golden gates (each bin twice, byte-identical, matches results/)"
-# Every experiment bin; on 2 cores Fig 4 takes about 4.5 s, Table 2 about
-# 5 s and Fig 6 about 3 s, the rest about 1 s together.
-mkdir -p experiment_runs
+# Every experiment bin; on 2 cores Fig 4 takes about 3 s, Table 2 about
+# 2 s and Fig 6 about 1.3 s, the rest about 0.8 s together.
 for bin in table1 fig4 table2 fig6 fig8 fig9 ablation multiwf chaos resume; do
   ./target/release/$bin > "experiment_runs/$bin.txt"
   ./target/release/$bin > "experiment_runs/$bin.run2.txt"

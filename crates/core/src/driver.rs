@@ -26,6 +26,7 @@
 //! attempt are recognized as stale and dropped.
 
 use std::collections::{BTreeMap, HashMap};
+use std::rc::Rc;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -122,7 +123,8 @@ impl Attempt {
 }
 
 struct TaskRun {
-    spec: TaskSpec,
+    /// Shared with the task's [`Ready`] entry while it is Requested.
+    spec: Rc<TaskSpec>,
     state: TaskState,
     task_failures: u32,
     infra_failures: u32,
@@ -152,7 +154,7 @@ impl TaskRun {
 
     fn new(spec: TaskSpec) -> TaskRun {
         TaskRun {
-            spec,
+            spec: Rc::new(spec),
             state: TaskState::Waiting,
             task_failures: 0,
             infra_failures: 0,
@@ -167,6 +169,17 @@ impl TaskRun {
             t_end: 0.0,
         }
     }
+}
+
+/// A Requested task's entry in [`Am::ready_order`]: what routing a
+/// container reads, copied when the task becomes ready so the candidate
+/// build does no map lookup.
+struct Ready {
+    id: TaskId,
+    /// The task's [`TaskRun::avoid_node`], which changes only on an
+    /// attempt failure and so never while the task is listed.
+    avoid: Option<NodeId>,
+    spec: Rc<TaskSpec>,
 }
 
 /// Per-workflow blacklist entry: strike count and its decay horizon.
@@ -189,7 +202,7 @@ struct Am {
     /// The Waiting tasks and the inputs each still misses.
     waiting: ReadyTracker,
     /// Ready-but-unlaunched tasks in readiness order.
-    ready_order: Vec<TaskId>,
+    ready_order: Vec<Ready>,
     /// Tasks with an unserved speculative container request.
     spec_pending: Vec<TaskId>,
     /// Nodes this workflow has seen attempts fail on, with decay.
@@ -233,6 +246,16 @@ impl Am {
             _ => {}
         }
         out
+    }
+
+    /// Lists Requested task `id` at the back of `ready_order`.
+    fn push_ready(&mut self, id: TaskId) {
+        let task = &self.tasks[&id];
+        self.ready_order.push(Ready {
+            id,
+            avoid: task.avoid_node,
+            spec: Rc::clone(&task.spec),
+        });
     }
 
     /// Whether this workflow currently refuses containers on `node`.
@@ -581,8 +604,9 @@ impl Runtime {
     /// outputs are available, each AM's tracker holds exactly its Waiting
     /// tasks with their counts of unavailable inputs (which a file
     /// appearing without reaching the trackers would break), each AM's
-    /// ready list holds each of its Requested tasks exactly once, and its
-    /// in-flight count matches its tasks.
+    /// ready list holds each of its Requested tasks exactly once with that
+    /// task's avoid node and spec, and its in-flight count matches its
+    /// tasks.
     pub fn check_invariants(&self) -> Result<(), String> {
         self.cluster.rm.check_invariants()?;
         let available = |p: &String| self.cluster.input_available(p);
@@ -611,7 +635,7 @@ impl Runtime {
                     am.inflight_tasks
                 ));
             }
-            let mut listed = am.ready_order.clone();
+            let mut listed: Vec<TaskId> = am.ready_order.iter().map(|r| r.id).collect();
             listed.sort_unstable();
             let requested: Vec<TaskId> = am
                 .tasks
@@ -623,6 +647,15 @@ impl Runtime {
                 return Err(format!(
                     "workflow {wf}: ready list {listed:?}, Requested {requested:?}"
                 ));
+            }
+            for r in &am.ready_order {
+                let task = &am.tasks[&r.id];
+                if r.avoid != task.avoid_node || !Rc::ptr_eq(&r.spec, &task.spec) {
+                    return Err(format!(
+                        "workflow {wf}: ready entry of {:?} avoids {:?}, its task {:?}, or holds another spec",
+                        r.id, r.avoid, task.avoid_node
+                    ));
+                }
             }
         }
         Ok(())
@@ -818,18 +851,18 @@ impl Runtime {
             }
         }
         // Pick a task for this worker container.
-        let multi_node = self.cluster.rm.alive_nodes().len() > 1;
+        let multi_node = self.cluster.rm.alive_count() > 1;
         let am = &mut self.ams[wf];
         let candidates: Vec<&TaskSpec> = am
             .ready_order
             .iter()
-            .filter(|id| !(multi_node && am.tasks[id].avoid_node == Some(node)))
-            .map(|id| &am.tasks[id].spec)
+            .filter(|r| !(multi_node && r.avoid == Some(node)))
+            .map(|r| &*r.spec)
             .collect();
-        let node_name = self.cluster.engine.spec().node(node).name.clone();
+        let node_name = &self.cluster.engine.spec().node(node).name;
         let selection = am.scheduler.select(
             node,
-            &node_name,
+            node_name,
             &candidates,
             &self.cluster.hdfs,
             &am.prov,
@@ -872,7 +905,7 @@ impl Runtime {
     /// Issues a fresh container request for the head Requested task (used
     /// after handing a container back).
     fn re_request_head(&mut self, wf: usize) {
-        if let Some(&tid) = self.ams[wf].ready_order.first() {
+        if let Some(tid) = self.ams[wf].ready_order.first().map(|r| r.id) {
             self.request_container(wf, tid);
         }
     }
@@ -904,7 +937,7 @@ impl Runtime {
         if speculative {
             am.speculative_attempts += 1;
         } else {
-            am.ready_order.retain(|id| *id != task_id);
+            am.ready_order.retain(|r| r.id != task_id);
         }
         self.containers.insert(container.id, (wf, task_id, attempt));
         if self.tracer.is_enabled() {
@@ -1147,7 +1180,7 @@ impl Runtime {
             let task = am.tasks.get_mut(&id).expect("listed");
             task.state = TaskState::Requested;
             task.t_ready = now;
-            am.ready_order.push(id);
+            am.push_ready(id);
             self.request_container(wf, id);
         }
     }
@@ -1861,7 +1894,7 @@ impl Runtime {
     fn requeue_task(&mut self, wf: usize, task_id: TaskId) {
         let am = &mut self.ams[wf];
         am.with_task(task_id, |t| t.state = TaskState::Requested);
-        am.ready_order.push(task_id);
+        am.push_ready(task_id);
         self.request_container(wf, task_id);
     }
 

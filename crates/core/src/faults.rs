@@ -286,6 +286,8 @@ impl FaultInjector {
     /// Runs `rt` to completion, injecting the plan's events at their
     /// virtual times. Events past the workflows' finish are ignored.
     /// With an empty plan this is exactly `rt.run_to_completion()`.
+    /// Debug builds check [`Runtime::check_invariants`] before each event,
+    /// so the chaos batteries hold the driver to them mid-run.
     pub fn run(&mut self, rt: &mut Runtime) -> Vec<WorkflowReport> {
         while self.cursor < self.plan.events.len() {
             let ev = self.plan.events[self.cursor];
@@ -293,6 +295,7 @@ impl FaultInjector {
             if !rt.run_until(SimTime::from_secs(ev.at)) {
                 return rt.reports(); // all workflows finished (or failed)
             }
+            debug_assert_eq!(rt.check_invariants(), Ok(()), "before fault at {}", ev.at);
             self.apply(rt, ev);
         }
         rt.run_to_completion()

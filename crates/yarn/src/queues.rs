@@ -336,29 +336,14 @@ impl QueueSet {
     /// break towards the earlier-defined child, which keeps single-queue
     /// configurations byte-identical to the pre-queue FIFO walk.
     pub fn pick_leaf(&self, eligible: &[bool], total: Resource) -> Option<usize> {
-        let has_eligible = |mut i: usize| -> bool {
-            // Depth-first without allocation: the tree is tiny.
-            let mut stack = vec![i];
-            while let Some(at) = stack.pop() {
-                i = at;
-                if self.nodes[i].children.is_empty() {
-                    if eligible[i] {
-                        return true;
-                    }
-                } else {
-                    stack.extend(self.nodes[i].children.iter().copied());
-                }
-            }
-            false
-        };
         let mut at = 0usize; // root is always node 0
-        if !has_eligible(at) {
+        if !self.has_eligible(at, eligible) {
             return None;
         }
         while !self.nodes[at].children.is_empty() {
             let mut best: Option<(f64, usize)> = None;
             for &c in &self.nodes[at].children {
-                if !has_eligible(c) {
+                if !self.has_eligible(c, eligible) {
                     continue;
                 }
                 let key = Self::dominant_share(self.nodes[c].used, total) / self.nodes[c].weight;
@@ -370,6 +355,17 @@ impl QueueSet {
             at = best?.1;
         }
         Some(at)
+    }
+
+    /// Whether node `i` is an eligible leaf or has one below it. Recursion
+    /// keeps it free of allocation; the tree is a few levels deep.
+    fn has_eligible(&self, i: usize, eligible: &[bool]) -> bool {
+        let children = &self.nodes[i].children;
+        if children.is_empty() {
+            eligible[i]
+        } else {
+            children.iter().any(|&c| self.has_eligible(c, eligible))
+        }
     }
 
     /// Instantaneous fair share (a fraction of the cluster, dominant-
@@ -438,6 +434,7 @@ impl QueueSet {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn total() -> Resource {
         Resource::new(16, 64_000)
@@ -643,5 +640,98 @@ mod tests {
         let s = set.fair_shares(&demand);
         assert!((s[c] - 0.25).abs() < 1e-9, "ceiling binds: {}", s[c]);
         assert!((s[o] - 0.75).abs() < 1e-9, "sibling absorbs: {}", s[o]);
+    }
+
+    /// The eligibility test `pick_leaf` used before its recursive walk:
+    /// an explicit-stack DFS. Kept as the oracle for the proptest below.
+    fn pick_leaf_stack_dfs(set: &QueueSet, eligible: &[bool], total: Resource) -> Option<usize> {
+        let has_eligible = |mut i: usize| -> bool {
+            let mut stack = vec![i];
+            while let Some(at) = stack.pop() {
+                i = at;
+                if set.nodes[i].children.is_empty() {
+                    if eligible[i] {
+                        return true;
+                    }
+                } else {
+                    stack.extend(set.nodes[i].children.iter().copied());
+                }
+            }
+            false
+        };
+        let mut at = 0usize;
+        if !has_eligible(at) {
+            return None;
+        }
+        while !set.nodes[at].children.is_empty() {
+            let mut best: Option<(f64, usize)> = None;
+            for &c in &set.nodes[at].children {
+                if !has_eligible(c) {
+                    continue;
+                }
+                let key = QueueSet::dominant_share(set.nodes[c].used, total) / set.nodes[c].weight;
+                match best {
+                    Some((k, _)) if key + EPS >= k => {}
+                    _ => best = Some((key, c)),
+                }
+            }
+            at = best?.1;
+        }
+        Some(at)
+    }
+
+    /// A queue tree's shape with each queue's weight.
+    #[derive(Clone, Debug)]
+    enum Shape {
+        Leaf(f64),
+        Parent(f64, Vec<Shape>),
+    }
+
+    fn spec_of(shape: &Shape, next_name: &mut usize) -> QueueSpec {
+        let name = format!("q{next_name}");
+        *next_name += 1;
+        match shape {
+            Shape::Leaf(w) => QueueSpec::leaf(&name, *w, 0.0, 1.0),
+            Shape::Parent(w, children) => {
+                let children = children.iter().map(|c| spec_of(c, next_name)).collect();
+                QueueSpec::parent(&name, *w, 0.0, 1.0, children)
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The recursive eligibility walk picks exactly the leaf the
+        /// stack-based DFS picks, over random trees up to depth 3 with
+        /// random weights, usage and eligibility. Weights and usage come
+        /// from small sets so that DRF ties occur.
+        #[test]
+        fn pick_leaf_matches_stack_dfs(
+            shape in (1u8..5)
+                .prop_map(|w| Shape::Leaf(w as f64 / 2.0))
+                .prop_recursive(3, 16, 4, |inner| {
+                    ((1u8..5), proptest::collection::vec(inner, 1..4))
+                        .prop_map(|(w, kids)| Shape::Parent(w as f64 / 2.0, kids))
+                }),
+            usage in proptest::collection::vec((0u32..6, 0u64..4), 1..16),
+            flags in proptest::collection::vec(any::<bool>(), 1..16),
+            total in (0u32..24, 0u64..12),
+        ) {
+            let root = spec_of(&shape, &mut 0);
+            let mut set = QueueSet::build(&QueuesConfig { root, ..QueuesConfig::default() })
+                .map_err(TestCaseError::fail)?;
+            for (k, leaf) in set.leaves().into_iter().enumerate() {
+                let (v, m) = usage[k % usage.len()];
+                set.charge(leaf, Resource::new(v, m * 1_000));
+            }
+            let total = Resource::new(total.0, total.1 * 4_000);
+            let n = set.nodes.len();
+            let eligible: Vec<bool> = (0..n).map(|i| flags[i % flags.len()]).collect();
+            prop_assert_eq!(
+                set.pick_leaf(&eligible, total),
+                pick_leaf_stack_dfs(&set, &eligible, total)
+            );
+        }
     }
 }

@@ -357,44 +357,63 @@ impl ResourceManager {
     pub fn allocate_at(&mut self, now: f64) -> Vec<Container> {
         self.last_now = now;
         let total = self.alive_total();
+        let granted = if std::mem::take(&mut self.dirty) {
+            self.grant(total)
+        } else {
+            Vec::new()
+        };
+        self.update_preemption(now, total);
+        if self.tracer.is_enabled() {
+            self.tracer.inc("rm.allocation_rounds", 1);
+            self.tracer
+                .inc("rm.containers_allocated", granted.len() as u64);
+            self.tracer
+                .set_gauge("rm.pending_requests", self.queue.len() as f64);
+            self.tracer
+                .set_gauge("rm.running_containers", self.containers.len() as f64);
+            self.emit_queue_usage(now);
+        }
+        granted
+    }
+
+    /// The grant scan of [`Self::allocate_at`]: tries every schedulable
+    /// pending request once, leaves in DRF order, each leaf in id order.
+    fn grant(&mut self, total: Resource) -> Vec<Container> {
         let mut granted = Vec::new();
-        // Per-leaf id-ordered snapshots of schedulable pending requests;
-        // left empty when nothing changed since the last round.
+        // Per-leaf id-ordered snapshots of schedulable pending requests,
+        // carrying each request so a pick needs no queue lookup.
         let nq = self.queues.nodes.len();
-        let mut per_leaf: Vec<Vec<u64>> = vec![Vec::new(); nq];
-        if std::mem::take(&mut self.dirty) {
-            for (&id, p) in &self.queue {
-                if self.app_admitted[p.app.0 as usize] {
-                    per_leaf[self.app_queue[p.app.0 as usize]].push(id);
-                }
+        let mut per_leaf: Vec<Vec<(u64, ContainerRequest)>> = vec![Vec::new(); nq];
+        for (&id, p) in &self.queue {
+            if self.app_admitted[p.app.0 as usize] {
+                per_leaf[self.app_queue[p.app.0 as usize]].push((id, p.request));
             }
         }
         let mut cursor = vec![0usize; nq];
         let mut eligible: Vec<bool> = per_leaf.iter().map(|v| !v.is_empty()).collect();
         while let Some(leaf) = self.queues.pick_leaf(&eligible, total) {
-            let id = per_leaf[leaf][cursor[leaf]];
+            let (id, request) = per_leaf[leaf][cursor[leaf]];
             cursor[leaf] += 1;
             if cursor[leaf] >= per_leaf[leaf].len() {
                 eligible[leaf] = false;
             }
-            let request = self.queue[&id].request;
             if !self.queues.fits_under_max(leaf, request.resource, total) {
                 continue; // over the queue ceiling: stays pending
             }
             if let Some(node) = self.find_node(&request) {
-                let pending = self.queue.remove(&id).expect("still queued");
+                let app = self.queue.remove(&id).expect("still queued").app;
                 self.nodes[node.index()]
                     .available
-                    .subtract(&pending.request.resource);
+                    .subtract(&request.resource);
                 let cid = ContainerId(self.next_container);
                 self.next_container += 1;
                 let container = Container {
                     id: cid,
-                    app: pending.app,
+                    app,
                     node,
-                    resource: pending.request.resource,
+                    resource: request.resource,
                     request: RequestId(id),
-                    unpreemptable: pending.request.unpreemptable,
+                    unpreemptable: request.unpreemptable,
                 };
                 self.containers.insert(cid.0, container);
                 self.queues.charge(leaf, container.resource);
@@ -407,17 +426,6 @@ impl ResourceManager {
                 );
                 granted.push(container);
             }
-        }
-        self.update_preemption(now, total);
-        if self.tracer.is_enabled() {
-            self.tracer.inc("rm.allocation_rounds", 1);
-            self.tracer
-                .inc("rm.containers_allocated", granted.len() as u64);
-            self.tracer
-                .set_gauge("rm.pending_requests", self.queue.len() as f64);
-            self.tracer
-                .set_gauge("rm.running_containers", self.containers.len() as f64);
-            self.emit_queue_usage(now);
         }
         granted
     }
@@ -869,6 +877,11 @@ impl ResourceManager {
 
     pub fn running_containers(&self) -> usize {
         self.containers.len()
+    }
+
+    /// Number of alive nodes.
+    pub fn alive_count(&self) -> usize {
+        self.nodes.iter().filter(|s| s.alive).count()
     }
 
     /// Alive nodes, in id order.
