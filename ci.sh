@@ -19,6 +19,11 @@ cargo fmt --check -p hiway -p hiway-obs -p hiway-sim -p hiway-hdfs -p hiway-yarn
 echo "==> tests"
 cargo test -q --workspace
 
+echo "==> engine lockstep proptest (2048 cases, release)"
+# The completion lookup decides every virtual timestamp, so the lockstep
+# against the naive engine gets more cases per push than the in-file 192.
+PROPTEST_CASES=2048 cargo test --release -q -p hiway-sim --test incremental_vs_reference
+
 echo "==> perfbench (builds the benchmark against the workspace, runs its small-shape tests)"
 cargo test --release --offline --manifest-path perfbench/Cargo.toml
 

@@ -505,22 +505,17 @@ impl Runtime {
             if self.ams.iter().all(|am| !am.active()) {
                 return false;
             }
-            match self.cluster.engine.peek_next_time() {
-                Some(t) if t <= deadline => {
-                    let events = self.cluster.engine.step().expect("peeked");
-                    for ev in events {
-                        match ev {
-                            Completion::Timer { tag, .. } | Completion::Activity { tag, .. } => {
-                                self.dispatch(tag)
-                            }
-                        }
+            let Some(events) = self.cluster.engine.step_until(deadline) else {
+                self.cluster
+                    .engine
+                    .advance_to(deadline.max(self.cluster.engine.now()));
+                return self.ams.iter().any(Am::active);
+            };
+            for ev in events {
+                match ev {
+                    Completion::Timer { tag, .. } | Completion::Activity { tag, .. } => {
+                        self.dispatch(tag)
                     }
-                }
-                _ => {
-                    self.cluster
-                        .engine
-                        .advance_to(deadline.max(self.cluster.engine.now()));
-                    return self.ams.iter().any(Am::active);
                 }
             }
         }
@@ -600,14 +595,15 @@ impl Runtime {
         (done, am.tasks.len())
     }
 
-    /// Checks the RM's invariants and the driver's own: every Done task's
-    /// outputs are available, each AM's tracker holds exactly its Waiting
-    /// tasks with their counts of unavailable inputs (which a file
-    /// appearing without reaching the trackers would break), each AM's
-    /// ready list holds each of its Requested tasks exactly once with that
-    /// task's avoid node and spec, and its in-flight count matches its
-    /// tasks.
+    /// Checks the engine's and the RM's invariants and the driver's own:
+    /// every Done task's outputs are available, each AM's tracker holds
+    /// exactly its Waiting tasks with their counts of unavailable inputs
+    /// (which a file appearing without reaching the trackers would break),
+    /// each AM's ready list holds each of its Requested tasks exactly once
+    /// with that task's avoid node and spec, and its in-flight count
+    /// matches its tasks.
     pub fn check_invariants(&self) -> Result<(), String> {
+        self.cluster.engine.check_invariants()?;
         self.cluster.rm.check_invariants()?;
         let available = |p: &String| self.cluster.input_available(p);
         for (wf, am) in self.ams.iter().enumerate() {

@@ -22,19 +22,21 @@
 //! [`FlowPath`] once at `start`, when it joins the [`NetFairWorkspace`]
 //! under its slab slot; it leaves when the activity ends or is cancelled.
 //!
-//! Activities live in a slab (dense slots with a free list), so the
-//! per-step settle and completion passes are straight array walks rather
-//! than hash or tree lookups. Event lookup is heap-based: timers sit in a
-//! deadline-ordered binary heap, and activity completions in a
-//! predicted-completion heap whose entries are lazily invalidated (via
-//! per-slot stamps) when an activity's rate bits change or its slot is
-//! reused. Remaining volumes are still settled with one subtraction per
-//! finite activity per step — the exact arithmetic of the naive engine
-//! (see [`crate::reference`]), which keeps virtual timestamps bit-for-bit
-//! identical — but background loads (infinite volume, e.g. the paper's
-//! `stress` processes in the Figure 9 experiment) live outside the finite
-//! list, so neither the settle pass nor completion scans ever iterate
-//! them.
+//! An activity's kind and tag live in a slab slot (stable, with a free
+//! list), which is the key the rate models use. Its remaining volume, rate
+//! and id live in compact columns over the *live* activities only; a
+//! slot→index map is fixed up by `swap_remove` when an activity ends or is
+//! cancelled. Each step makes three straight passes over those columns:
+//! the next completion is the minimum of `now + remaining / rate` (the
+//! naive engine's expression, see [`crate::reference`]), the settle pass
+//! subtracts `rate * dt`, and the completion scan collects what reached
+//! zero and fires it in id (creation) order. That is the same arithmetic
+//! as the naive engine, so virtual timestamps are bit-for-bit identical,
+//! and every step settles every live activity anyway, so a heap of cached
+//! predictions would buy no better complexity. Background loads (infinite
+//! volume, e.g. the paper's `stress` processes in the Figure 9 experiment)
+//! stay in the columns; their volume stays infinite and `is_finite()`
+//! skips them. Timers sit in a deadline-ordered binary heap.
 //!
 //! The equivalence contract with the naive engine is enforced by property
 //! tests (`tests/incremental_vs_reference.rs`).
@@ -99,17 +101,7 @@ pub enum Completion<T> {
 
 struct Act<T> {
     kind: Activity,
-    remaining: f64,
-    rate: f64,
     tag: T,
-}
-
-/// One slab slot. The stamp is bumped on every rate change *and* on slot
-/// reuse, so completion-heap entries carrying an older stamp — or
-/// pointing at a freed slot — are recognizably stale.
-struct Slot<T> {
-    stamp: u64,
-    act: Option<Act<T>>,
 }
 
 struct Timer<T> {
@@ -213,21 +205,23 @@ pub fn io_flow_path(
 pub struct Engine<T> {
     spec: ClusterSpec,
     now: SimTime,
-    slab: Vec<Slot<T>>,
+    slab: Vec<Option<Act<T>>>,
     free: Vec<u32>,
     id_to_slot: HashMap<u64, u32>,
     next_id: u64,
-    /// `(id, slot)` of finite-volume activities, id-ascending — the only
-    /// activities that can complete. Background loads (infinite volume)
-    /// are excluded, so settle/completion passes never touch them.
-    finite: Vec<(u64, u32)>,
+    /// Dense index of each occupied slab slot's activity in the columns
+    /// below (stale for free slots).
+    pos: Vec<u32>,
+    /// Columns over the live activities, one entry each, in no particular
+    /// order: remaining volume, current rate, id and slab slot.
+    remaining: Vec<f64>,
+    rate: Vec<f64>,
+    ids: Vec<u64>,
+    slots: Vec<u32>,
     timers: HashMap<u64, Timer<T>>,
     /// Deadline-ordered timer queue; entries for cancelled timers are
     /// discarded lazily when they surface.
     timer_heap: BinaryHeap<Reverse<(SimTime, u64)>>,
-    /// Predicted completion instants `(at, slot, stamp)`; an entry whose
-    /// stamp no longer matches the slot's is stale.
-    comp_heap: BinaryHeap<Reverse<(SimTime, u32, u64)>>,
     /// Per-node flag + worklist of nodes whose compute set changed.
     cpu_dirty: Vec<bool>,
     cpu_dirty_list: Vec<u32>,
@@ -246,7 +240,6 @@ pub struct Engine<T> {
     caps_buf: Vec<f64>,
     alloc_buf: Vec<f64>,
     order_buf: Vec<usize>,
-    peek_buf: Vec<(SimTime, u32, u64)>,
     done_buf: Vec<(u64, u32)>,
     usage: Vec<NodeUsage>,
     /// Cached instantaneous per-node totals, refreshed with the rates:
@@ -296,10 +289,13 @@ impl<T: Clone> Engine<T> {
             free: Vec::new(),
             id_to_slot: HashMap::new(),
             next_id: 0,
-            finite: Vec::new(),
+            pos: Vec::new(),
+            remaining: Vec::new(),
+            rate: Vec::new(),
+            ids: Vec::new(),
+            slots: Vec::new(),
             timers: HashMap::new(),
             timer_heap: BinaryHeap::new(),
-            comp_heap: BinaryHeap::new(),
             cpu_dirty: vec![false; n],
             cpu_dirty_list: Vec::new(),
             io_dirty: false,
@@ -311,7 +307,6 @@ impl<T: Clone> Engine<T> {
             caps_buf: Vec::new(),
             alloc_buf: Vec::new(),
             order_buf: Vec::new(),
-            peek_buf: Vec::new(),
             done_buf: Vec::new(),
             usage: vec![NodeUsage::default(); n],
             inst: vec![[0.0; 5]; n],
@@ -364,19 +359,43 @@ impl<T: Clone> Engine<T> {
         }
     }
 
-    fn alloc_slot(&mut self, act: Act<T>) -> u32 {
-        if let Some(s) = self.free.pop() {
-            let slot = &mut self.slab[s as usize];
-            slot.stamp += 1; // orphan any heap entries of prior occupants
-            slot.act = Some(act);
+    /// Puts a new activity in a slab slot and appends its column entries.
+    fn insert(&mut self, id: u64, act: Act<T>, remaining: f64) -> u32 {
+        let index = self.ids.len() as u32;
+        let slot = if let Some(s) = self.free.pop() {
+            self.slab[s as usize] = Some(act);
+            self.pos[s as usize] = index;
             s
         } else {
-            self.slab.push(Slot {
-                stamp: 1,
-                act: Some(act),
-            });
+            self.slab.push(Some(act));
+            self.pos.push(index);
             (self.slab.len() - 1) as u32
+        };
+        self.remaining.push(remaining);
+        self.rate.push(0.0);
+        self.ids.push(id);
+        self.slots.push(slot);
+        self.id_to_slot.insert(id, slot);
+        slot
+    }
+
+    /// Takes the activity `id` out of its slot, the id map and the
+    /// columns (moving the last column entry into its place), and unlinks
+    /// it from the rate models.
+    fn remove(&mut self, id: u64, slot: u32) -> Act<T> {
+        let act = self.slab[slot as usize].take().expect("slot mapped");
+        self.free.push(slot);
+        self.id_to_slot.remove(&id);
+        let i = self.pos[slot as usize] as usize;
+        self.remaining.swap_remove(i);
+        self.rate.swap_remove(i);
+        self.ids.swap_remove(i);
+        self.slots.swap_remove(i);
+        if let Some(&moved) = self.slots.get(i) {
+            self.pos[moved as usize] = i as u32;
         }
+        self.detach(id, slot, &act.kind);
+        act
     }
 
     /// Starts an activity with `volume` units of work. `f64::INFINITY`
@@ -410,17 +429,8 @@ impl<T: Clone> Engine<T> {
             Activity::Compute { node, threads } => Ok((node.0, *threads)),
             io => Err(io_flow_path(&self.spec, io, self.switch_idx, self.ext_base)),
         };
-        let slot = self.alloc_slot(Act {
-            kind,
-            remaining,
-            rate: 0.0,
-            tag,
-        });
-        self.id_to_slot.insert(id, slot);
-        if remaining.is_finite() {
-            // Ids are monotone, so a push keeps the list sorted.
-            self.finite.push((id, slot));
-        }
+        let slot = self.insert(id, Act { kind, tag }, remaining);
+        // Ids are monotone, so a push keeps the member lists sorted.
         match compute {
             Ok((node, threads)) => {
                 self.compute_members[node as usize].push((id, slot, threads));
@@ -458,16 +468,8 @@ impl<T: Clone> Engine<T> {
 
     /// Cancels a running activity, returning its tag (None if already done).
     pub fn cancel(&mut self, id: ActivityId) -> Option<T> {
-        let slot = self.id_to_slot.remove(&id.0)?;
-        let act = self.slab[slot as usize].act.take().expect("slot mapped");
-        self.free.push(slot);
-        self.detach(id.0, slot, &act.kind);
-        if act.remaining.is_finite() {
-            if let Ok(pos) = self.finite.binary_search_by_key(&id.0, |&(i, _)| i) {
-                self.finite.remove(pos);
-            }
-        }
-        Some(act.tag)
+        let slot = *self.id_to_slot.get(&id.0)?;
+        Some(self.remove(id.0, slot).tag)
     }
 
     /// Number of in-flight activities (including background loads).
@@ -508,79 +510,25 @@ impl<T: Clone> Engine<T> {
         self.timers.values().filter(|t| !t.cancelled).count()
     }
 
-    /// Earliest predicted activity completion. The heap orders candidates
-    /// by the prediction made at their last rate change; every candidate
-    /// within the float-drift window of the top is re-evaluated from its
-    /// current remaining volume, so the returned instant is exactly the
-    /// naive engine's scan minimum.
-    ///
-    /// A refresh that leaves an activity's rate bits unchanged keeps its
-    /// stamp and its old entry, however many refreshes ago that entry was
-    /// pushed: IO flows whose fill gave the same bits, and compute on
-    /// nodes whose compute set did not change. With the rate fixed, the
-    /// old key `t0 + remaining0 / rate` differs from a fresh `now +
-    /// remaining / rate` only by the rounding of the settle subtractions
-    /// since `t0`, far inside the window, and the value returned is the
-    /// fresh one either way. So an old entry surfaces exactly when a fresh
-    /// one would, and gives the same instant.
-    fn peek_completion(&mut self) -> Option<SimTime> {
-        // Bound stale-entry buildup: rebuild from live activities when the
-        // heap far outgrows them.
-        if self.comp_heap.len() > 64 + 8 * self.finite.len() {
-            self.comp_heap.clear();
-            for &(_, slot) in &self.finite {
-                let s = &self.slab[slot as usize];
-                let a = s.act.as_ref().expect("finite act exists");
-                if a.rate > 0.0 {
-                    let key = if is_complete(a.remaining, a.rate) {
-                        self.now
-                    } else {
-                        self.now + a.remaining / a.rate
-                    };
-                    self.comp_heap.push(Reverse((key, slot, s.stamp)));
+    /// Earliest activity completion: the naive engine's scan, `now` for an
+    /// activity already complete and `now + remaining / rate` otherwise,
+    /// over every finite activity that is making progress.
+    fn peek_completion(&self) -> Option<SimTime> {
+        let now = self.now.as_secs();
+        let mut best = f64::INFINITY;
+        for (&rem, &rate) in self.remaining.iter().zip(&self.rate) {
+            if rem.is_finite() && rate > 0.0 {
+                let t = if is_complete(rem, rate) {
+                    now
+                } else {
+                    now + rem / rate
+                };
+                if t < best {
+                    best = t;
                 }
             }
         }
-        loop {
-            let &Reverse((key, slot, stamp)) = self.comp_heap.peek()?;
-            {
-                let s = &self.slab[slot as usize];
-                if s.stamp != stamp || s.act.is_none() {
-                    self.comp_heap.pop();
-                    continue;
-                }
-            }
-            // Cached keys may drift from fresh predictions by accumulated
-            // settle rounding; the window is orders of magnitude wider
-            // than that drift and far narrower than real event gaps.
-            let limit = key + (1e-6 + key.as_secs() * 1e-9);
-            let mut best: Option<SimTime> = None;
-            let mut kept = std::mem::take(&mut self.peek_buf);
-            kept.clear();
-            while let Some(&Reverse((k, sl, st))) = self.comp_heap.peek() {
-                if k > limit {
-                    break;
-                }
-                self.comp_heap.pop();
-                let s = &self.slab[sl as usize];
-                if s.stamp == st {
-                    if let Some(a) = s.act.as_ref() {
-                        let fresh = if is_complete(a.remaining, a.rate) {
-                            self.now
-                        } else {
-                            self.now + a.remaining / a.rate
-                        };
-                        best = Some(best.map_or(fresh, |b| b.min(fresh)));
-                        kept.push((k, sl, st));
-                    }
-                }
-            }
-            for e in kept.drain(..) {
-                self.comp_heap.push(Reverse(e));
-            }
-            self.peek_buf = kept;
-            return best;
-        }
+        (best < f64::INFINITY).then(|| SimTime::from_secs(best))
     }
 
     /// Earliest pending timer deadline, discarding surfaced cancellations.
@@ -611,48 +559,49 @@ impl<T: Clone> Engine<T> {
     /// when only background activities remain.
     pub fn step(&mut self) -> Option<Vec<Completion<T>>> {
         let target = self.peek_next_time()?;
+        Some(self.fire_at(target))
+    }
+
+    /// [`Engine::step`], but only if the next completion or timer is at or
+    /// before `deadline`; otherwise returns `None` and leaves time where it
+    /// is. Looks the next event up once, so a caller stepping towards a
+    /// deadline need not peek first.
+    pub fn step_until(&mut self, deadline: SimTime) -> Option<Vec<Completion<T>>> {
+        let target = self.peek_next_time().filter(|&t| t <= deadline)?;
+        Some(self.fire_at(target))
+    }
+
+    /// Advances to `target`, the next event instant, and fires what is due.
+    fn fire_at(&mut self, target: SimTime) -> Vec<Completion<T>> {
         self.advance_to(target);
 
         let mut fired = Vec::new();
-        // Only finite activities can complete; `finite` is id-ascending,
-        // so completions fire in creation order like the naive scan.
         let mut done = std::mem::take(&mut self.done_buf);
         done.clear();
-        for &(id, slot) in &self.finite {
-            let a = self.slab[slot as usize]
-                .act
-                .as_ref()
-                .expect("finite act exists");
-            if is_complete(a.remaining, a.rate) {
-                done.push((id, slot));
+        for (i, (&rem, &rate)) in self.remaining.iter().zip(&self.rate).enumerate() {
+            if rem.is_finite() && is_complete(rem, rate) {
+                done.push((self.ids[i], self.slots[i]));
             }
         }
-        if !done.is_empty() {
-            self.finite
-                .retain(|&(id, _)| done.binary_search_by_key(&id, |&(i, _)| i).is_err());
-            for &(id, slot) in &done {
-                let act = self.slab[slot as usize]
-                    .act
-                    .take()
-                    .expect("collected above");
-                self.free.push(slot);
-                self.id_to_slot.remove(&id);
-                self.detach(id, slot, &act.kind);
-                if self.tracer.is_enabled() {
-                    let (track, what) = self.act_track(&act.kind);
-                    self.tracer.instant(
-                        track,
-                        &format!("act.end:{what}"),
-                        "engine",
-                        self.now.as_secs(),
-                        &[("id", id.to_string())],
-                    );
-                }
-                fired.push(Completion::Activity {
-                    id: ActivityId(id),
-                    tag: act.tag,
-                });
+        // The columns are unordered; fire in creation order like the
+        // naive scan.
+        done.sort_unstable();
+        for &(id, slot) in &done {
+            let act = self.remove(id, slot);
+            if self.tracer.is_enabled() {
+                let (track, what) = self.act_track(&act.kind);
+                self.tracer.instant(
+                    track,
+                    &format!("act.end:{what}"),
+                    "engine",
+                    self.now.as_secs(),
+                    &[("id", id.to_string())],
+                );
             }
+            fired.push(Completion::Activity {
+                id: ActivityId(id),
+                tag: act.tag,
+            });
         }
         done.clear();
         self.done_buf = done;
@@ -690,7 +639,7 @@ impl<T: Clone> Engine<T> {
             );
             self.tracer.inc("engine.steps", 1);
         }
-        Some(fired)
+        fired
     }
 
     /// Advances virtual time to `target` without processing completions
@@ -701,14 +650,12 @@ impl<T: Clone> Engine<T> {
         self.refresh_rates();
         let dt = target - self.now;
         if dt > 0.0 {
-            for &(_, slot) in &self.finite {
-                let act = self.slab[slot as usize]
-                    .act
-                    .as_mut()
-                    .expect("finite act exists");
-                act.remaining -= act.rate * dt;
-                if act.remaining < 0.0 {
-                    act.remaining = 0.0;
+            // A background load's rate is finite, so its volume stays
+            // infinite here.
+            for (rem, &rate) in self.remaining.iter_mut().zip(&self.rate) {
+                *rem -= rate * dt;
+                if *rem < 0.0 {
+                    *rem = 0.0;
                 }
             }
             for (node, inst) in self.inst.iter().enumerate() {
@@ -724,11 +671,65 @@ impl<T: Clone> Engine<T> {
         std::mem::take(&mut self.usage[node.index()])
     }
 
+    /// Checks the engine's bookkeeping: the slot→index map and the
+    /// column of slots are inverse, every id maps to a live slot whose
+    /// column id matches, free slots hold no activity, the columns hold
+    /// exactly the live activities, and the compute and IO member lists
+    /// name each live activity once, in id order, under its kind.
+    pub fn check_invariants(&self) -> Result<(), String> {
+        let n = self.ids.len();
+        let occupied = self.slab.len().saturating_sub(self.free.len());
+        let lens = [self.remaining.len(), self.rate.len(), self.slots.len()];
+        if lens != [n; 3] || self.active_count() != n || occupied != n {
+            return Err(format!(
+                "engine: {n} ids, columns {lens:?}, {occupied} slots held"
+            ));
+        }
+        let index_of = |slot: u32| self.pos.get(slot as usize).map(|&i| i as usize);
+        let misplaced = (0..n).find(|&i| index_of(self.slots[i]) != Some(i));
+        let unmapped = self.id_to_slot.iter().find(|&(&id, &slot)| {
+            !matches!(self.slab.get(slot as usize), Some(Some(_)))
+                || index_of(slot).and_then(|i| self.ids.get(i)) != Some(&id)
+        });
+        let reused = self
+            .free
+            .iter()
+            .find(|&&s| !matches!(self.slab.get(s as usize), Some(None)));
+        if misplaced.is_some() || unmapped.is_some() || reused.is_some() {
+            return Err(format!(
+                "engine: column index {misplaced:?} off its slot, id→slot {unmapped:?} \
+                 not live, free slot {reused:?} held"
+            ));
+        }
+        let kind = |id: u64, slot: u32| match self.id_to_slot.get(&id) {
+            Some(&s) if s == slot => self.slab[slot as usize].as_ref().map(|a| &a.kind),
+            _ => None,
+        };
+        for (node, list) in self.compute_members.iter().enumerate() {
+            let ok = list.iter().all(|&(id, slot, threads)| {
+                matches!(kind(id, slot), Some(&Activity::Compute { node: m, threads: t })
+                    if m.index() == node && t.to_bits() == threads.to_bits())
+            });
+            if !ok || !list.is_sorted_by(|a, b| a.0 < b.0) {
+                return Err(format!("engine: node {node} compute members {list:?}"));
+            }
+        }
+        let io_ok = self.io.iter().all(|&(id, slot)| {
+            kind(id, slot).is_some_and(|k| !matches!(k, Activity::Compute { .. }))
+        });
+        let members = self.io.len() + self.compute_members.iter().map(Vec::len).sum::<usize>();
+        if !io_ok || !self.io.is_sorted_by(|a, b| a.0 < b.0) || members != n {
+            return Err(format!(
+                "engine: {members} members for {n} live, IO {:?}",
+                self.io
+            ));
+        }
+        Ok(())
+    }
+
     /// Recomputes the rates invalidated since the last refresh: one
     /// `fair_cores` run per dirty node, one max-min fill iff the IO set
-    /// changed. A compute activity on a dirty node, and an IO activity
-    /// whose rate bits changed, gets a new completion-heap entry; its
-    /// previous entries go stale via the stamp bump.
+    /// changed.
     fn refresh_rates(&mut self) {
         while let Some(n) = self.cpu_dirty_list.pop() {
             let n = n as usize;
@@ -746,18 +747,7 @@ impl<T: Clone> Engine<T> {
             let mut total = 0.0;
             for (k, &(_, slot, _)) in self.compute_members[n].iter().enumerate() {
                 let cores = self.alloc_buf[k];
-                let s = &mut self.slab[slot as usize];
-                let act = s.act.as_mut().expect("member exists");
-                act.rate = cores * node_spec.speed;
-                s.stamp += 1;
-                if act.remaining.is_finite() && act.rate > 0.0 {
-                    let key = if is_complete(act.remaining, act.rate) {
-                        self.now
-                    } else {
-                        self.now + act.remaining / act.rate
-                    };
-                    self.comp_heap.push(Reverse((key, slot, s.stamp)));
-                }
+                self.rate[self.pos[slot as usize] as usize] = cores * node_spec.speed;
                 total += cores;
             }
             self.inst[n][0] = total;
@@ -772,24 +762,11 @@ impl<T: Clone> Engine<T> {
                 row[3] = 0.0;
                 row[4] = 0.0;
             }
+            // In id order, so the per-node sums keep the naive engine's bits.
             for &(_, slot) in &self.io {
                 let rate = self.netfair.rate(slot as usize);
-                let s = &mut self.slab[slot as usize];
-                let act = s.act.as_mut().expect("flow exists");
-                // An unchanged rate keeps its stamp and heap entry (see
-                // `peek_completion`).
-                if act.rate.to_bits() != rate.to_bits() {
-                    act.rate = rate;
-                    s.stamp += 1;
-                    if act.remaining.is_finite() && rate > 0.0 {
-                        let key = if is_complete(act.remaining, rate) {
-                            self.now
-                        } else {
-                            self.now + act.remaining / rate
-                        };
-                        self.comp_heap.push(Reverse((key, slot, s.stamp)));
-                    }
-                }
+                self.rate[self.pos[slot as usize] as usize] = rate;
+                let act = self.slab[slot as usize].as_ref().expect("flow exists");
                 match &act.kind {
                     Activity::DiskRead { node } => self.inst[node.index()][1] += rate,
                     Activity::DiskWrite { node } => self.inst[node.index()][2] += rate,
@@ -1092,11 +1069,12 @@ mod tests {
         assert_eq!(u2.elapsed, 0.0);
     }
 
+    /// When a rate changes, the next completion is predicted from the new
+    /// rate: the long task would finish at t=20 at 1 core, but it doubles
+    /// its rate when the short task finishes at t=4 and ends at t=10.
     #[test]
     fn stale_completion_entries_are_discarded_on_rate_change() {
         let mut e: Engine<u32> = Engine::new(one_node_cluster());
-        // The long task's first prediction (t=20 at 1 core) goes stale
-        // when the short task finishes and it doubles its rate.
         e.start(
             Activity::Compute {
                 node: NodeId(0),
@@ -1214,12 +1192,12 @@ mod tests {
         assert!(tracer.snapshot().is_none());
     }
 
+    /// A cancelled activity's completion never fires: after its slot is
+    /// reused by a different activity, the next completion is the new
+    /// activity's, at its own time.
     #[test]
     fn slot_reuse_does_not_resurrect_stale_predictions() {
         let mut e: Engine<u32> = Engine::new(two_node_cluster());
-        // Create a prediction entry for a task, cancel it (freeing its
-        // slot), then start a different task that reuses the slot. The
-        // stale entry must not surface as the new task's completion.
         let a = e.start(
             Activity::Compute {
                 node: NodeId(0),
@@ -1243,5 +1221,34 @@ mod tests {
         assert_eq!(fired.len(), 1);
         assert!(matches!(fired[0], Completion::Activity { tag: 2, .. }));
         assert!((e.now().as_secs() - 50.0).abs() < 1e-6);
+    }
+
+    #[test]
+    fn step_until_fires_nothing_before_the_next_event() {
+        let mut e: Engine<u32> = Engine::new(one_node_cluster());
+        // 10 CPU-seconds on 2 cores finish at t=5, and a timer is due at t=3.
+        e.start(
+            Activity::Compute {
+                node: NodeId(0),
+                threads: 2.0,
+            },
+            10.0,
+            1,
+        );
+        e.set_timer_after(3.0, 2);
+        assert!(e.step_until(SimTime::from_secs(2.5)).is_none());
+        assert_eq!(e.now(), SimTime::ZERO);
+        assert_eq!(e.active_count(), 1);
+        assert_eq!(e.debug_timer_count(), 1);
+        let fired = e.step_until(SimTime::from_secs(3.0)).expect("timer due");
+        assert!(matches!(fired[..], [Completion::Timer { tag: 2, .. }]));
+        assert_eq!(e.now().as_secs(), 3.0);
+        assert!(e.step_until(SimTime::from_secs(4.0)).is_none());
+        assert_eq!(e.now().as_secs(), 3.0);
+        let fired = e.step_until(SimTime::from_secs(9.0)).expect("compute done");
+        assert!(matches!(fired[..], [Completion::Activity { tag: 1, .. }]));
+        assert!((e.now().as_secs() - 5.0).abs() < 1e-9);
+        assert!(e.step_until(SimTime::from_secs(100.0)).is_none());
+        e.check_invariants().unwrap();
     }
 }

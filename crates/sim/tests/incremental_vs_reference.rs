@@ -1,10 +1,11 @@
 //! Lockstep equivalence: the incremental engine (dirty-node CPU refresh,
-//! cached flow paths, timer + predicted-completion heaps) must be
+//! cached flow paths, a timer heap and dense per-activity columns) must be
 //! observationally identical — same completion sequences, same virtual
 //! timestamps bit for bit — to the naive recompute-everything reference
 //! engine it replaced. Random workloads mix compute, disk streams, flows,
 //! external transfers, timers, cancellations, infinite background loads,
-//! and partial time advances.
+//! partial time advances and deadline-bounded steps. The incremental
+//! engine's own bookkeeping is checked after every op.
 
 use proptest::prelude::*;
 
@@ -55,6 +56,9 @@ enum Op {
         pick: u16,
     },
     Step,
+    StepUntil {
+        dt: f64,
+    },
     Advance {
         dt: f64,
     },
@@ -93,8 +97,38 @@ fn op_strategy() -> impl Strategy<Value = Op> {
         (0u16..1000).prop_map(|pick| Op::CancelAct { pick }),
         (0u16..1000).prop_map(|pick| Op::CancelTimer { pick }),
         Just(Op::Step),
+        (0.0f64..5.0).prop_map(|dt| Op::StepUntil { dt }),
         (0.01f64..5.0).prop_map(|dt| Op::Advance { dt }),
     ]
+}
+
+/// Both steps fired the same completions in the same order, or neither
+/// stepped.
+fn same_step(
+    a: Option<Vec<Completion<u32>>>,
+    b: Option<Vec<Completion<u32>>>,
+    ctx: &str,
+) -> Result<(), proptest::test_runner::TestCaseError> {
+    match (a, b) {
+        (None, None) => Ok(()),
+        (Some(fa), Some(fb)) => {
+            let ka: Vec<_> = fa.iter().map(completion_key).collect();
+            let kb: Vec<_> = fb.iter().map(completion_key).collect();
+            prop_assert_eq!(ka, kb, "completion sequence diverged at {}", ctx);
+            Ok(())
+        }
+        (a, b) => Err(proptest::test_runner::TestCaseError::fail(format!(
+            "step presence diverged at {ctx}: inc={} ref={}",
+            a.is_some(),
+            b.is_some()
+        ))),
+    }
+}
+
+/// The incremental engine's own bookkeeping holds.
+fn invariants(inc: &Engine<u32>, ctx: &str) -> Result<(), proptest::test_runner::TestCaseError> {
+    inc.check_invariants()
+        .map_err(|e| proptest::test_runner::TestCaseError::fail(format!("after {ctx}: {e}")))
 }
 
 /// Both engines report the same instant, bit for bit.
@@ -248,24 +282,14 @@ fn lockstep(
                     refe.cancel_timer(id);
                 }
             }
-            Op::Step => {
-                let a = inc.step();
-                let b = refe.step();
-                match (a, b) {
-                    (None, None) => {}
-                    (Some(fa), Some(fb)) => {
-                        let ka: Vec<_> = fa.iter().map(completion_key).collect();
-                        let kb: Vec<_> = fb.iter().map(completion_key).collect();
-                        prop_assert_eq!(ka, kb, "completion sequence diverged at op {}", i);
-                    }
-                    (a, b) => {
-                        return Err(proptest::test_runner::TestCaseError::fail(format!(
-                            "step presence diverged at op {i}: inc={} ref={}",
-                            a.is_some(),
-                            b.is_some()
-                        )));
-                    }
-                }
+            Op::Step => same_step(inc.step(), refe.step(), &format!("op {i}"))?,
+            Op::StepUntil { dt } => {
+                let deadline = inc.now() + *dt;
+                let b = match refe.peek_next_time() {
+                    Some(t) if t <= deadline => refe.step(),
+                    _ => None,
+                };
+                same_step(inc.step_until(deadline), b, &format!("op {i}"))?;
             }
             Op::Advance { dt } => {
                 // Real callers (metrics sampling) never advance past the
@@ -278,6 +302,7 @@ fn lockstep(
                 refe.advance_to(t);
             }
         }
+        invariants(&inc, &format!("op {i}"))?;
         assert_same_time!(Some(inc.now()), Some(refe.now()), format!("op {i}"));
         assert_same_time!(
             inc.peek_next_time(),
@@ -290,36 +315,22 @@ fn lockstep(
 
     // Drain to quiescence (only background loads may remain).
     for round in 0..10_000 {
-        let a = inc.step();
-        let b = refe.step();
-        match (a, b) {
-            (None, None) => {
-                // Accumulated usage must agree too (same rates, same dts).
-                for n in 0..nodes {
-                    let ua = inc.take_usage(NodeId(n as u32));
-                    let ub = refe.take_usage(NodeId(n as u32));
-                    prop_assert_eq!(ua.core_seconds.to_bits(), ub.core_seconds.to_bits());
-                    prop_assert_eq!(ua.elapsed.to_bits(), ub.elapsed.to_bits());
-                }
-                return Ok(());
+        let ctx = format!("drain {round}");
+        let (a, b) = (inc.step(), refe.step());
+        let quiet = a.is_none() && b.is_none();
+        same_step(a, b, &ctx)?;
+        invariants(&inc, &ctx)?;
+        if quiet {
+            // Accumulated usage must agree too (same rates, same dts).
+            for n in 0..nodes {
+                let ua = inc.take_usage(NodeId(n as u32));
+                let ub = refe.take_usage(NodeId(n as u32));
+                prop_assert_eq!(ua.core_seconds.to_bits(), ub.core_seconds.to_bits());
+                prop_assert_eq!(ua.elapsed.to_bits(), ub.elapsed.to_bits());
             }
-            (Some(fa), Some(fb)) => {
-                let ka: Vec<_> = fa.iter().map(completion_key).collect();
-                let kb: Vec<_> = fb.iter().map(completion_key).collect();
-                prop_assert_eq!(
-                    ka,
-                    kb,
-                    "drain completion sequence diverged at round {}",
-                    round
-                );
-                assert_same_time!(Some(inc.now()), Some(refe.now()), format!("drain {round}"));
-            }
-            _ => {
-                return Err(proptest::test_runner::TestCaseError::fail(
-                    "drain presence diverged".to_string(),
-                ));
-            }
+            return Ok(());
         }
+        assert_same_time!(Some(inc.now()), Some(refe.now()), ctx);
     }
     Err(proptest::test_runner::TestCaseError::fail(
         "engines failed to quiesce in 10k steps".to_string(),
@@ -340,9 +351,9 @@ proptest! {
 
 /// One long flow alone on its NICs keeps the same rate bits through
 /// thousands of fills caused by disk, compute and S3 churn on other
-/// nodes, so its completion-heap entry from the first fill is the one
-/// that finally fires. Its completion instant must still match the
-/// reference engine's to the bit.
+/// nodes, while its remaining volume is settled at every one of those
+/// steps. Its completion instant must still match the reference engine's
+/// to the bit.
 #[test]
 fn long_flow_keeps_its_key_through_churn_elsewhere() {
     let mut ops = vec![Op::Flow {
