@@ -35,6 +35,11 @@ impl SchedulerPolicy {
         matches!(self, SchedulerPolicy::RoundRobin | SchedulerPolicy::Heft)
     }
 
+    /// Whether `select` scores candidates by their input locality.
+    pub fn reads_locality(self) -> bool {
+        matches!(self, SchedulerPolicy::DataAware | SchedulerPolicy::Adaptive)
+    }
+
     pub fn name(self) -> &'static str {
         match self {
             SchedulerPolicy::Fcfs => "fcfs",

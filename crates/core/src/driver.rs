@@ -31,6 +31,7 @@ use std::rc::Rc;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
+use hiway_hdfs::LocalityRow;
 use hiway_lang::trace::{FileEvent, TaskEvent};
 use hiway_lang::{TaskId, TaskSpec, WorkflowSource};
 use hiway_obs::{Tracer, TrackId};
@@ -43,7 +44,7 @@ use crate::config::HiwayConfig;
 use crate::provenance::{memo_key, MemoHit, ProvenanceManager};
 use crate::ready::ReadyTracker;
 use crate::report::{TaskReport, WorkflowReport};
-use crate::scheduler::{make_scheduler, Scheduler};
+use crate::scheduler::{make_scheduler, Candidate, Scheduler};
 use hiway_yarn::Resource;
 
 /// Per-task execution state. Attempt-level phases (stage-in, exec,
@@ -180,6 +181,9 @@ struct Ready {
     /// attempt failure and so never while the task is listed.
     avoid: Option<NodeId>,
     spec: Rc<TaskSpec>,
+    /// The spec's input locality, built on the first container routed
+    /// past the task under a policy that reads it and rebuilt once stale.
+    locality: Option<LocalityRow>,
 }
 
 /// Per-workflow blacklist entry: strike count and its decay horizon.
@@ -255,6 +259,7 @@ impl Am {
             id,
             avoid: task.avoid_node,
             spec: Rc::clone(&task.spec),
+            locality: None,
         });
     }
 
@@ -600,8 +605,9 @@ impl Runtime {
     /// exactly its Waiting tasks with their counts of unavailable inputs
     /// (which a file appearing without reaching the trackers would break),
     /// each AM's ready list holds each of its Requested tasks exactly once
-    /// with that task's avoid node and spec, and its in-flight count
-    /// matches its tasks.
+    /// with that task's avoid node, spec and (when fresh) locality row,
+    /// a started AM has a pending container request for every ready
+    /// task, and its in-flight count matches its tasks.
     pub fn check_invariants(&self) -> Result<(), String> {
         self.cluster.engine.check_invariants()?;
         self.cluster.rm.check_invariants()?;
@@ -650,6 +656,25 @@ impl Runtime {
                     return Err(format!(
                         "workflow {wf}: ready entry of {:?} avoids {:?}, its task {:?}, or holds another spec",
                         r.id, r.avoid, task.avoid_node
+                    ));
+                }
+                let hdfs = &self.cluster.hdfs;
+                if let Some(row) = r.locality.as_ref().filter(|row| hdfs.is_fresh(row)) {
+                    let built = hdfs.locality_row(&r.spec.inputs);
+                    if *row != built {
+                        return Err(format!(
+                            "workflow {wf}: ready entry of {:?} holds the fresh row {row:?}, a new build {built:?}",
+                            r.id
+                        ));
+                    }
+                }
+            }
+            if am.active() && am.started {
+                let pending = self.cluster.rm.pending_for(am.app);
+                if pending < am.ready_order.len() {
+                    return Err(format!(
+                        "workflow {wf}: {pending} pending container requests for {} ready tasks",
+                        am.ready_order.len()
                     ));
                 }
             }
@@ -848,19 +873,25 @@ impl Runtime {
         }
         // Pick a task for this worker container.
         let multi_node = self.cluster.rm.alive_count() > 1;
+        let hdfs = &self.cluster.hdfs;
+        let alive = hdfs.is_alive(node);
         let am = &mut self.ams[wf];
-        let candidates: Vec<&TaskSpec> = am
+        let rows = alive && am.scheduler.policy().reads_locality();
+        let candidates: Vec<Candidate> = am
             .ready_order
-            .iter()
+            .iter_mut()
             .filter(|r| !(multi_node && r.avoid == Some(node)))
-            .map(|r| &*r.spec)
+            .map(|Ready { spec, locality, .. }| Candidate {
+                spec,
+                locality: rows.then(|| hdfs.refresh_row(&spec.inputs, locality)),
+            })
             .collect();
         let node_name = &self.cluster.engine.spec().node(node).name;
         let selection = am.scheduler.select(
             node,
             node_name,
+            alive,
             &candidates,
-            &self.cluster.hdfs,
             &am.prov,
             &self.tracer,
             now,

@@ -26,7 +26,7 @@
 
 use std::collections::HashMap;
 
-use hiway_hdfs::Hdfs;
+use hiway_hdfs::LocalityRow;
 use hiway_lang::{TaskId, TaskSpec};
 use hiway_obs::{CandidateScore, Decision, DecisionKind, Tracer};
 use hiway_sim::NodeId;
@@ -53,6 +53,14 @@ pub struct Selection {
     /// one. The driver bounds consecutive declines per task, so a
     /// pathological estimate cannot starve it.
     pub decline: bool,
+}
+
+/// A ready task offered to [`Scheduler::select`].
+pub struct Candidate<'a> {
+    pub spec: &'a TaskSpec,
+    /// The task's input locality, under the policies that read it
+    /// ([`SchedulerPolicy::reads_locality`]) on an alive DataNode.
+    pub locality: Option<&'a LocalityRow>,
 }
 
 /// One candidate's standing, computed once per selection: the winner is
@@ -113,27 +121,25 @@ impl Scheduler {
     }
 
     /// Picks which of the `candidates` (ready, unlaunched tasks, in
-    /// readiness order) runs in a container on `node`. Every candidate is
-    /// scored once in the policy's terms; the winner and the decline are
-    /// read from those scores, and so is the one `Select` audit row.
+    /// readiness order) runs in a container on `node`, whose DataNode is
+    /// `alive` or not. Every candidate is scored once in the policy's
+    /// terms; the winner and the decline are read from those scores, and
+    /// so is the one `Select` audit row.
     #[allow(clippy::too_many_arguments)]
     pub fn select(
         &self,
         node: NodeId,
         node_name: &str,
-        candidates: &[&TaskSpec],
-        hdfs: &Hdfs,
+        alive: bool,
+        candidates: &[Candidate<'_>],
         prov: &ProvenanceManager,
         tracer: &Tracer,
         now: f64,
     ) -> Selection {
-        // Hoisted liveness check: locality on a dead DataNode is uniformly
-        // zero, so the per-candidate block scans are skipped.
-        let alive = hdfs.is_alive(node);
         let scores: Vec<Score> = candidates
             .iter()
             .enumerate()
-            .map(|(i, t)| self.score(i, t, node, node_name, alive, hdfs, prov))
+            .map(|(i, c)| self.score(i, c, node, node_name, alive, prov))
             .collect();
         let by_value = |a: &(usize, &Score), b: &(usize, &Score)| {
             a.1.value
@@ -158,7 +164,7 @@ impl Scheduler {
                 by_value(a, b).then(a.1.tie.partial_cmp(&b.1.tie).expect("fractions are finite"))
             }),
         };
-        let winner = best.map(|(i, _)| candidates[i].id);
+        let winner = best.map(|(i, _)| candidates[i].spec.id);
         if tracer.is_enabled() {
             let reason = match self.policy {
                 SchedulerPolicy::Fcfs => "head of the ready queue (lowest queue position wins)",
@@ -186,11 +192,11 @@ impl Scheduler {
                 candidates: candidates
                     .iter()
                     .zip(&scores)
-                    .map(|(t, s)| CandidateScore {
-                        task: t.id.0,
-                        label: t.name.clone(),
+                    .map(|(c, s)| CandidateScore {
+                        task: c.spec.id.0,
+                        label: c.spec.name.clone(),
                         score: s.value,
-                        detail: self.detail(t, s, node, node_name),
+                        detail: self.detail(c.spec, s, node, node_name),
                     })
                     .collect(),
                 winner: winner.map(|id| id.0),
@@ -204,20 +210,21 @@ impl Scheduler {
     }
 
     /// Scores the candidate at queue `position` for a container on `node`.
-    #[allow(clippy::too_many_arguments)]
+    /// Locality on a dead DataNode is uniformly zero, so no row is read.
     fn score(
         &self,
         position: usize,
-        task: &TaskSpec,
+        candidate: &Candidate<'_>,
         node: NodeId,
         node_name: &str,
         alive: bool,
-        hdfs: &Hdfs,
         prov: &ProvenanceManager,
     ) -> Score {
+        let task = candidate.spec;
         let locality = || {
             if alive {
-                hdfs.locality_fraction(&task.inputs, node)
+                let row = candidate.locality.expect("locality policies get rows");
+                row.fraction(node)
             } else {
                 0.0
             }
@@ -464,6 +471,7 @@ impl Scheduler {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hiway_hdfs::Hdfs;
     use hiway_lang::{OutputSpec, TaskCost};
     use hiway_provdb::ProvDb;
 
@@ -530,6 +538,11 @@ mod tests {
         let mut hdfs = Hdfs::new(4, config, 3);
         hdfs.create("/big0", 100 << 20, NodeId(0)).unwrap();
         hdfs.create("/big2", 100 << 20, NodeId(2)).unwrap();
+        // A path holding the separator a joined-string key would use must
+        // not share an answer with the split set.
+        hdfs.create("/a\u{1f}/b", 10 << 20, NodeId(0)).unwrap();
+        hdfs.create("/a", 10 << 20, NodeId(1)).unwrap();
+        hdfs.create("/b", 10 << 20, NodeId(1)).unwrap();
         let mut prov = ProvenanceManager::new(ProvDb::new());
         // "slow" runs 1.5x its average on w0; "fast" beats its average
         // there.
@@ -543,6 +556,8 @@ mod tests {
         let plan = [task(0, "t", &[], &[]), task(1, "t", &[], &[])];
         let [on0, on1] = &plan;
         let off = task(2, "t", &[], &[]);
+        let joined = task(3, "t", &["/a\u{1f}/b"], &[]);
+        let split = task(4, "t", &["/a", "/b"], &[]);
 
         // (policy, container node, candidates, winner, audited scores)
         let cases = [
@@ -555,6 +570,8 @@ mod tests {
             (DataAware, 2, vec![&at0, &at2], Some(1), vec![0.0, 1.0]),
             (DataAware, 0, vec![&at0, &at2], Some(0), vec![1.0, 0.0]),
             (DataAware, 1, vec![&at0, &at2], Some(0), vec![0.0, 0.0]),
+            (DataAware, 0, vec![&joined, &split], Some(3), vec![1.0, 0.0]),
+            (DataAware, 1, vec![&joined, &split], Some(4), vec![0.0, 1.0]),
             // Static: the task planned here (1), else an unplanned one
             // (0.5), never one planned elsewhere (0).
             (RoundRobin, 1, vec![on0, on1], Some(1), vec![0.0, 1.0]),
@@ -570,12 +587,24 @@ mod tests {
             let case = format!("{policy:?} on w{node}");
             let s = planned(policy, &plan);
             let node_name = format!("w{node}");
+            let rows: Vec<LocalityRow> = candidates
+                .iter()
+                .map(|t| hdfs.locality_row(&t.inputs))
+                .collect();
+            let candidates: Vec<Candidate> = candidates
+                .iter()
+                .zip(&rows)
+                .map(|(spec, row)| Candidate {
+                    spec,
+                    locality: Some(row),
+                })
+                .collect();
             let select = |tracer: &Tracer| {
                 s.select(
                     NodeId(node),
                     &node_name,
+                    true,
                     &candidates,
-                    &hdfs,
                     &prov,
                     tracer,
                     7.5,
@@ -614,14 +643,18 @@ mod tests {
         record(&mut prov, "t", "w0", 500.0);
         record(&mut prov, "t", "w1", 100.0);
         record(&mut prov, "t", "w2", 300.0);
-        let hdfs = Hdfs::new(4, Default::default(), 0);
+        let row = Hdfs::new(4, Default::default(), 0).locality_row(&[]);
         let t = task(0, "t", &[], &[]);
+        let candidate = Candidate {
+            spec: &t,
+            locality: Some(&row),
+        };
         let select = |policy, node: u32| {
             make_scheduler(policy).select(
                 NodeId(node),
                 &format!("w{node}"),
-                &[&t],
-                &hdfs,
+                true,
+                std::slice::from_ref(&candidate),
                 &prov,
                 &Tracer::disabled(),
                 0.0,

@@ -1,8 +1,7 @@
 //! The NameNode metadata plane: namespace, block placement, locality
 //! queries, DataNode failure, and re-replication.
 
-use std::cell::RefCell;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -69,10 +68,31 @@ struct FileMeta {
     blocks: Vec<BlockInfo>,
 }
 
-/// Locality-cache key: (canonical task-input-set string, node index).
-type LocalityKey = (String, u32);
-/// Locality-cache value: (epoch computed in, local bytes, readable bytes).
-type LocalityEntry = (u64, u64, u64);
+/// One input set's bytes on every DataNode, from which the data-aware
+/// scheduler scores it on any node (§3.4). Valid while [`Hdfs::is_fresh`].
+#[derive(Clone, Debug, PartialEq)]
+pub struct LocalityRow {
+    /// Bytes of the set with an alive replica on each DataNode.
+    local: Vec<u64>,
+    /// Bytes of the set with any alive replica.
+    total: u64,
+    /// [`Hdfs`]'s `placement` counter at the build.
+    placement: u64,
+    /// Its `namespace` counter, or `None` when the row is complete (every
+    /// path was found), so no later `create` can change it.
+    namespace: Option<u64>,
+}
+
+impl LocalityRow {
+    /// Fraction of the readable bytes local to `node`; `0.0` when none is.
+    pub fn fraction(&self, node: NodeId) -> f64 {
+        if self.total == 0 {
+            0.0
+        } else {
+            self.local.get(node.index()).copied().unwrap_or(0) as f64 / self.total as f64
+        }
+    }
+}
 
 /// The simulated NameNode. All operations are metadata-only; data movement
 /// happens in the engine via the plans these methods return.
@@ -82,17 +102,13 @@ pub struct Hdfs {
     alive: Vec<bool>,
     used_bytes: Vec<u64>,
     rng: StdRng,
-    /// Bumped on every metadata mutation that can change locality
-    /// (create/delete/node death/revival/re-replication). Cached locality
-    /// answers are valid only for the epoch they were computed in.
-    epoch: u64,
-    /// Memoized `(local, readable-total)` byte counts per (task-input-set,
-    /// node) pair, so the data-aware scheduler's per-candidate queries stop
-    /// rescanning every block list (O(files × blocks × replicas)) on each
-    /// container allocation.
-    locality_cache: RefCell<HashMap<LocalityKey, LocalityEntry>>,
+    /// Bumped by every change to where existing bytes live or whether
+    /// they can be read: delete, node death, revival, re-replication.
+    placement: u64,
+    /// Bumped by every create: a path a row found absent may now exist.
+    namespace: u64,
     /// Observability sink (disabled by default): block read/write volumes
-    /// and locality-cache hit/miss counters.
+    /// and locality-row hit/miss counters.
     tracer: Tracer,
 }
 
@@ -106,8 +122,8 @@ impl Hdfs {
             alive: vec![true; num_datanodes],
             used_bytes: vec![0; num_datanodes],
             rng: StdRng::seed_from_u64(seed),
-            epoch: 0,
-            locality_cache: RefCell::new(HashMap::new()),
+            placement: 0,
+            namespace: 0,
             tracer: Tracer::disabled(),
         }
     }
@@ -115,26 +131,6 @@ impl Hdfs {
     /// Attaches an observability tracer (shared with the other layers).
     pub fn set_tracer(&mut self, tracer: &Tracer) {
         self.tracer = tracer.clone();
-    }
-
-    /// Current mutation epoch (exposed for cache-behaviour tests).
-    pub fn epoch(&self) -> u64 {
-        self.epoch
-    }
-
-    fn bump_epoch(&mut self) {
-        self.epoch += 1;
-        // Drop stale entries wholesale once the map gets large; otherwise
-        // let epoch checks filter them (mutations are frequent during
-        // stage-out bursts, and clearing on every bump would defeat the
-        // cache for the queries in between).
-        if self.locality_cache.borrow().len() > 4096 {
-            self.locality_cache.borrow_mut().clear();
-        }
-    }
-
-    pub fn config(&self) -> &HdfsConfig {
-        &self.config
     }
 
     pub fn exists(&self, path: &str) -> bool {
@@ -265,7 +261,7 @@ impl Hdfs {
         }
         self.files
             .insert(path.to_string(), FileMeta { size, blocks });
-        self.bump_epoch();
+        self.namespace += 1;
         Ok(WritePlan {
             path: path.to_string(),
             writer,
@@ -332,58 +328,59 @@ impl Hdfs {
 
     /// Fraction of the readable bytes of `paths` that is already local to
     /// `node` — the quantity the data-aware scheduler maximizes (§3.4).
-    /// Missing paths contribute zero local bytes but count their readable
-    /// size if known; unknown paths are ignored entirely (e.g. a task
-    /// input fetched from outside HDFS). Blocks whose every replica sits
-    /// on a dead DataNode are unreadable from anywhere and count toward
-    /// neither side of the fraction.
     pub fn locality_fraction(&self, paths: &[String], node: NodeId) -> f64 {
-        let (local, total) = self.local_and_total(paths, node);
-        if total == 0 {
-            0.0
-        } else {
-            local as f64 / total as f64
-        }
+        self.locality_row(paths).fraction(node)
     }
 
-    /// Absolute number of bytes of `paths` local to `node`.
-    pub fn local_bytes(&self, paths: &[String], node: NodeId) -> u64 {
-        self.local_and_total(paths, node).0
-    }
-
-    /// `(local, readable-total)` bytes of `paths` relative to `node`,
-    /// served from the epoch-keyed cache when possible.
-    fn local_and_total(&self, paths: &[String], node: NodeId) -> (u64, u64) {
-        let key = (paths.join("\u{1f}"), node.0);
-        if let Some(&(epoch, local, total)) = self.locality_cache.borrow().get(&key) {
-            if epoch == self.epoch {
-                self.tracer.inc("hdfs.locality_cache_hit", 1);
-                return (local, total);
-            }
-        }
-        self.tracer.inc("hdfs.locality_cache_miss", 1);
-        // The query node's liveness is invariant across the scan: hoist it
-        // out of the per-block loop (a dead node holds nothing locally).
-        let node_alive = node.index() < self.alive.len() && self.alive[node.index()];
+    /// The local bytes of `paths` on every DataNode and their readable
+    /// total. Unknown paths are ignored entirely (e.g. a task input
+    /// fetched from outside HDFS). Blocks whose every replica sits on a
+    /// dead DataNode are unreadable from anywhere and count toward neither
+    /// side; a dead DataNode holds nothing locally.
+    pub fn locality_row(&self, paths: &[String]) -> LocalityRow {
+        let mut local = vec![0u64; self.alive.len()];
         let mut total = 0u64;
-        let mut local = 0u64;
-        for path in paths {
-            if let Some(meta) = self.files.get(path) {
-                for block in &meta.blocks {
-                    if !block.replicas.iter().any(|r| self.alive[r.index()]) {
-                        continue; // every replica dead: unreadable bytes
-                    }
-                    total += block.size;
-                    if node_alive && block.replicas.contains(&node) {
-                        local += block.size;
-                    }
+        for meta in paths.iter().filter_map(|p| self.files.get(p)) {
+            for block in &meta.blocks {
+                let mut readable = 0;
+                for r in block.replicas.iter().filter(|r| self.alive[r.index()]) {
+                    local[r.index()] += block.size;
+                    readable = block.size;
                 }
+                total += readable;
             }
         }
-        self.locality_cache
-            .borrow_mut()
-            .insert(key, (self.epoch, local, total));
-        (local, total)
+        let complete = paths.iter().all(|p| self.files.contains_key(p));
+        LocalityRow {
+            local,
+            total,
+            placement: self.placement,
+            namespace: (!complete).then_some(self.namespace),
+        }
+    }
+
+    /// Whether `row` still counts what [`Self::locality_row`] would: no
+    /// replica has moved since it was built, and no path it found absent
+    /// can have been created since. A fresh row equals a new build.
+    pub fn is_fresh(&self, row: &LocalityRow) -> bool {
+        row.placement == self.placement && row.namespace.is_none_or(|n| n == self.namespace)
+    }
+
+    /// Keeps `row` while fresh (a `hdfs.locality_cache_hit`), else
+    /// builds it anew for `paths` (a `hdfs.locality_cache_miss`).
+    pub fn refresh_row<'r>(
+        &self,
+        paths: &[String],
+        row: &'r mut Option<LocalityRow>,
+    ) -> &'r LocalityRow {
+        match row {
+            Some(r) if self.is_fresh(r) => self.tracer.inc("hdfs.locality_cache_hit", 1),
+            _ => {
+                self.tracer.inc("hdfs.locality_cache_miss", 1);
+                *row = Some(self.locality_row(paths));
+            }
+        }
+        row.as_ref().expect("kept or just built")
     }
 
     /// Removes a file from the namespace.
@@ -397,7 +394,7 @@ impl Hdfs {
                 self.used_bytes[n.index()] = self.used_bytes[n.index()].saturating_sub(block.size);
             }
         }
-        self.bump_epoch();
+        self.placement += 1;
         Ok(())
     }
 
@@ -410,7 +407,7 @@ impl Hdfs {
             return Err(HdfsError::UnknownNode(node.0));
         }
         self.alive[idx] = false;
-        self.bump_epoch();
+        self.placement += 1;
         Ok(())
     }
 
@@ -429,7 +426,7 @@ impl Hdfs {
                     block.replicas.retain(|n| *n != node);
                 }
             }
-            self.bump_epoch();
+            self.placement += 1;
         }
         Ok(())
     }
@@ -493,7 +490,7 @@ impl Hdfs {
                 block.replicas.retain(|n| alive_flags[n.index()]);
             }
         }
-        self.bump_epoch();
+        self.placement += 1;
         let out: Vec<(NodeId, NodeId, u64)> = copies
             .into_iter()
             .map(|((s, d), b)| (NodeId(s), NodeId(d), b))
@@ -517,6 +514,7 @@ impl Hdfs {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn fs(n: usize) -> Hdfs {
         Hdfs::new(n, HdfsConfig::default(), 42)
@@ -637,38 +635,101 @@ mod tests {
         // fraction (the old code kept its bytes in the denominator and
         // reported 0.25 here).
         assert_eq!(h.locality_fraction(&paths, NodeId(1)), 1.0);
-        assert_eq!(h.local_bytes(&paths, NodeId(1)), 64 << 20);
+        assert_eq!(h.locality_row(&paths).local[1], 64 << 20);
         // A dead query node holds nothing locally.
         assert_eq!(h.locality_fraction(&paths, NodeId(2)), 0.0);
-        assert_eq!(h.local_bytes(&paths, NodeId(2)), 0);
+        assert_eq!(h.locality_row(&paths).local[2], 0);
     }
 
     #[test]
-    fn locality_cache_invalidates_on_mutation() {
+    fn joined_paths_do_not_share_a_locality_answer() {
         let config = HdfsConfig {
             replication: 1,
             ..Default::default()
         };
         let mut h = Hdfs::new(3, config, 5);
-        h.create("/a", 10 << 20, NodeId(0)).unwrap();
-        let paths = vec!["/a".to_string(), "/b".to_string()];
-        let e0 = h.epoch();
-        assert_eq!(h.locality_fraction(&paths, NodeId(0)), 1.0);
-        // Repeated query in the same epoch is served from the cache.
-        assert_eq!(h.locality_fraction(&paths, NodeId(0)), 1.0);
-        assert_eq!(h.epoch(), e0);
+        h.create("/a\u{1f}/b", 10 << 20, NodeId(0)).unwrap();
+        h.create("/a", 10 << 20, NodeId(1)).unwrap();
+        h.create("/b", 10 << 20, NodeId(1)).unwrap();
+        let joined = vec!["/a\u{1f}/b".to_string()];
+        let split = vec!["/a".to_string(), "/b".to_string()];
+        assert_eq!(h.locality_fraction(&joined, NodeId(0)), 1.0);
+        assert_eq!(h.locality_fraction(&split, NodeId(0)), 0.0);
+        assert_eq!(h.locality_fraction(&split, NodeId(1)), 1.0);
+    }
 
-        // Every mutation class bumps the epoch and refreshes the answer.
-        h.create("/b", 30 << 20, NodeId(1)).unwrap();
-        assert!(h.epoch() > e0);
-        assert!((h.locality_fraction(&paths, NodeId(0)) - 0.25).abs() < 1e-12);
-        h.delete("/b").unwrap();
-        assert_eq!(h.locality_fraction(&paths, NodeId(0)), 1.0);
-        h.fail_node(NodeId(0)).unwrap();
-        assert_eq!(h.locality_fraction(&paths, NodeId(0)), 0.0);
-        let e1 = h.epoch();
-        h.revive_node(NodeId(0)).unwrap();
-        assert!(h.epoch() > e1);
+    /// The locality query before rows: one pass over every block of
+    /// `paths` per (set, node) pair. Rows must give its bits.
+    fn scan_locality(h: &Hdfs, paths: &[String], node: NodeId) -> f64 {
+        let node_alive = h.is_alive(node);
+        let mut total = 0u64;
+        let mut local = 0u64;
+        for meta in paths.iter().filter_map(|p| h.files.get(p)) {
+            for block in &meta.blocks {
+                if !block.replicas.iter().any(|r| h.alive[r.index()]) {
+                    continue;
+                }
+                total += block.size;
+                if node_alive && block.replicas.contains(&node) {
+                    local += block.size;
+                }
+            }
+        }
+        if total == 0 {
+            0.0
+        } else {
+            local as f64 / total as f64
+        }
+    }
+
+    proptest! {
+        /// Rows kept across random creates (including of paths a row
+        /// found absent), deletes, node failures, revivals and
+        /// re-replications: every row the freshness rule still accepts
+        /// scores every node with the scan's bits.
+        #[test]
+        fn fresh_rows_match_the_scan(
+            nodes in 1usize..=6,
+            replication in 1u16..=3,
+            seed in 0u64..1000,
+            ops in proptest::collection::vec((0u8..6, any::<u8>(), any::<u16>()), 1..=60),
+        ) {
+            let config = HdfsConfig { block_size: 4, replication };
+            let mut h = Hdfs::new(nodes, config, seed);
+            let path = |k: u8| format!("/p{}", k % 6);
+            let mut rows: Vec<(Vec<String>, LocalityRow)> = Vec::new();
+            for (step, &(op, a, b)) in ops.iter().enumerate() {
+                let node = NodeId(a as u32 % nodes as u32);
+                match op {
+                    0 => {
+                        let _ = h.create(&path(a), b as u64 % 20, NodeId(b as u32 % nodes as u32));
+                    }
+                    1 => {
+                        let _ = h.delete(&path(a));
+                    }
+                    2 => h.fail_node(node).unwrap(),
+                    3 => h.revive_node(node).unwrap(),
+                    4 => {
+                        let _ = h.re_replicate();
+                    }
+                    _ => {
+                        let paths: Vec<String> =
+                            (0..6).filter(|k| b >> k & 1 == 1).map(path).collect();
+                        let row = h.locality_row(&paths);
+                        rows.push((paths, row));
+                    }
+                }
+                for (paths, row) in rows.iter().filter(|(_, row)| h.is_fresh(row)) {
+                    for n in (0..nodes as u32).map(NodeId) {
+                        prop_assert_eq!(
+                            row.fraction(n).to_bits(),
+                            scan_locality(&h, paths, n).to_bits(),
+                            "{:?} on {:?} after op {}", paths, n, step
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]
@@ -756,10 +817,11 @@ mod tests {
         h.set_tracer(&tracer);
         h.create("/a", 64 << 20, NodeId(0)).unwrap();
         let paths = vec!["/a".to_string()];
-        h.locality_fraction(&paths, NodeId(0)); // miss (first query)
-        h.locality_fraction(&paths, NodeId(0)); // hit (same epoch)
+        let mut row = None;
+        h.refresh_row(&paths, &mut row); // miss (no row yet)
+        h.refresh_row(&paths, &mut row); // hit (nothing changed)
         h.delete("/a").unwrap();
-        h.locality_fraction(&paths, NodeId(0)); // miss (epoch bumped)
+        h.refresh_row(&paths, &mut row); // miss (a replica moved)
         assert_eq!(tracer.counter_value("hdfs.locality_cache_hit"), 1);
         assert_eq!(tracer.counter_value("hdfs.locality_cache_miss"), 2);
         assert_eq!(tracer.counter_value("hdfs.files_created"), 1);

@@ -24,5 +24,5 @@ pub mod fs;
 pub mod plan;
 
 pub use error::HdfsError;
-pub use fs::{file_digest, fnv1a64, BlockInfo, FileStatus, Hdfs, HdfsConfig};
+pub use fs::{file_digest, fnv1a64, BlockInfo, FileStatus, Hdfs, HdfsConfig, LocalityRow};
 pub use plan::{ReadPlan, ReadSegment, TransferSource, WritePlan};

@@ -336,6 +336,11 @@ impl ResourceManager {
         self.queue.len()
     }
 
+    /// Pending requests of one application.
+    pub fn pending_for(&self, app: AppId) -> usize {
+        self.queue.values().filter(|p| p.app == app).count()
+    }
+
     /// One allocation round at an unspecified time — equivalent to
     /// [`Self::allocate_at`] at the last seen virtual time. Preemption
     /// grace periods only advance through `allocate_at`, so tests that
