@@ -24,6 +24,12 @@ echo "==> engine lockstep proptest (2048 cases, release)"
 # against the naive engine gets more cases per push than the in-file 192.
 PROPTEST_CASES=2048 cargo test --release -q -p hiway-sim --test incremental_vs_reference
 
+echo "==> chaos proptest (256 cases, debug: invariants checked before every fault)"
+# Chaos drops attempts in every phase, so this exercises the driver's one
+# stale-event guard (an event whose attempt is gone) far more than the
+# in-file 12 cases do. About 10 s.
+PROPTEST_CASES=256 cargo test -q -p hiway-core --test prop_chaos
+
 echo "==> perfbench (builds the benchmark against the workspace, runs its small-shape tests)"
 cargo test --release --offline --manifest-path perfbench/Cargo.toml
 

@@ -23,8 +23,7 @@ use rand::{Rng, SeedableRng};
 use hiway_obs::Tracer;
 use hiway_sim::reference::ReferenceEngine;
 use hiway_sim::{
-    Activity, ActivityId, ClusterSpec, Completion, Endpoint, Engine, ExternalId, ExternalSpec,
-    NodeId, NodeSpec,
+    Activity, ActivityId, ClusterSpec, Endpoint, Engine, ExternalId, ExternalSpec, NodeId, NodeSpec,
 };
 
 /// Where a pipeline's stage-in reads from.
@@ -206,12 +205,8 @@ macro_rules! drive_with {
             io_changed = false;
             let fired = engine.step().expect("work remains");
             steps += 1;
-            for completion in fired {
+            for t in fired {
                 events += 1;
-                let t = match completion {
-                    Completion::Activity { tag: t, .. } => t,
-                    Completion::Timer { tag: t, .. } => t,
-                };
                 if t == HEARTBEAT {
                     // AM heartbeat: reschedule, and churn the
                     // cancellation path with a short-lived load.

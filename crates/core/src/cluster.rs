@@ -18,19 +18,10 @@ use hiway_yarn::{Container, ResourceManager, RmConfig};
 pub enum Tag {
     /// AM–RM heartbeat timer.
     Heartbeat,
-    /// Worker container finished starting up (localization done).
-    ContainerStarted { wf: u32, task: TaskId, attempt: u32 },
-    /// One stage-in transfer (input file `file` of the attempt) finished.
-    StageIn {
-        wf: u32,
-        task: TaskId,
-        attempt: u32,
-        file: u32,
-    },
-    /// The attempt's compute phase finished.
-    Exec { wf: u32, task: TaskId, attempt: u32 },
-    /// One stage-out transfer finished.
-    StageOut {
+    /// One activity (or the container-startup timer) of file `file` of
+    /// the attempt's current phase finished; the attempt knows which phase
+    /// that is. The compute phase and the startup are one file each.
+    Attempt {
         wf: u32,
         task: TaskId,
         attempt: u32,

@@ -66,8 +66,6 @@ pub struct HiwayConfig {
     pub task_retries: u32,
     /// AM–RM heartbeat: how often allocation rounds happen, seconds.
     pub heartbeat_secs: f64,
-    /// Worker container startup latency (process spawn, localization).
-    pub container_startup_secs: f64,
     /// When true, a task's compute phase may use up to the *node's* cores
     /// regardless of container vcores — the paper's whole-node setup
     /// "enabling multithreading for tasks running within that container
@@ -144,7 +142,6 @@ impl Default for HiwayConfig {
             scheduler: SchedulerPolicy::DataAware,
             task_retries: 3,
             heartbeat_secs: 1.0,
-            container_startup_secs: 1.0,
             multithread_full_node: false,
             tailored_containers: false,
             task_failure_prob: 0.0,

@@ -22,8 +22,8 @@
 //!
 //! A task may therefore have several *attempts* in flight at once (one
 //! primary plus at most one speculative duplicate); every engine event
-//! carries the attempt id it belongs to, so late events of a cancelled
-//! attempt are recognized as stale and dropped.
+//! carries the attempt id it belongs to, so late events of an attempt that
+//! failed or was cancelled find it gone and are dropped.
 
 use std::collections::{BTreeMap, HashMap};
 use std::rc::Rc;
@@ -36,7 +36,7 @@ use hiway_lang::trace::{FileEvent, TaskEvent};
 use hiway_lang::{TaskId, TaskSpec, WorkflowSource};
 use hiway_obs::{Tracer, TrackId};
 use hiway_provdb::ProvDb;
-use hiway_sim::{Activity, ActivityId, Completion, Endpoint, NodeId, SimTime};
+use hiway_sim::{Activity, ActivityId, Endpoint, NodeId, SimTime};
 use hiway_yarn::{AppId, Container, ContainerId, ContainerRequest};
 
 use crate::cluster::{Cluster, Tag};
@@ -46,6 +46,10 @@ use crate::ready::ReadyTracker;
 use crate::report::{TaskReport, WorkflowReport};
 use crate::scheduler::{make_scheduler, Candidate, Scheduler};
 use hiway_yarn::Resource;
+
+/// Worker container startup latency (process spawn, localization), in
+/// seconds: the `Starting` phase's one countdown entry is a timer this long.
+const CONTAINER_STARTUP_SECS: f64 = 1.0;
 
 /// Per-task execution state. Attempt-level phases (stage-in, exec,
 /// stage-out) live on [`Attempt`].
@@ -91,7 +95,8 @@ struct Attempt {
     phase: AttemptPhase,
     speculative: bool,
     /// Engine activities still running for each file of the current phase
-    /// (the compute phase is one file: the command, then its scratch I/O).
+    /// (the startup is one file, its timer; the compute phase is one file:
+    /// the command, then its scratch I/O).
     pending: Vec<usize>,
     /// Files of the current phase not yet finished.
     files_left: usize,
@@ -112,8 +117,8 @@ impl Attempt {
             container,
             phase: AttemptPhase::Starting,
             speculative,
-            pending: Vec::new(),
-            files_left: 0,
+            pending: vec![1],
+            files_left: 1,
             phase_started: SimTime::ZERO,
             inflight: Vec::new(),
             scratch_done: false,
@@ -475,13 +480,9 @@ impl Runtime {
     /// Runs until every submitted workflow has finished or failed, then
     /// returns the reports (in submission order).
     pub fn run_to_completion(&mut self) -> Vec<WorkflowReport> {
-        while let Some(events) = self.cluster.engine.step() {
-            for ev in events {
-                match ev {
-                    Completion::Timer { tag, .. } | Completion::Activity { tag, .. } => {
-                        self.dispatch(tag)
-                    }
-                }
+        while let Some(tags) = self.cluster.engine.step() {
+            for tag in tags {
+                self.dispatch(tag);
             }
             if self.ams.iter().all(|am| !am.active()) {
                 break;
@@ -510,18 +511,14 @@ impl Runtime {
             if self.ams.iter().all(|am| !am.active()) {
                 return false;
             }
-            let Some(events) = self.cluster.engine.step_until(deadline) else {
+            let Some(tags) = self.cluster.engine.step_until(deadline) else {
                 self.cluster
                     .engine
                     .advance_to(deadline.max(self.cluster.engine.now()));
                 return self.ams.iter().any(Am::active);
             };
-            for ev in events {
-                match ev {
-                    Completion::Timer { tag, .. } | Completion::Activity { tag, .. } => {
-                        self.dispatch(tag)
-                    }
-                }
+            for tag in tags {
+                self.dispatch(tag);
             }
         }
     }
@@ -751,24 +748,12 @@ impl Runtime {
     fn dispatch(&mut self, tag: Tag) {
         match tag {
             Tag::Heartbeat => self.on_heartbeat(),
-            Tag::ContainerStarted { wf, task, attempt } => {
-                self.next_phase(wf as usize, task, attempt)
-            }
-            Tag::StageIn {
+            Tag::Attempt {
                 wf,
                 task,
                 attempt,
                 file,
-            } => self.on_activity_done(wf as usize, task, attempt, AttemptPhase::StageIn, file),
-            Tag::Exec { wf, task, attempt } => {
-                self.on_activity_done(wf as usize, task, attempt, AttemptPhase::Running, 0)
-            }
-            Tag::StageOut {
-                wf,
-                task,
-                attempt,
-                file,
-            } => self.on_activity_done(wf as usize, task, attempt, AttemptPhase::StageOut, file),
+            } => self.on_activity_done(wf as usize, task, attempt, file),
             Tag::RetryTask { wf, task } => self.on_retry_due(wf as usize, task),
             Tag::Stress | Tag::Replication => {}
         }
@@ -948,7 +933,6 @@ impl Runtime {
         speculative: bool,
     ) {
         let now = self.cluster.engine.now().as_secs();
-        let startup = self.ams[wf].config.container_startup_secs;
         let am = &mut self.ams[wf];
         let attempt = am.with_task(task_id, |task| {
             let attempt = task.next_attempt;
@@ -986,11 +970,12 @@ impl Runtime {
             }
         }
         self.cluster.engine.set_timer_after(
-            startup,
-            Tag::ContainerStarted {
+            CONTAINER_STARTUP_SECS,
+            Tag::Attempt {
                 wf: wf as u32,
                 task: task_id,
                 attempt,
+                file: 0,
             },
         );
     }
@@ -1357,15 +1342,10 @@ impl Runtime {
 
     /// Starts whatever follows the attempt's current phase once all its
     /// files are done: container up → stage-in → compute → scratch I/O →
-    /// stage-out → finished. An attempt cancelled before its container
-    /// came up is gone, and nothing happens.
+    /// stage-out → finished.
     fn next_phase(&mut self, wf: usize, task_id: TaskId, attempt: u32) {
-        let Some(task) = self.ams[wf].tasks.get(&task_id) else {
-            return;
-        };
-        let Some(att) = task.active.get(&attempt) else {
-            return;
-        };
+        let task = &self.ams[wf].tasks[&task_id];
+        let att = &task.active[&attempt];
         let node = att.container.node;
         match (att.phase, att.scratch_done) {
             (AttemptPhase::Starting, _) => {
@@ -1432,27 +1412,12 @@ impl Runtime {
         att.pending.clear();
         att.inflight.clear();
         let node = att.container.node;
-        let (w, task) = (wf as u32, task_id);
         for file in 0..files {
-            let tag = match phase {
-                AttemptPhase::StageIn => Tag::StageIn {
-                    wf: w,
-                    task,
-                    attempt,
-                    file: file as u32,
-                },
-                AttemptPhase::Running => Tag::Exec {
-                    wf: w,
-                    task,
-                    attempt,
-                },
-                AttemptPhase::StageOut => Tag::StageOut {
-                    wf: w,
-                    task,
-                    attempt,
-                    file: file as u32,
-                },
-                AttemptPhase::Starting => unreachable!("a container starts on a timer"),
+            let tag = Tag::Attempt {
+                wf: wf as u32,
+                task: task_id,
+                attempt,
+                file: file as u32,
             };
             match start(self, file, tag) {
                 Ok(acts) => {
@@ -1477,24 +1442,17 @@ impl Runtime {
         }
     }
 
-    /// One engine activity of an attempt's `phase` finished. Events of an
-    /// attempt that failed, was cancelled or has moved on are stale and
-    /// dropped.
-    fn on_activity_done(
-        &mut self,
-        wf: usize,
-        task_id: TaskId,
-        attempt: u32,
-        phase: AttemptPhase,
-        file: u32,
-    ) {
-        let att = match self.ams[wf]
+    /// One engine activity (or the startup timer) of file `file` of the
+    /// attempt's current phase finished. A phase ends only when all its
+    /// activities have, so the only stale event is one whose attempt failed
+    /// or was cancelled: it finds the attempt gone and is dropped.
+    fn on_activity_done(&mut self, wf: usize, task_id: TaskId, attempt: u32, file: u32) {
+        let Some(att) = self.ams[wf]
             .tasks
             .get_mut(&task_id)
             .and_then(|t| t.active.get_mut(&attempt))
-        {
-            Some(a) if a.phase == phase => a,
-            _ => return,
+        else {
+            return;
         };
         let left = &mut att.pending[file as usize];
         *left -= 1;
@@ -1523,7 +1481,7 @@ impl Runtime {
                 self.cluster.commit_file(&out.path);
                 Some((out.path.clone(), out.size, "out"))
             }
-            // The compute phase's one "file" moves no data.
+            // The startup's and the compute phase's one "file" move no data.
             AttemptPhase::Starting | AttemptPhase::Running => None,
         };
         if let Some((path, size, direction)) = moved {

@@ -36,12 +36,6 @@ impl TaskReport {
     pub fn wait_secs(&self) -> f64 {
         (self.t_start - self.t_ready).max(0.0)
     }
-
-    /// Seconds the tool itself executed (makespan minus the localize and
-    /// commit phases, clamped at zero).
-    pub fn exec_secs(&self) -> f64 {
-        (self.makespan() - self.localize_secs - self.commit_secs).max(0.0)
-    }
 }
 
 /// Summary of one workflow execution.
@@ -139,7 +133,6 @@ mod tests {
         assert_eq!(r.runtime_mins(), 3.0);
         assert_eq!(r.tasks[0].makespan(), 39.0);
         assert_eq!(r.tasks[0].wait_secs(), 1.0);
-        assert_eq!(r.tasks[0].exec_secs(), 30.0);
         assert_eq!(r.task_histogram(), vec![("a".to_string(), 2)]);
     }
 
@@ -158,6 +151,5 @@ mod tests {
             commit_secs: 10.0,
         };
         assert_eq!(t.wait_secs(), 0.0);
-        assert_eq!(t.exec_secs(), 0.0);
     }
 }

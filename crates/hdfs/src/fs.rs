@@ -100,7 +100,6 @@ pub struct Hdfs {
     config: HdfsConfig,
     files: BTreeMap<String, FileMeta>,
     alive: Vec<bool>,
-    used_bytes: Vec<u64>,
     rng: StdRng,
     /// Bumped by every change to where existing bytes live or whether
     /// they can be read: delete, node death, revival, re-replication.
@@ -120,7 +119,6 @@ impl Hdfs {
             config,
             files: BTreeMap::new(),
             alive: vec![true; num_datanodes],
-            used_bytes: vec![0; num_datanodes],
             rng: StdRng::seed_from_u64(seed),
             placement: 0,
             namespace: 0,
@@ -168,11 +166,6 @@ impl Hdfs {
             size: meta.size,
             blocks: meta.blocks.clone(),
         })
-    }
-
-    /// Bytes stored on a DataNode (sum over replicas).
-    pub fn used_on(&self, node: NodeId) -> u64 {
-        self.used_bytes.get(node.index()).copied().unwrap_or(0)
     }
 
     fn alive_nodes(&self) -> Vec<NodeId> {
@@ -239,9 +232,6 @@ impl Hdfs {
                 } else {
                     *remote_bytes.entry(n.0).or_default() += bsize;
                 }
-            }
-            for n in &replicas {
-                self.used_bytes[n.index()] += bsize;
             }
             blocks.push(BlockInfo {
                 size: bsize,
@@ -326,12 +316,6 @@ impl Hdfs {
         })
     }
 
-    /// Fraction of the readable bytes of `paths` that is already local to
-    /// `node` — the quantity the data-aware scheduler maximizes (§3.4).
-    pub fn locality_fraction(&self, paths: &[String], node: NodeId) -> f64 {
-        self.locality_row(paths).fraction(node)
-    }
-
     /// The local bytes of `paths` on every DataNode and their readable
     /// total. Unknown paths are ignored entirely (e.g. a task input
     /// fetched from outside HDFS). Blocks whose every replica sits on a
@@ -385,15 +369,9 @@ impl Hdfs {
 
     /// Removes a file from the namespace.
     pub fn delete(&mut self, path: &str) -> Result<(), HdfsError> {
-        let meta = self
-            .files
+        self.files
             .remove(path)
             .ok_or_else(|| HdfsError::NotFound(path.to_string()))?;
-        for block in &meta.blocks {
-            for n in &block.replicas {
-                self.used_bytes[n.index()] = self.used_bytes[n.index()].saturating_sub(block.size);
-            }
-        }
         self.placement += 1;
         Ok(())
     }
@@ -420,7 +398,6 @@ impl Hdfs {
         if !self.alive[idx] {
             self.alive[idx] = true;
             // Drop replica records pointing at the node: its disk is gone.
-            self.used_bytes[idx] = 0;
             for meta in self.files.values_mut() {
                 for block in &mut meta.blocks {
                     block.replicas.retain(|n| *n != node);
@@ -448,7 +425,7 @@ impl Hdfs {
     pub fn re_replicate(&mut self) -> Result<Vec<(NodeId, NodeId, u64)>, HdfsError> {
         let alive = self.alive_nodes();
         let mut copies: BTreeMap<(u32, u32), u64> = BTreeMap::new();
-        let mut added: Vec<(String, usize, NodeId, u64)> = Vec::new();
+        let mut added: Vec<(String, usize, NodeId)> = Vec::new();
         for (path, meta) in &self.files {
             for (bi, block) in meta.blocks.iter().enumerate() {
                 let alive_replicas: Vec<NodeId> = block
@@ -474,14 +451,13 @@ impl Hdfs {
                 for target in candidates.into_iter().take(deficit) {
                     let src = alive_replicas[self.rng.gen_range(0..alive_replicas.len())];
                     *copies.entry((src.0, target.0)).or_default() += block.size;
-                    added.push((path.clone(), bi, target, block.size));
+                    added.push((path.clone(), bi, target));
                 }
             }
         }
-        for (path, bi, target, size) in added {
+        for (path, bi, target) in added {
             let meta = self.files.get_mut(&path).expect("exists");
             meta.blocks[bi].replicas.push(target);
-            self.used_bytes[target.index()] += size;
         }
         // Purge dead replicas from metadata now that copies are scheduled.
         let alive_flags = self.alive.clone();
@@ -605,15 +581,18 @@ mod tests {
         let mut h = fs(6);
         h.create("/a", 64 << 20, NodeId(3)).unwrap();
         let paths = vec!["/a".to_string()];
-        assert_eq!(h.locality_fraction(&paths, NodeId(3)), 1.0);
+        assert_eq!(h.locality_row(&paths).fraction(NodeId(3)), 1.0);
         let st = h.status("/a").unwrap();
         let outsider = (0..6)
             .map(NodeId)
             .find(|n| !st.blocks[0].replicas.contains(n))
             .unwrap();
-        assert_eq!(h.locality_fraction(&paths, outsider), 0.0);
+        assert_eq!(h.locality_row(&paths).fraction(outsider), 0.0);
         // Unknown paths are ignored.
-        assert_eq!(h.locality_fraction(&["/nope".to_string()], NodeId(0)), 0.0);
+        assert_eq!(
+            h.locality_row(&["/nope".to_string()]).fraction(NodeId(0)),
+            0.0
+        );
     }
 
     #[test]
@@ -628,16 +607,16 @@ mod tests {
         h.create("/lost", 192 << 20, NodeId(2)).unwrap();
         let paths = vec!["/alive".to_string(), "/lost".to_string()];
         // Before the failure, node 1 holds a quarter of the input bytes.
-        assert!((h.locality_fraction(&paths, NodeId(1)) - 0.25).abs() < 1e-12);
+        assert!((h.locality_row(&paths).fraction(NodeId(1)) - 0.25).abs() < 1e-12);
 
         h.fail_node(NodeId(2)).unwrap();
         // /lost is unreadable from anywhere; it must not dilute the
         // fraction (the old code kept its bytes in the denominator and
         // reported 0.25 here).
-        assert_eq!(h.locality_fraction(&paths, NodeId(1)), 1.0);
+        assert_eq!(h.locality_row(&paths).fraction(NodeId(1)), 1.0);
         assert_eq!(h.locality_row(&paths).local[1], 64 << 20);
         // A dead query node holds nothing locally.
-        assert_eq!(h.locality_fraction(&paths, NodeId(2)), 0.0);
+        assert_eq!(h.locality_row(&paths).fraction(NodeId(2)), 0.0);
         assert_eq!(h.locality_row(&paths).local[2], 0);
     }
 
@@ -653,9 +632,9 @@ mod tests {
         h.create("/b", 10 << 20, NodeId(1)).unwrap();
         let joined = vec!["/a\u{1f}/b".to_string()];
         let split = vec!["/a".to_string(), "/b".to_string()];
-        assert_eq!(h.locality_fraction(&joined, NodeId(0)), 1.0);
-        assert_eq!(h.locality_fraction(&split, NodeId(0)), 0.0);
-        assert_eq!(h.locality_fraction(&split, NodeId(1)), 1.0);
+        assert_eq!(h.locality_row(&joined).fraction(NodeId(0)), 1.0);
+        assert_eq!(h.locality_row(&split).fraction(NodeId(0)), 0.0);
+        assert_eq!(h.locality_row(&split).fraction(NodeId(1)), 1.0);
     }
 
     /// The locality query before rows: one pass over every block of
@@ -736,9 +715,10 @@ mod tests {
     fn delete_frees_space() {
         let mut h = fs(3);
         h.create("/a", 10, NodeId(0)).unwrap();
-        assert!(h.used_on(NodeId(0)) > 0);
+        let paths = vec!["/a".to_string()];
+        assert_eq!(h.locality_row(&paths).fraction(NodeId(0)), 1.0);
         h.delete("/a").unwrap();
-        assert_eq!(h.used_on(NodeId(0)), 0);
+        assert_eq!(h.locality_row(&paths).total, 0);
         assert!(!h.exists("/a"));
         assert!(h.delete("/a").is_err());
     }
@@ -807,7 +787,6 @@ mod tests {
         let st = h.status("/a").unwrap();
         assert!(!st.blocks[0].replicas.contains(&NodeId(0)));
         assert!(h.is_alive(NodeId(0)));
-        assert_eq!(h.used_on(NodeId(0)), 0);
     }
 
     #[test]

@@ -68,14 +68,6 @@ pub struct Decision {
     pub reason: String,
 }
 
-impl Decision {
-    /// The winning candidate's entry, if the winner was scored.
-    pub fn winning_candidate(&self) -> Option<&CandidateScore> {
-        let w = self.winner?;
-        self.candidates.iter().find(|c| c.task == w)
-    }
-}
-
 /// What happened to a queue — the multi-tenancy counterpart of
 /// [`Decision`]. The RM records one entry per admission verdict,
 /// per-container grant or preemption, and (once per allocation round)
@@ -166,33 +158,13 @@ mod tests {
     }
 
     #[test]
-    fn winning_candidate_lookup() {
-        let d = Decision {
-            t: 1.0,
-            policy: "data_aware",
-            kind: DecisionKind::Select,
-            node: 2,
-            node_name: "worker-0".into(),
-            candidates: vec![
-                CandidateScore {
-                    task: 7,
-                    label: "mProject".into(),
-                    score: 0.25,
-                    detail: "local 1/4".into(),
-                },
-                CandidateScore {
-                    task: 9,
-                    label: "mDiff".into(),
-                    score: 1.0,
-                    detail: "local 4/4".into(),
-                },
-            ],
-            winner: Some(9),
-            reason: "highest locality fraction".into(),
-        };
-        assert_eq!(d.winning_candidate().unwrap().task, 9);
-        assert_eq!(d.kind.as_str(), "select");
-        let none = Decision { winner: None, ..d };
-        assert!(none.winning_candidate().is_none());
+    fn decision_kind_labels() {
+        for (kind, label) in [
+            (DecisionKind::Select, "select"),
+            (DecisionKind::Plan, "plan"),
+            (DecisionKind::Memo, "memo"),
+        ] {
+            assert_eq!(kind.as_str(), label);
+        }
     }
 }

@@ -11,7 +11,7 @@
 //! * named collections of JSON documents,
 //! * hash indexes over scalar fields (built eagerly, maintained on insert),
 //! * a small filter/projection query API, and
-//! * grouped aggregation (count / sum / avg / min / max),
+//! * aggregation over the matches (count / sum / avg / min / max),
 //! * JSON-lines export/import for durability.
 //!
 //! The Workflow Scheduler's statistics lookups (latest observed runtime of
@@ -24,8 +24,8 @@
 //! ([`segment`]), and crash-consistent recovery that truncates torn tails
 //! and reconstructs collections *and index definitions* ([`recover`]).
 //! [`ProvDb::open`] returns a database whose every mutation is logged
-//! before the call returns; [`ProvDb::in_memory`] keeps the historical
-//! volatile behavior.
+//! before the call returns; [`ProvDb::new`] keeps the historical volatile
+//! behavior.
 
 pub mod query;
 pub mod recover;

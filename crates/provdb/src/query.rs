@@ -7,8 +7,6 @@
 //! data transfer times for obtaining this input data" (paper §3.4), plus
 //! the manual aggregation queries §3.5 advertises.
 
-use std::collections::BTreeMap;
-
 use hiway_format::json::Json;
 
 use crate::store::Collection;
@@ -123,35 +121,6 @@ impl Query {
         });
         agg.apply(&values)
     }
-
-    /// Groups matching documents by a scalar field and aggregates another
-    /// field per group. Returns (group key rendering, aggregate) pairs,
-    /// sorted by key for deterministic output.
-    pub fn group_aggregate(
-        self,
-        group_field: &str,
-        value_field: &str,
-        agg: Aggregate,
-    ) -> Vec<(String, f64)> {
-        let mut groups: BTreeMap<String, Vec<f64>> = BTreeMap::new();
-        self.source.with_docs(|docs| {
-            for doc in docs.iter().filter(|d| self.filter.matches(d)) {
-                let key = match doc.get(group_field) {
-                    Some(Json::String(s)) => s.clone(),
-                    Some(Json::Number(n)) => format!("{n}"),
-                    Some(Json::Bool(b)) => format!("{b}"),
-                    _ => continue,
-                };
-                if let Some(v) = doc.get(value_field).and_then(Json::as_f64) {
-                    groups.entry(key).or_default().push(v);
-                }
-            }
-        });
-        groups
-            .into_iter()
-            .filter_map(|(k, vs)| agg.apply(&vs).map(|a| (k, a)))
-            .collect()
-    }
 }
 
 /// Aggregation functions.
@@ -244,16 +213,6 @@ mod tests {
         assert_eq!(none.aggregate("runtime", Aggregate::Avg), None);
         let zero = c.query().filter("task", Op::Eq, "nope");
         assert_eq!(zero.aggregate("runtime", Aggregate::Count), Some(0.0));
-    }
-
-    #[test]
-    fn group_aggregate_by_node() {
-        let c = seeded();
-        let groups = c.query().group_aggregate("node", "runtime", Aggregate::Avg);
-        assert_eq!(groups.len(), 2);
-        assert_eq!(groups[0].0, "n0");
-        assert!((groups[0].1 - 9.0).abs() < 1e-9); // (10+12+5)/3
-        assert!((groups[1].1 - 13.0).abs() < 1e-9); // (20+6)/2
     }
 
     #[test]

@@ -324,11 +324,6 @@ impl ProvDb {
         ProvDb::default()
     }
 
-    /// Alias of [`ProvDb::new`], named for symmetry with [`ProvDb::open`].
-    pub fn in_memory() -> ProvDb {
-        ProvDb::default()
-    }
-
     /// Opens (or creates) a durable database rooted at `path`, recovering
     /// collections, documents, **and index definitions** from the newest
     /// snapshot segment plus the WAL. A torn WAL tail — a crash mid-append
@@ -863,7 +858,7 @@ mod durable_tests {
 
     #[test]
     fn in_memory_db_reports_no_durability() {
-        let db = ProvDb::in_memory();
+        let db = ProvDb::new();
         assert!(!db.is_durable());
         assert_eq!(db.path(), None);
         assert_eq!(db.stats(), DurabilityStats::default());

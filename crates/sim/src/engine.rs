@@ -5,8 +5,8 @@
 //! Whenever the set of activities changes, the engine recomputes the
 //! affected activities' rates with the fair-sharing models in
 //! [`crate::cpufair`] and [`crate::netfair`], then advances virtual time to
-//! the earliest completion or timer. Completions are *returned* to the
-//! caller rather than delivered through callbacks, so the layers above
+//! the earliest completion or timer. The tags of what fired are *returned*
+//! to the caller rather than delivered through callbacks, so the layers above
 //! (HDFS, YARN, the Hi-WAY AM) drive the simulation with an ordinary poll
 //! loop and stay borrow-checker friendly.
 //!
@@ -36,13 +36,15 @@
 //! predictions would buy no better complexity. Background loads (infinite
 //! volume, e.g. the paper's `stress` processes in the Figure 9 experiment)
 //! stay in the columns; their volume stays infinite and `is_finite()`
-//! skips them. Timers sit in a deadline-ordered binary heap.
+//! skips them. Timers sit in a deadline-ordered binary heap and cannot be
+//! cancelled: a caller that no longer wants one ignores its tag when it
+//! fires.
 //!
 //! The equivalence contract with the naive engine is enforced by property
 //! tests (`tests/incremental_vs_reference.rs`).
 
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap};
+use std::cmp::Ordering;
+use std::collections::BinaryHeap;
 
 use hiway_obs::{Tracer, TrackId};
 
@@ -55,10 +57,6 @@ use crate::time::SimTime;
 /// Handle to a running activity.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub struct ActivityId(pub u64);
-
-/// Handle to a pending timer.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
-pub struct TimerId(pub u64);
 
 /// One side of a network transfer.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -90,23 +88,37 @@ pub enum Activity {
     },
 }
 
-/// Something that fired during [`Engine::step`].
-#[derive(Clone, Debug)]
-pub enum Completion<T> {
-    /// An activity ran its volume down to zero.
-    Activity { id: ActivityId, tag: T },
-    /// A timer reached its deadline.
-    Timer { id: TimerId, tag: T },
-}
-
 struct Act<T> {
     kind: Activity,
     tag: T,
 }
 
+/// A pending timer. Ordered so that the max-heap surfaces the earliest
+/// deadline first, ties broken by the lower (earlier-created) id.
 struct Timer<T> {
+    at: SimTime,
+    id: u64,
     tag: T,
-    cancelled: bool,
+}
+
+impl<T> PartialEq for Timer<T> {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other) == Ordering::Equal
+    }
+}
+
+impl<T> Eq for Timer<T> {}
+
+impl<T> PartialOrd for Timer<T> {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl<T> Ord for Timer<T> {
+    fn cmp(&self, other: &Self) -> Ordering {
+        (other.at, other.id).cmp(&(self.at, self.id))
+    }
 }
 
 /// Residual volume below which an activity counts as finished. Volumes are
@@ -207,7 +219,8 @@ pub struct Engine<T> {
     now: SimTime,
     slab: Vec<Option<Act<T>>>,
     free: Vec<u32>,
-    id_to_slot: HashMap<u64, u32>,
+    /// Shared by activities and timers, so every start and timer gets
+    /// its own id in creation order.
     next_id: u64,
     /// Dense index of each occupied slab slot's activity in the columns
     /// below (stale for free slots).
@@ -218,10 +231,7 @@ pub struct Engine<T> {
     rate: Vec<f64>,
     ids: Vec<u64>,
     slots: Vec<u32>,
-    timers: HashMap<u64, Timer<T>>,
-    /// Deadline-ordered timer queue; entries for cancelled timers are
-    /// discarded lazily when they surface.
-    timer_heap: BinaryHeap<Reverse<(SimTime, u64)>>,
+    timers: BinaryHeap<Timer<T>>,
     /// Per-node flag + worklist of nodes whose compute set changed.
     cpu_dirty: Vec<bool>,
     cpu_dirty_list: Vec<u32>,
@@ -287,15 +297,13 @@ impl<T: Clone> Engine<T> {
             now: SimTime::ZERO,
             slab: Vec::new(),
             free: Vec::new(),
-            id_to_slot: HashMap::new(),
             next_id: 0,
             pos: Vec::new(),
             remaining: Vec::new(),
             rate: Vec::new(),
             ids: Vec::new(),
             slots: Vec::new(),
-            timers: HashMap::new(),
-            timer_heap: BinaryHeap::new(),
+            timers: BinaryHeap::new(),
             cpu_dirty: vec![false; n],
             cpu_dirty_list: Vec::new(),
             io_dirty: false,
@@ -375,17 +383,15 @@ impl<T: Clone> Engine<T> {
         self.rate.push(0.0);
         self.ids.push(id);
         self.slots.push(slot);
-        self.id_to_slot.insert(id, slot);
         slot
     }
 
-    /// Takes the activity `id` out of its slot, the id map and the
-    /// columns (moving the last column entry into its place), and unlinks
-    /// it from the rate models.
+    /// Takes the activity `id` out of its slot and the columns (moving the
+    /// last column entry into its place), and unlinks it from the rate
+    /// models.
     fn remove(&mut self, id: u64, slot: u32) -> Act<T> {
-        let act = self.slab[slot as usize].take().expect("slot mapped");
+        let act = self.slab[slot as usize].take().expect("slot held");
         self.free.push(slot);
-        self.id_to_slot.remove(&id);
         let i = self.pos[slot as usize] as usize;
         self.remaining.swap_remove(i);
         self.rate.swap_remove(i);
@@ -467,47 +473,30 @@ impl<T: Clone> Engine<T> {
     }
 
     /// Cancels a running activity, returning its tag (None if already done).
+    /// Scans the id column: cancels are rare (failed, losing or aborted
+    /// attempts and stopped background loads).
     pub fn cancel(&mut self, id: ActivityId) -> Option<T> {
-        let slot = *self.id_to_slot.get(&id.0)?;
-        Some(self.remove(id.0, slot).tag)
+        let i = self.ids.iter().position(|&x| x == id.0)?;
+        Some(self.remove(id.0, self.slots[i]).tag)
     }
 
     /// Number of in-flight activities (including background loads).
     pub fn active_count(&self) -> usize {
-        self.id_to_slot.len()
+        self.ids.len()
     }
 
     /// Schedules a timer at absolute time `at` (clamped to now).
-    pub fn set_timer(&mut self, at: SimTime, tag: T) -> TimerId {
+    pub fn set_timer(&mut self, at: SimTime, tag: T) {
         let id = self.next_id;
         self.next_id += 1;
         let at = at.max(self.now);
-        self.timers.insert(
-            id,
-            Timer {
-                tag,
-                cancelled: false,
-            },
-        );
-        self.timer_heap.push(Reverse((at, id)));
-        TimerId(id)
+        self.timers.push(Timer { at, id, tag });
     }
 
     /// Schedules a timer `delay` seconds from now.
-    pub fn set_timer_after(&mut self, delay: f64, tag: T) -> TimerId {
+    pub fn set_timer_after(&mut self, delay: f64, tag: T) {
         let at = self.now + delay.max(0.0);
         self.set_timer(at, tag)
-    }
-
-    pub fn cancel_timer(&mut self, id: TimerId) {
-        if let Some(t) = self.timers.get_mut(&id.0) {
-            t.cancelled = true;
-        }
-    }
-
-    /// Debug: pending (non-cancelled) timer count.
-    pub fn debug_timer_count(&self) -> usize {
-        self.timers.values().filter(|t| !t.cancelled).count()
     }
 
     /// Earliest activity completion: the naive engine's scan, `now` for an
@@ -531,33 +520,20 @@ impl<T: Clone> Engine<T> {
         (best < f64::INFINITY).then(|| SimTime::from_secs(best))
     }
 
-    /// Earliest pending timer deadline, discarding surfaced cancellations.
-    fn peek_timer(&mut self) -> Option<SimTime> {
-        loop {
-            let &Reverse((at, id)) = self.timer_heap.peek()?;
-            match self.timers.get(&id) {
-                Some(t) if !t.cancelled => return Some(at),
-                _ => {
-                    self.timer_heap.pop();
-                    self.timers.remove(&id);
-                }
-            }
-        }
-    }
-
     /// Virtual time of the next completion or timer, if any work is pending.
     pub fn peek_next_time(&mut self) -> Option<SimTime> {
         self.refresh_rates();
-        match (self.peek_completion(), self.peek_timer()) {
+        match (self.peek_completion(), self.timers.peek().map(|t| t.at)) {
             (Some(a), Some(t)) => Some(a.min(t)),
             (a, t) => a.or(t),
         }
     }
 
-    /// Advances to the next completion/timer instant and returns everything
-    /// that fired there, in deterministic (creation) order. Returns `None`
-    /// when only background activities remain.
-    pub fn step(&mut self) -> Option<Vec<Completion<T>>> {
+    /// Advances to the next completion/timer instant and returns the tags of
+    /// everything that fired there: finished activities in id (creation)
+    /// order, then due timers in id order. Returns `None` when only
+    /// background activities remain.
+    pub fn step(&mut self) -> Option<Vec<T>> {
         let target = self.peek_next_time()?;
         Some(self.fire_at(target))
     }
@@ -566,13 +542,13 @@ impl<T: Clone> Engine<T> {
     /// before `deadline`; otherwise returns `None` and leaves time where it
     /// is. Looks the next event up once, so a caller stepping towards a
     /// deadline need not peek first.
-    pub fn step_until(&mut self, deadline: SimTime) -> Option<Vec<Completion<T>>> {
+    pub fn step_until(&mut self, deadline: SimTime) -> Option<Vec<T>> {
         let target = self.peek_next_time().filter(|&t| t <= deadline)?;
         Some(self.fire_at(target))
     }
 
     /// Advances to `target`, the next event instant, and fires what is due.
-    fn fire_at(&mut self, target: SimTime) -> Vec<Completion<T>> {
+    fn fire_at(&mut self, target: SimTime) -> Vec<T> {
         self.advance_to(target);
 
         let mut fired = Vec::new();
@@ -598,44 +574,24 @@ impl<T: Clone> Engine<T> {
                     &[("id", id.to_string())],
                 );
             }
-            fired.push(Completion::Activity {
-                id: ActivityId(id),
-                tag: act.tag,
-            });
+            fired.push(act.tag);
         }
         done.clear();
         self.done_buf = done;
 
-        let mut due: Vec<u64> = Vec::new();
-        while let Some(&Reverse((at, id))) = self.timer_heap.peek() {
-            if at > self.now {
-                break;
-            }
-            self.timer_heap.pop();
-            match self.timers.get(&id) {
-                // Cancelled timers that have passed are garbage-collected.
-                Some(t) if t.cancelled => {
-                    self.timers.remove(&id);
-                }
-                Some(_) => due.push(id),
-                None => {}
-            }
+        let mut due = Vec::new();
+        while self.timers.peek().is_some_and(|t| t.at <= self.now) {
+            due.push(self.timers.pop().expect("peeked"));
         }
         // The heap surfaces due timers deadline-first; fire in id order.
-        due.sort_unstable();
-        for id in due {
-            let timer = self.timers.remove(&id).expect("collected above");
-            fired.push(Completion::Timer {
-                id: TimerId(id),
-                tag: timer.tag,
-            });
-        }
+        due.sort_unstable_by_key(|t| t.id);
+        fired.extend(due.into_iter().map(|t| t.tag));
         if self.tracer.is_enabled() {
             self.tracer.counter(
                 self.engine_track,
                 "engine.active",
                 self.now.as_secs(),
-                self.id_to_slot.len() as f64,
+                self.ids.len() as f64,
             );
             self.tracer.inc("engine.steps", 1);
         }
@@ -672,37 +628,38 @@ impl<T: Clone> Engine<T> {
     }
 
     /// Checks the engine's bookkeeping: the slot→index map and the
-    /// column of slots are inverse, every id maps to a live slot whose
-    /// column id matches, free slots hold no activity, the columns hold
-    /// exactly the live activities, and the compute and IO member lists
-    /// name each live activity once, in id order, under its kind.
+    /// column of slots are inverse, column slots hold an activity and
+    /// free slots none, the columns hold exactly the live activities, and
+    /// the compute and IO member lists name each live activity once, in id
+    /// order, under its kind, each entry's slot leading through `pos` to
+    /// its own id.
     pub fn check_invariants(&self) -> Result<(), String> {
         let n = self.ids.len();
         let occupied = self.slab.len().saturating_sub(self.free.len());
         let lens = [self.remaining.len(), self.rate.len(), self.slots.len()];
-        if lens != [n; 3] || self.active_count() != n || occupied != n {
+        if lens != [n; 3] || occupied != n {
             return Err(format!(
                 "engine: {n} ids, columns {lens:?}, {occupied} slots held"
             ));
         }
         let index_of = |slot: u32| self.pos.get(slot as usize).map(|&i| i as usize);
-        let misplaced = (0..n).find(|&i| index_of(self.slots[i]) != Some(i));
-        let unmapped = self.id_to_slot.iter().find(|&(&id, &slot)| {
-            !matches!(self.slab.get(slot as usize), Some(Some(_)))
-                || index_of(slot).and_then(|i| self.ids.get(i)) != Some(&id)
+        let misplaced = (0..n).find(|&i| {
+            let slot = self.slots[i];
+            index_of(slot) != Some(i) || !matches!(self.slab.get(slot as usize), Some(Some(_)))
         });
         let reused = self
             .free
             .iter()
             .find(|&&s| !matches!(self.slab.get(s as usize), Some(None)));
-        if misplaced.is_some() || unmapped.is_some() || reused.is_some() {
+        if misplaced.is_some() || reused.is_some() {
             return Err(format!(
-                "engine: column index {misplaced:?} off its slot, id→slot {unmapped:?} \
-                 not live, free slot {reused:?} held"
+                "engine: column index {misplaced:?} off its slot, free slot {reused:?} held"
             ));
         }
-        let kind = |id: u64, slot: u32| match self.id_to_slot.get(&id) {
-            Some(&s) if s == slot => self.slab[slot as usize].as_ref().map(|a| &a.kind),
+        let kind = |id: u64, slot: u32| match index_of(slot) {
+            Some(i) if self.ids.get(i) == Some(&id) => {
+                self.slab[slot as usize].as_ref().map(|a| &a.kind)
+            }
             _ => None,
         };
         for (node, list) in self.compute_members.iter().enumerate() {
@@ -838,7 +795,7 @@ mod tests {
         );
         let fired = e.step().expect("one completion");
         assert_eq!(fired.len(), 1);
-        assert!(matches!(fired[0], Completion::Activity { tag: 7, .. }));
+        assert_eq!(fired, vec![7]);
         assert!((e.now().as_secs() - 5.0).abs() < 1e-6);
     }
 
@@ -1021,16 +978,27 @@ mod tests {
         assert_eq!(e.active_count(), 2);
     }
 
+    /// Timers fire deadline-first, whatever order they were set in, and a
+    /// cancelled activity's tag never fires.
     #[test]
     fn timers_fire_in_order_and_cancel() {
         let mut e: Engine<u32> = Engine::new(one_node_cluster());
-        let t1 = e.set_timer_after(1.0, 1);
-        let _t2 = e.set_timer_after(2.0, 2);
-        e.cancel_timer(t1);
-        let fired = e.step().unwrap();
-        assert_eq!(fired.len(), 1);
-        assert!(matches!(fired[0], Completion::Timer { tag: 2, .. }));
+        e.set_timer_after(2.0, 2);
+        e.set_timer_after(1.0, 1);
+        let a = e.start(
+            Activity::Compute {
+                node: NodeId(0),
+                threads: 1.0,
+            },
+            0.5,
+            3,
+        );
+        assert_eq!(e.cancel(a), Some(3));
+        assert_eq!(e.step(), Some(vec![1]));
+        assert!((e.now().as_secs() - 1.0).abs() < 1e-9);
+        assert_eq!(e.step(), Some(vec![2]));
         assert!((e.now().as_secs() - 2.0).abs() < 1e-9);
+        assert!(e.step().is_none());
     }
 
     #[test]
@@ -1122,23 +1090,6 @@ mod tests {
     }
 
     #[test]
-    fn many_cancelled_timers_do_not_linger() {
-        let mut e: Engine<u32> = Engine::new(one_node_cluster());
-        let ids: Vec<TimerId> = (0..100)
-            .map(|i| e.set_timer_after(1.0 + i as f64, i))
-            .collect();
-        for id in &ids[1..] {
-            e.cancel_timer(*id);
-        }
-        assert_eq!(e.debug_timer_count(), 1);
-        let fired = e.step().unwrap();
-        assert_eq!(fired.len(), 1);
-        assert!(matches!(fired[0], Completion::Timer { tag: 0, .. }));
-        assert!(e.step().is_none());
-        assert_eq!(e.debug_timer_count(), 0);
-    }
-
-    #[test]
     fn tracer_records_activity_lifecycle() {
         let mut e: Engine<u32> = Engine::new(one_node_cluster());
         let tracer = Tracer::enabled();
@@ -1219,7 +1170,7 @@ mod tests {
         assert!((e.peek_next_time().unwrap().as_secs() - 50.0).abs() < 1e-6);
         let fired = e.step().unwrap();
         assert_eq!(fired.len(), 1);
-        assert!(matches!(fired[0], Completion::Activity { tag: 2, .. }));
+        assert_eq!(fired, vec![2]);
         assert!((e.now().as_secs() - 50.0).abs() < 1e-6);
     }
 
@@ -1239,14 +1190,13 @@ mod tests {
         assert!(e.step_until(SimTime::from_secs(2.5)).is_none());
         assert_eq!(e.now(), SimTime::ZERO);
         assert_eq!(e.active_count(), 1);
-        assert_eq!(e.debug_timer_count(), 1);
         let fired = e.step_until(SimTime::from_secs(3.0)).expect("timer due");
-        assert!(matches!(fired[..], [Completion::Timer { tag: 2, .. }]));
+        assert_eq!(fired, vec![2]);
         assert_eq!(e.now().as_secs(), 3.0);
         assert!(e.step_until(SimTime::from_secs(4.0)).is_none());
         assert_eq!(e.now().as_secs(), 3.0);
         let fired = e.step_until(SimTime::from_secs(9.0)).expect("compute done");
-        assert!(matches!(fired[..], [Completion::Activity { tag: 1, .. }]));
+        assert_eq!(fired, vec![1]);
         assert!((e.now().as_secs() - 5.0).abs() < 1e-9);
         assert!(e.step_until(SimTime::from_secs(100.0)).is_none());
         e.check_invariants().unwrap();

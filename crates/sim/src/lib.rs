@@ -21,7 +21,7 @@
 //!   constraints ([`netfair`]).
 //!
 //! The engine advances virtual time to the next activity completion or timer
-//! and returns completion events to the caller (poll-based — the kernel
+//! and returns the tags of what fired to the caller (poll-based — the kernel
 //! never calls back into user code, which keeps ownership simple and the
 //! simulation deterministic). All randomness is injected through a single
 //! seeded RNG owned by the caller.
@@ -36,7 +36,7 @@ pub mod spec;
 pub mod stress;
 pub mod time;
 
-pub use engine::{Activity, ActivityId, Completion, Endpoint, Engine, TimerId};
+pub use engine::{Activity, ActivityId, Endpoint, Engine};
 pub use metrics::{NodeUsage, UsageSample};
 pub use spec::{ClusterSpec, ExternalId, ExternalSpec, NodeId, NodeSpec};
 pub use time::SimTime;

@@ -15,7 +15,7 @@
 use std::collections::{BTreeMap, HashMap};
 
 use crate::cpufair::fair_cores;
-use crate::engine::{Activity, ActivityId, Completion, Endpoint, TimerId};
+use crate::engine::{Activity, ActivityId, Endpoint};
 use crate::metrics::NodeUsage;
 use crate::netfair::{max_min_rates, Constraint};
 use crate::spec::{ClusterSpec, NodeId};
@@ -31,7 +31,6 @@ struct Act<T> {
 struct Timer<T> {
     at: SimTime,
     tag: T,
-    cancelled: bool,
 }
 
 const COMPLETION_EPS: f64 = 1e-6;
@@ -110,33 +109,16 @@ impl<T: Clone> ReferenceEngine<T> {
         self.acts.len()
     }
 
-    pub fn set_timer(&mut self, at: SimTime, tag: T) -> TimerId {
+    pub fn set_timer(&mut self, at: SimTime, tag: T) {
         let id = self.next_id;
         self.next_id += 1;
-        self.timers.insert(
-            id,
-            Timer {
-                at: at.max(self.now),
-                tag,
-                cancelled: false,
-            },
-        );
-        TimerId(id)
+        let at = at.max(self.now);
+        self.timers.insert(id, Timer { at, tag });
     }
 
-    pub fn set_timer_after(&mut self, delay: f64, tag: T) -> TimerId {
+    pub fn set_timer_after(&mut self, delay: f64, tag: T) {
         let at = self.now + delay.max(0.0);
         self.set_timer(at, tag)
-    }
-
-    pub fn cancel_timer(&mut self, id: TimerId) {
-        if let Some(t) = self.timers.get_mut(&id.0) {
-            t.cancelled = true;
-        }
-    }
-
-    pub fn debug_timer_count(&self) -> usize {
-        self.timers.values().filter(|t| !t.cancelled).count()
     }
 
     pub fn peek_next_time(&mut self) -> Option<SimTime> {
@@ -153,14 +135,12 @@ impl<T: Clone> ReferenceEngine<T> {
             }
         }
         for timer in self.timers.values() {
-            if !timer.cancelled {
-                next = Some(next.map_or(timer.at, |n| n.min(timer.at)));
-            }
+            next = Some(next.map_or(timer.at, |n| n.min(timer.at)));
         }
         next
     }
 
-    pub fn step(&mut self) -> Option<Vec<Completion<T>>> {
+    pub fn step(&mut self) -> Option<Vec<T>> {
         let target = self.peek_next_time()?;
         self.advance_to(target);
 
@@ -172,28 +152,18 @@ impl<T: Clone> ReferenceEngine<T> {
             .map(|(id, _)| *id)
             .collect();
         for id in done {
-            let act = self.acts.remove(&id).expect("collected above");
-            fired.push(Completion::Activity {
-                id: ActivityId(id),
-                tag: act.tag,
-            });
+            fired.push(self.acts.remove(&id).expect("collected above").tag);
             self.rates_dirty = true;
         }
         let due: Vec<u64> = self
             .timers
             .iter()
-            .filter(|(_, t)| !t.cancelled && t.at <= self.now)
+            .filter(|(_, t)| t.at <= self.now)
             .map(|(id, _)| *id)
             .collect();
         for id in due {
-            let timer = self.timers.remove(&id).expect("collected above");
-            fired.push(Completion::Timer {
-                id: TimerId(id),
-                tag: timer.tag,
-            });
+            fired.push(self.timers.remove(&id).expect("collected above").tag);
         }
-        let now = self.now;
-        self.timers.retain(|_, t| !(t.cancelled && t.at <= now));
         Some(fired)
     }
 

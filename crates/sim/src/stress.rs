@@ -42,13 +42,6 @@ pub fn disk_stress<T: Clone>(
         .collect()
 }
 
-/// Stops a previously started load.
-pub fn stop_stress<T: Clone>(engine: &mut Engine<T>, handles: &[ActivityId]) {
-    for &h in handles {
-        engine.cancel(h);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -73,7 +66,9 @@ mod tests {
         assert!((e.now().as_secs() - 3.0).abs() < 1e-6);
 
         // After stopping the stress the next task runs at full speed.
-        stop_stress(&mut e, &handles);
+        for &h in &handles {
+            e.cancel(h);
+        }
         e.start(
             Activity::Compute {
                 node: NodeId(0),

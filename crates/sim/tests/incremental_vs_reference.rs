@@ -4,15 +4,16 @@
 //! timestamps bit for bit — to the naive recompute-everything reference
 //! engine it replaced. Random workloads mix compute, disk streams, flows,
 //! external transfers, timers, cancellations, infinite background loads,
-//! partial time advances and deadline-bounded steps. The incremental
-//! engine's own bookkeeping is checked after every op.
+//! partial time advances and deadline-bounded steps. Every activity and
+//! timer carries its own tag, so comparing the fired tag sequences also
+//! compares which ids fired. The incremental engine's own bookkeeping is
+//! checked after every op.
 
 use proptest::prelude::*;
 
 use hiway_sim::reference::ReferenceEngine;
 use hiway_sim::{
-    Activity, ActivityId, ClusterSpec, Completion, Endpoint, Engine, ExternalSpec, NodeId,
-    NodeSpec, TimerId,
+    Activity, ActivityId, ClusterSpec, Endpoint, Engine, ExternalSpec, NodeId, NodeSpec,
 };
 
 #[derive(Clone, Debug)]
@@ -50,9 +51,6 @@ enum Op {
         delay: f64,
     },
     CancelAct {
-        pick: u16,
-    },
-    CancelTimer {
         pick: u16,
     },
     Step,
@@ -95,26 +93,22 @@ fn op_strategy() -> impl Strategy<Value = Op> {
         (0u8..8, 0.5f64..2.0).prop_map(|(node, threads)| Op::Background { node, threads }),
         (0.0f64..20.0).prop_map(|delay| Op::Timer { delay }),
         (0u16..1000).prop_map(|pick| Op::CancelAct { pick }),
-        (0u16..1000).prop_map(|pick| Op::CancelTimer { pick }),
         Just(Op::Step),
         (0.0f64..5.0).prop_map(|dt| Op::StepUntil { dt }),
         (0.01f64..5.0).prop_map(|dt| Op::Advance { dt }),
     ]
 }
 
-/// Both steps fired the same completions in the same order, or neither
-/// stepped.
+/// Both steps fired the same tags in the same order, or neither stepped.
 fn same_step(
-    a: Option<Vec<Completion<u32>>>,
-    b: Option<Vec<Completion<u32>>>,
+    a: Option<Vec<u32>>,
+    b: Option<Vec<u32>>,
     ctx: &str,
 ) -> Result<(), proptest::test_runner::TestCaseError> {
     match (a, b) {
         (None, None) => Ok(()),
         (Some(fa), Some(fb)) => {
-            let ka: Vec<_> = fa.iter().map(completion_key).collect();
-            let kb: Vec<_> = fb.iter().map(completion_key).collect();
-            prop_assert_eq!(ka, kb, "completion sequence diverged at {}", ctx);
+            prop_assert_eq!(fa, fb, "completion sequence diverged at {}", ctx);
             Ok(())
         }
         (a, b) => Err(proptest::test_runner::TestCaseError::fail(format!(
@@ -140,13 +134,6 @@ macro_rules! assert_same_time {
     }};
 }
 
-fn completion_key(c: &Completion<u32>) -> (u8, u64, u32) {
-    match c {
-        Completion::Activity { id, tag } => (0, id.0, *tag),
-        Completion::Timer { id, tag } => (1, id.0, *tag),
-    }
-}
-
 fn lockstep(
     nodes: usize,
     switch_gbps: Option<f64>,
@@ -160,7 +147,6 @@ fn lockstep(
 
     let node = |sel: u8| NodeId(sel as u32 % nodes as u32);
     let mut act_ids: Vec<ActivityId> = Vec::new();
-    let mut timer_ids: Vec<TimerId> = Vec::new();
     let mut tag = 0u32;
     let start = |inc: &mut Engine<u32>,
                  refe: &mut ReferenceEngine<u32>,
@@ -263,23 +249,14 @@ fn lockstep(
                 &mut tag,
             ),
             Op::Timer { delay } => {
-                let a = inc.set_timer_after(*delay, tag);
-                let b = refe.set_timer_after(*delay, tag);
-                prop_assert_eq!(a, b, "timer ids diverged");
+                inc.set_timer_after(*delay, tag);
+                refe.set_timer_after(*delay, tag);
                 tag += 1;
-                timer_ids.push(a);
             }
             Op::CancelAct { pick } => {
                 if !act_ids.is_empty() {
                     let id = act_ids[*pick as usize % act_ids.len()];
                     prop_assert_eq!(inc.cancel(id), refe.cancel(id), "cancel tag diverged");
-                }
-            }
-            Op::CancelTimer { pick } => {
-                if !timer_ids.is_empty() {
-                    let id = timer_ids[*pick as usize % timer_ids.len()];
-                    inc.cancel_timer(id);
-                    refe.cancel_timer(id);
                 }
             }
             Op::Step => same_step(inc.step(), refe.step(), &format!("op {i}"))?,
@@ -310,7 +287,6 @@ fn lockstep(
             format!("peek after op {i}")
         );
         prop_assert_eq!(inc.active_count(), refe.active_count());
-        prop_assert_eq!(inc.debug_timer_count(), refe.debug_timer_count());
     }
 
     // Drain to quiescence (only background loads may remain).

@@ -12,7 +12,7 @@ use hiway_core::cluster::{Cluster, Tag};
 use hiway_core::ReadyTracker;
 use hiway_lang::ir::WorkflowSource;
 use hiway_lang::{StaticWorkflow, TaskId, TaskSpec};
-use hiway_sim::{Activity, Completion, Endpoint, ExternalId, NodeId};
+use hiway_sim::{Activity, Endpoint, ExternalId, NodeId};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -152,15 +152,7 @@ pub fn run_dag(
             ));
         };
         for ev in events {
-            let (Completion::Activity {
-                tag: Tag::Exec { task, .. },
-                ..
-            }
-            | Completion::Timer {
-                tag: Tag::Exec { task, .. },
-                ..
-            }) = ev
-            else {
+            let Tag::Attempt { task, .. } = ev else {
                 continue;
             };
             let run = tasks.get_mut(&task).expect("known");
@@ -196,10 +188,11 @@ pub fn run_dag(
 /// The tag of every event the runner waits on, the startup timer
 /// included; the task's own countdown knows which phase the event ends.
 fn tag(task: TaskId) -> Tag {
-    Tag::Exec {
+    Tag::Attempt {
         wf: u32::MAX,
         task,
         attempt: 0,
+        file: 0,
     }
 }
 
