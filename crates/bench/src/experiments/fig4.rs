@@ -11,6 +11,7 @@
 //! Container counts are realized exactly as in a YARN deployment: each
 //! NodeManager advertises `containers/24` one-core slots.
 
+use hiway_core::driver::Runtime;
 use hiway_core::{HiwayConfig, SchedulerPolicy};
 use hiway_lang::cuneiform::CuneiformWorkflow;
 use hiway_provdb::ProvDb;
@@ -70,8 +71,8 @@ pub fn run(params: &Fig4Params) -> Result<Vec<Fig4Point>, String> {
     let cells = common::par_map(jobs, |(containers, run_idx)| {
         let per_node = (containers as usize / params.nodes).max(1) as u32;
         let seed = 1000 * containers as u64 + run_idx as u64;
-        let (h, _) = run_hiway(params, &snv, per_node, seed)?;
-        let (t, _) = run_tez_baseline(params, &snv, per_node, seed)?;
+        let (_, h) = run_hiway(params, &snv, per_node, seed, &[])?;
+        let (_, t) = run_tez_baseline(params, &snv, per_node, seed, &[])?;
         Ok::<(f64, f64), String>((h / 60.0, t / 60.0))
     });
     let mut points = Vec::new();
@@ -93,14 +94,19 @@ pub fn run(params: &Fig4Params) -> Result<Vec<Fig4Point>, String> {
     Ok(points)
 }
 
-/// One Hi-WAY run: `(makespan_secs, net_gb)`.
+/// One Hi-WAY run: the runtime and the makespan in seconds, with usage
+/// accounted on the `watch` nodes.
 fn run_hiway(
     params: &Fig4Params,
     snv: &SnvParams,
     containers_per_node: u32,
     seed: u64,
-) -> Result<(f64, f64), String> {
+    watch: &[NodeId],
+) -> Result<(Runtime, f64), String> {
     let mut deployment = profiles::local_cluster(params.nodes, seed);
+    for &node in watch {
+        deployment.runtime.cluster.engine.watch_usage(node);
+    }
     for node in 0..params.nodes {
         deployment.runtime.cluster.rm.set_capacity(
             NodeId(node as u32),
@@ -125,17 +131,22 @@ fn run_hiway(
         config,
         ProvDb::new(),
     )?;
-    Ok((secs, net_gb(&mut deployment.runtime)))
+    Ok((deployment.runtime, secs))
 }
 
-/// One Tez baseline run: `(makespan_secs, net_gb)`.
+/// One Tez baseline run: the runtime and the makespan in seconds, with
+/// usage accounted on the `watch` nodes.
 fn run_tez_baseline(
     params: &Fig4Params,
     snv: &SnvParams,
     containers_per_node: u32,
     seed: u64,
-) -> Result<(f64, f64), String> {
+    watch: &[NodeId],
+) -> Result<(Runtime, f64), String> {
     let mut deployment = profiles::local_cluster(params.nodes, seed);
+    for &node in watch {
+        deployment.runtime.cluster.engine.watch_usage(node);
+    }
     for (path, size) in snv.input_files() {
         deployment.runtime.cluster.prestage(&path, size);
     }
@@ -150,22 +161,24 @@ fn run_tez_baseline(
             seed,
         },
     )?;
-    Ok((report.runtime_secs, net_gb(&mut deployment.runtime)))
+    Ok((deployment.runtime, report.runtime_secs))
 }
 
 /// Diagnostic single-point probe returning `(hiway_secs, hiway_net_gb,
-/// tez_secs, tez_net_gb)` — network volume measured at the NICs. Both
-/// runs use the probe seed.
+/// tez_secs, tez_net_gb)` — network volume measured at the NICs, so both
+/// runs watch every node. Both runs use the probe seed.
 pub fn run_probe(params: &Fig4Params, containers: u32) -> Result<(f64, f64, f64, f64), String> {
     let snv = SnvParams::fig4(params.samples).scaled(params.cpu_scale);
     let per_node = (containers as usize / params.nodes).max(1) as u32;
     let seed = 123;
-    let (h, hg) = run_hiway(params, &snv, per_node, seed)?;
-    let (t, tg) = run_tez_baseline(params, &snv, per_node, seed)?;
-    Ok((h, hg, t, tg))
+    let all: Vec<NodeId> = (0..params.nodes as u32).map(NodeId).collect();
+    let (mut hiway, h) = run_hiway(params, &snv, per_node, seed, &all)?;
+    let (mut tez, t) = run_tez_baseline(params, &snv, per_node, seed, &all)?;
+    Ok((h, net_gb(&mut hiway), t, net_gb(&mut tez)))
 }
 
-fn net_gb(runtime: &mut hiway_core::driver::Runtime) -> f64 {
+/// Bytes sent by all nodes, in GB; every node must be watched.
+fn net_gb(runtime: &mut Runtime) -> f64 {
     let n = runtime.cluster.node_count();
     (0..n)
         .map(|i| {

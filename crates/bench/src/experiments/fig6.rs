@@ -40,10 +40,12 @@ impl Default for Fig6Params {
 pub fn run(params: &Fig6Params) -> Result<Vec<Fig6Row>, String> {
     let mut rows = Vec::new();
     for &workers in &params.worker_counts {
-        let (mut runtime, _secs) = run_rung(workers, workers as u64)?;
-        let hadoop_master = runtime.cluster.engine.take_usage(NodeId(0)).sample();
-        let hiway_am = runtime.cluster.engine.take_usage(NodeId(1)).sample();
-        let worker = runtime.cluster.engine.take_usage(NodeId(2)).sample();
+        let (hadoop, am, wrk) = (NodeId(0), NodeId(1), NodeId(2));
+        let (mut runtime, _secs) = run_rung(workers, workers as u64, &[hadoop, am, wrk])?;
+        let engine = &mut runtime.cluster.engine;
+        let hadoop_master = engine.take_usage(hadoop).sample();
+        let hiway_am = engine.take_usage(am).sample();
+        let worker = engine.take_usage(wrk).sample();
         rows.push(Fig6Row {
             workers,
             hadoop_master,

@@ -12,7 +12,7 @@
 use hiway_core::SchedulerPolicy;
 use hiway_lang::cuneiform::CuneiformWorkflow;
 use hiway_provdb::ProvDb;
-use hiway_sim::NodeSpec;
+use hiway_sim::{NodeId, NodeSpec};
 use hiway_workloads::profiles;
 use hiway_workloads::snv::SnvParams;
 
@@ -50,11 +50,20 @@ impl Default for Table2Params {
     }
 }
 
-/// Runs one rung once and returns the runtime in seconds. Exposed so the
-/// Figure 6 harness can reuse it while sampling node utilization.
-pub fn run_rung(workers: usize, seed: u64) -> Result<(hiway_core::driver::Runtime, f64), String> {
+/// Runs one rung once and returns the runtime in seconds. Usage is
+/// accounted on the `watch` nodes only (see `Engine::watch_usage`), so the
+/// Figure 6 harness reuses it to sample its three nodes' utilization and
+/// Table 2 passes none.
+pub fn run_rung(
+    workers: usize,
+    seed: u64,
+    watch: &[NodeId],
+) -> Result<(hiway_core::driver::Runtime, f64), String> {
     let snv = SnvParams::table2(workers); // one sample per worker
     let mut deployment = profiles::ec2_cluster(workers, &NodeSpec::m3_large("proto"), seed);
+    for &node in watch {
+        deployment.runtime.cluster.engine.watch_usage(node);
+    }
     let s3 = deployment.s3.expect("ec2 cluster has S3");
     for (path, size) in snv.input_files() {
         deployment
@@ -88,7 +97,7 @@ pub fn run(params: &Table2Params) -> Result<Vec<Table2Row>, String> {
     }
     let cells = common::par_map(jobs, |(workers, r)| {
         let seed = workers as u64 * 100 + r as u64;
-        let (_, secs) = run_rung(workers, seed)?;
+        let (_, secs) = run_rung(workers, seed, &[])?;
         Ok::<f64, String>(secs / 60.0)
     });
     let mut cells = cells.into_iter();

@@ -406,11 +406,7 @@ impl Runtime {
             .queue
             .clone()
             .unwrap_or_else(|| self.cluster.rm.default_queue().to_string());
-        let (app, submit_error) = match self
-            .cluster
-            .rm
-            .submit_app_to(&queue_name, source.name().to_string())
-        {
+        let (app, submit_error) = match self.cluster.rm.submit_app_to(&queue_name) {
             Ok((app, hiway_yarn::Admission::Rejected)) => (
                 app,
                 Some(format!(
@@ -419,7 +415,7 @@ impl Runtime {
             ),
             Ok((app, _)) => (app, None),
             Err(why) => {
-                let app = self.cluster.rm.submit_app(source.name().to_string());
+                let app = self.cluster.rm.submit_app();
                 self.cluster.rm.finish_app(app);
                 (app, Some(format!("submission failed: {why}")))
             }

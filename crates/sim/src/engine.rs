@@ -40,6 +40,11 @@
 //! cancelled: a caller that no longer wants one ignores its tag when it
 //! fires.
 //!
+//! Usage is accounted only on the nodes a caller watches
+//! ([`Engine::watch_usage`]): a step folds `dt` into those nodes'
+//! [`NodeUsage`] and a fill sums IO rates into their rows only, so a run
+//! that reads no usage pays nothing for it (see [`crate::metrics`]).
+//!
 //! The equivalence contract with the naive engine is enforced by property
 //! tests (`tests/incremental_vs_reference.rs`).
 
@@ -91,6 +96,40 @@ pub enum Activity {
 struct Act<T> {
     kind: Activity,
     tag: T,
+}
+
+/// A watched node and the IO activities whose rates its `inst` row sums:
+/// `(id, slot, columns)` in id order, where bit `c` of `columns` means the
+/// rate adds to column `c`.
+struct Meter {
+    node: u32,
+    io: Vec<(u64, u32, u8)>,
+}
+
+/// The columns of `node`'s `inst` row that an IO activity's rate adds
+/// to, as a bit mask (bit `c` for column `c`); 0 if it does not touch the
+/// node.
+fn io_mask(kind: &Activity, node: u32) -> u8 {
+    const DISK_R: u8 = 1 << 1;
+    const DISK_W: u8 = 1 << 2;
+    let on = |end: Endpoint, bits: u8| match end {
+        Endpoint::Node(n) if n.0 == node => bits,
+        _ => 0,
+    };
+    match *kind {
+        Activity::DiskRead { node: n } => on(Endpoint::Node(n), DISK_R),
+        Activity::DiskWrite { node: n } => on(Endpoint::Node(n), DISK_W),
+        Activity::Flow {
+            src,
+            dst,
+            src_disk,
+            dst_disk,
+        } => {
+            on(src, 1 << 4 | if src_disk { DISK_R } else { 0 })
+                | on(dst, 1 << 3 | if dst_disk { DISK_W } else { 0 })
+        }
+        Activity::Compute { .. } => unreachable!("compute has no IO columns"),
+    }
 }
 
 /// A pending timer. Ordered so that the max-heap surfaces the earliest
@@ -251,9 +290,15 @@ pub struct Engine<T> {
     alloc_buf: Vec<f64>,
     order_buf: Vec<usize>,
     done_buf: Vec<(u64, u32)>,
+    /// The nodes whose usage is accounted, in the order they were
+    /// watched. Only these get `dt` folded into `usage` and IO rates summed
+    /// into `inst`; see [`Engine::watch_usage`].
+    watched: Vec<Meter>,
     usage: Vec<NodeUsage>,
     /// Cached instantaneous per-node totals, refreshed with the rates:
     /// (alloc cores, disk read B/s, disk write B/s, net in B/s, net out B/s).
+    /// The CPU refresh stores column 0 for every node it reruns (it has
+    /// the total anyway); the IO columns are summed for watched nodes only.
     inst: Vec<[f64; 5]>,
     /// Observability sink; [`Tracer::disabled`] by default, so the hot
     /// path pays one pointer-null check per guarded block and nothing else.
@@ -316,6 +361,7 @@ impl<T: Clone> Engine<T> {
             alloc_buf: Vec::new(),
             order_buf: Vec::new(),
             done_buf: Vec::new(),
+            watched: Vec::new(),
             usage: vec![NodeUsage::default(); n],
             inst: vec![[0.0; 5]; n],
             tracer: Tracer::disabled(),
@@ -446,6 +492,16 @@ impl<T: Clone> Engine<T> {
                 self.netfair.insert(slot as usize, &path);
                 self.io.push((id, slot));
                 self.io_dirty = true;
+                let kind = &self.slab[slot as usize]
+                    .as_ref()
+                    .expect("just inserted")
+                    .kind;
+                for m in &mut self.watched {
+                    let mask = io_mask(kind, m.node);
+                    if mask != 0 {
+                        m.io.push((id, slot, mask));
+                    }
+                }
             }
         }
         ActivityId(id)
@@ -462,12 +518,19 @@ impl<T: Clone> Engine<T> {
                 }
                 self.mark_cpu_dirty(node.0);
             }
-            _ => {
+            io => {
                 if let Ok(pos) = self.io.binary_search_by_key(&id, |&(i, _)| i) {
                     self.io.remove(pos);
                 }
                 self.netfair.remove(slot as usize);
                 self.io_dirty = true;
+                for m in &mut self.watched {
+                    if io_mask(io, m.node) != 0 {
+                        if let Ok(pos) = m.io.binary_search_by_key(&id, |&(i, _, _)| i) {
+                            m.io.remove(pos);
+                        }
+                    }
+                }
             }
         }
     }
@@ -614,25 +677,72 @@ impl<T: Clone> Engine<T> {
                     *rem = 0.0;
                 }
             }
-            for (node, inst) in self.inst.iter().enumerate() {
-                self.usage[node].accumulate(dt, inst, &self.spec.nodes[node]);
+            for m in &self.watched {
+                let n = m.node as usize;
+                self.usage[n].accumulate(dt, &self.inst[n], &self.spec.nodes[n]);
             }
             self.now = target;
         }
     }
 
+    /// Starts accounting usage on `node`; its first window opens now.
+    /// Until a node is watched, steps fold nothing into its usage and
+    /// fills sum no IO rates for it, so a run pays only for the nodes
+    /// someone reads. Watching a node that already has work is allowed:
+    /// its IO activities are collected in id order and its IO totals
+    /// summed from their current rates, as a fill's copy-out sums them, so
+    /// the row is bit for bit what it would be had the node been watched
+    /// from the start (the CPU total is kept for every node). Watching
+    /// twice is a no-op.
+    pub fn watch_usage(&mut self, node: NodeId) {
+        assert!(node.index() < self.spec.nodes.len(), "unknown node");
+        if !self.is_watched(node.0) {
+            let io = self.io_touching(node.0);
+            self.watched.push(Meter { node: node.0, io });
+            self.sum_watched_io();
+        }
+    }
+
+    fn is_watched(&self, node: u32) -> bool {
+        self.watched.iter().any(|m| m.node == node)
+    }
+
+    /// The live IO activities whose rates count on `node`, as a
+    /// [`Meter`] lists them.
+    fn io_touching(&self, node: u32) -> Vec<(u64, u32, u8)> {
+        self.io
+            .iter()
+            .filter_map(|&(id, slot)| {
+                let act = self.slab[slot as usize].as_ref().expect("IO member held");
+                let mask = io_mask(&act.kind, node);
+                (mask != 0).then_some((id, slot, mask))
+            })
+            .collect()
+    }
+
     /// Drains and returns the usage accumulated on `node` since the last
-    /// call (or simulation start).
+    /// call (or since [`Engine::watch_usage`]).
+    ///
+    /// # Panics
+    ///
+    /// If `node` is not watched: its usage was never accounted, and a
+    /// zero would read as an idle node.
     pub fn take_usage(&mut self, node: NodeId) -> NodeUsage {
+        assert!(
+            self.is_watched(node.0),
+            "take_usage on node {} that is not watched; call watch_usage before the run",
+            node.0
+        );
         std::mem::take(&mut self.usage[node.index()])
     }
 
     /// Checks the engine's bookkeeping: the slot→index map and the
     /// column of slots are inverse, column slots hold an activity and
-    /// free slots none, the columns hold exactly the live activities, and
-    /// the compute and IO member lists name each live activity once, in id
+    /// free slots none, the columns hold exactly the live activities, the
+    /// compute and IO member lists name each live activity once, in id
     /// order, under its kind, each entry's slot leading through `pos` to
-    /// its own id.
+    /// its own id, and each watched node lists exactly the IO activities
+    /// that touch it.
     pub fn check_invariants(&self) -> Result<(), String> {
         let n = self.ids.len();
         let occupied = self.slab.len().saturating_sub(self.free.len());
@@ -681,6 +791,14 @@ impl<T: Clone> Engine<T> {
                 self.io
             ));
         }
+        for m in &self.watched {
+            if m.io != self.io_touching(m.node) {
+                return Err(format!(
+                    "engine: watched node {} IO members {:?}",
+                    m.node, m.io
+                ));
+            }
+        }
         Ok(())
     }
 
@@ -713,40 +831,28 @@ impl<T: Clone> Engine<T> {
         if self.io_dirty {
             self.io_dirty = false;
             self.netfair.fill();
-            for row in self.inst.iter_mut() {
-                row[1] = 0.0;
-                row[2] = 0.0;
-                row[3] = 0.0;
-                row[4] = 0.0;
-            }
-            // In id order, so the per-node sums keep the naive engine's bits.
             for &(_, slot) in &self.io {
-                let rate = self.netfair.rate(slot as usize);
-                self.rate[self.pos[slot as usize] as usize] = rate;
-                let act = self.slab[slot as usize].as_ref().expect("flow exists");
-                match &act.kind {
-                    Activity::DiskRead { node } => self.inst[node.index()][1] += rate,
-                    Activity::DiskWrite { node } => self.inst[node.index()][2] += rate,
-                    Activity::Flow {
-                        src,
-                        dst,
-                        src_disk,
-                        dst_disk,
-                    } => {
-                        if let Endpoint::Node(n) = src {
-                            self.inst[n.index()][4] += rate;
-                            if *src_disk {
-                                self.inst[n.index()][1] += rate;
-                            }
-                        }
-                        if let Endpoint::Node(n) = dst {
-                            self.inst[n.index()][3] += rate;
-                            if *dst_disk {
-                                self.inst[n.index()][2] += rate;
-                            }
-                        }
+                self.rate[self.pos[slot as usize] as usize] = self.netfair.rate(slot as usize);
+            }
+            self.sum_watched_io();
+        }
+    }
+
+    /// Re-sums the IO columns of the watched nodes' `inst` rows from
+    /// their IO activities' current rates. In id order, so each watched
+    /// row keeps the naive engine's bits: a row's sums take terms only
+    /// from the activities that touch its node, so skipping other rows
+    /// changes none of them.
+    fn sum_watched_io(&mut self) {
+        for m in &self.watched {
+            let row = &mut self.inst[m.node as usize];
+            row[1..].fill(0.0);
+            for &(_, slot, mask) in &m.io {
+                let rate = self.rate[self.pos[slot as usize] as usize];
+                for (c, total) in row.iter_mut().enumerate().skip(1) {
+                    if mask & (1 << c) != 0 {
+                        *total += rate;
                     }
-                    Activity::Compute { .. } => unreachable!("not in the IO set"),
                 }
             }
         }
@@ -1020,6 +1126,7 @@ mod tests {
     #[test]
     fn usage_accounting_tracks_cpu() {
         let mut e: Engine<u32> = Engine::new(one_node_cluster());
+        e.watch_usage(NodeId(0));
         e.start(
             Activity::Compute {
                 node: NodeId(0),
@@ -1035,6 +1142,42 @@ mod tests {
         // Second take returns zeroes.
         let u2 = e.take_usage(NodeId(0));
         assert_eq!(u2.elapsed, 0.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "not watched")]
+    fn take_usage_on_an_unwatched_node_panics() {
+        let mut e: Engine<u32> = Engine::new(two_node_cluster());
+        e.watch_usage(NodeId(0));
+        e.advance_to(SimTime::from_secs(1.0));
+        e.take_usage(NodeId(1));
+    }
+
+    /// A node watched while a flow already runs through it gets the
+    /// flow's rate in its first window, as if watched from the start.
+    #[test]
+    fn watching_mid_flow_counts_the_running_flow() {
+        let mut e: Engine<u32> = Engine::new(two_node_cluster());
+        e.start(
+            Activity::Flow {
+                src: Endpoint::Node(NodeId(0)),
+                dst: Endpoint::Node(NodeId(1)),
+                src_disk: true,
+                dst_disk: false,
+            },
+            175.0e6,
+            0,
+        );
+        e.advance_to(SimTime::from_secs(1.0));
+        e.watch_usage(NodeId(1));
+        e.watch_usage(NodeId(1));
+        e.step().unwrap();
+        let u = e.take_usage(NodeId(1));
+        // 87.5 MB/s NIC-bound: one second of the two is in the window.
+        assert!((u.elapsed - 1.0).abs() < 1e-6);
+        assert!((u.net_in_bytes - 87.5e6).abs() < 1.0);
+        assert_eq!(u.net_out_bytes, 0.0);
+        assert_eq!(u.disk_read_bytes, 0.0);
     }
 
     /// When a rate changes, the next completion is predicted from the new

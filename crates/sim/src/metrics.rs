@@ -6,6 +6,15 @@
 //! experiment. The engine integrates the same quantities exactly (they are
 //! piecewise constant between events), and callers drain them with
 //! [`crate::Engine::take_usage`].
+//!
+//! Like the paper, the engine monitors only the nodes it is asked to:
+//! [`crate::Engine::watch_usage`] opens a node's accounting, and steps and
+//! rate refreshes skip every other node. That is exact: a node's
+//! instantaneous totals take terms only from the activities on that node,
+//! summed in id order whichever other rows are kept, and every watched
+//! node folds the same `dt` sequence. The naive reference engine accounts
+//! every node, and the lockstep proptest holds each watched node's
+//! windows to it bit for bit.
 
 use crate::spec::NodeSpec;
 
@@ -69,17 +78,6 @@ impl NodeUsage {
             disk_write_bps: self.disk_write_bytes / dt,
         }
     }
-
-    /// Merges another window into this one (windows must be disjoint).
-    pub fn merge(&mut self, other: &NodeUsage) {
-        self.elapsed += other.elapsed;
-        self.core_seconds += other.core_seconds;
-        self.disk_read_bytes += other.disk_read_bytes;
-        self.disk_write_bytes += other.disk_write_bytes;
-        self.net_in_bytes += other.net_in_bytes;
-        self.net_out_bytes += other.net_out_bytes;
-        self.io_util_seconds += other.io_util_seconds;
-    }
 }
 
 /// Averaged usage over a window — what the paper's monitoring tools print.
@@ -122,17 +120,6 @@ mod tests {
     #[test]
     fn empty_window_samples_zero() {
         assert_eq!(NodeUsage::default().sample(), UsageSample::default());
-    }
-
-    #[test]
-    fn merge_windows() {
-        let spec = NodeSpec::m3_large("n");
-        let mut a = NodeUsage::default();
-        a.accumulate(1.0, &[2.0, 0.0, 0.0, 0.0, 0.0], &spec);
-        let mut b = NodeUsage::default();
-        b.accumulate(1.0, &[0.0, 0.0, 0.0, 0.0, 0.0], &spec);
-        a.merge(&b);
-        assert!((a.sample().cpu_load - 1.0).abs() < 1e-9);
     }
 
     #[test]

@@ -17,6 +17,7 @@ fn empty_engine_has_nothing_to_do() {
 #[test]
 fn advance_without_activities_moves_the_clock_only() {
     let mut e: Engine<u8> = Engine::new(cluster(2));
+    e.watch_usage(NodeId(0));
     e.advance_to(SimTime::from_secs(10.0));
     assert_eq!(e.now().as_secs(), 10.0);
     let u = e.take_usage(NodeId(0));
@@ -189,6 +190,7 @@ fn timers_at_identical_instants_fire_together_in_creation_order() {
 #[test]
 fn usage_windows_partition_time_exactly() {
     let mut e: Engine<u8> = Engine::new(cluster(1));
+    e.watch_usage(NodeId(0));
     e.start(
         Activity::Compute {
             node: NodeId(0),

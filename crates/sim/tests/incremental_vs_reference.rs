@@ -7,13 +7,16 @@
 //! partial time advances and deadline-bounded steps. Every activity and
 //! timer carries its own tag, so comparing the fired tag sequences also
 //! compares which ids fired. The incremental engine's own bookkeeping is
-//! checked after every op.
+//! checked after every op. The reference accounts usage on every node;
+//! the incremental engine watches a random non-empty subset from the
+//! start and more nodes mid-run, and every usage window it reports for a
+//! watched node must equal the reference's, all seven fields bit for bit.
 
 use proptest::prelude::*;
 
 use hiway_sim::reference::ReferenceEngine;
 use hiway_sim::{
-    Activity, ActivityId, ClusterSpec, Endpoint, Engine, ExternalSpec, NodeId, NodeSpec,
+    Activity, ActivityId, ClusterSpec, Endpoint, Engine, ExternalSpec, NodeId, NodeSpec, NodeUsage,
 };
 
 #[derive(Clone, Debug)]
@@ -60,6 +63,12 @@ enum Op {
     Advance {
         dt: f64,
     },
+    Watch {
+        node: u8,
+    },
+    TakeUsage {
+        node: u8,
+    },
 }
 
 fn op_strategy() -> impl Strategy<Value = Op> {
@@ -96,7 +105,40 @@ fn op_strategy() -> impl Strategy<Value = Op> {
         Just(Op::Step),
         (0.0f64..5.0).prop_map(|dt| Op::StepUntil { dt }),
         (0.01f64..5.0).prop_map(|dt| Op::Advance { dt }),
+        (0u8..8).prop_map(|node| Op::Watch { node }),
+        (0u8..8).prop_map(|node| Op::TakeUsage { node }),
     ]
+}
+
+/// Drains `node`'s usage window from both engines and requires every
+/// field to match bit for bit.
+fn same_usage(
+    inc: &mut Engine<u32>,
+    refe: &mut ReferenceEngine<u32>,
+    node: NodeId,
+    ctx: &str,
+) -> Result<(), proptest::test_runner::TestCaseError> {
+    let (a, b) = (inc.take_usage(node), refe.take_usage(node));
+    let bits = |u: &NodeUsage| {
+        [
+            u.elapsed,
+            u.core_seconds,
+            u.disk_read_bytes,
+            u.disk_write_bytes,
+            u.net_in_bytes,
+            u.net_out_bytes,
+            u.io_util_seconds,
+        ]
+        .map(f64::to_bits)
+    };
+    prop_assert_eq!(
+        bits(&a),
+        bits(&b),
+        "usage of node {} diverged at {}",
+        node.0,
+        ctx
+    );
+    Ok(())
 }
 
 /// Both steps fired the same tags in the same order, or neither stepped.
@@ -134,9 +176,12 @@ macro_rules! assert_same_time {
     }};
 }
 
+/// Runs `ops` through both engines, the incremental one watching the
+/// nodes in `watch` (taken modulo `nodes`) from the start.
 fn lockstep(
     nodes: usize,
     switch_gbps: Option<f64>,
+    watch: &[u8],
     ops: &[Op],
 ) -> Result<(), proptest::test_runner::TestCaseError> {
     let mut spec = ClusterSpec::homogeneous(nodes, "n", &NodeSpec::m3_large("p"));
@@ -146,6 +191,11 @@ fn lockstep(
     let mut refe: ReferenceEngine<u32> = ReferenceEngine::new(spec);
 
     let node = |sel: u8| NodeId(sel as u32 % nodes as u32);
+    let mut watched = vec![false; nodes];
+    for &n in watch {
+        inc.watch_usage(node(n));
+        watched[node(n).index()] = true;
+    }
     let mut act_ids: Vec<ActivityId> = Vec::new();
     let mut tag = 0u32;
     let start = |inc: &mut Engine<u32>,
@@ -278,6 +328,22 @@ fn lockstep(
                 inc.advance_to(t);
                 refe.advance_to(t);
             }
+            Op::Watch { node: n } => {
+                let n = node(*n);
+                if !watched[n.index()] {
+                    // The reference has accounted this node all along;
+                    // drop that, so both windows open now.
+                    inc.watch_usage(n);
+                    refe.take_usage(n);
+                    watched[n.index()] = true;
+                }
+            }
+            Op::TakeUsage { node: n } => {
+                let n = node(*n);
+                if watched[n.index()] {
+                    same_usage(&mut inc, &mut refe, n, &format!("op {i}"))?;
+                }
+            }
         }
         invariants(&inc, &format!("op {i}"))?;
         assert_same_time!(Some(inc.now()), Some(refe.now()), format!("op {i}"));
@@ -298,11 +364,8 @@ fn lockstep(
         invariants(&inc, &ctx)?;
         if quiet {
             // Accumulated usage must agree too (same rates, same dts).
-            for n in 0..nodes {
-                let ua = inc.take_usage(NodeId(n as u32));
-                let ub = refe.take_usage(NodeId(n as u32));
-                prop_assert_eq!(ua.core_seconds.to_bits(), ub.core_seconds.to_bits());
-                prop_assert_eq!(ua.elapsed.to_bits(), ub.elapsed.to_bits());
+            for n in (0..nodes).filter(|&n| watched[n]) {
+                same_usage(&mut inc, &mut refe, NodeId(n as u32), &ctx)?;
             }
             return Ok(());
         }
@@ -319,9 +382,10 @@ proptest! {
     fn incremental_engine_matches_reference(
         nodes in 1usize..6,
         switch in proptest::option::of(0.5f64..4.0),
+        watch in proptest::collection::vec(0u8..8, 1..4),
         ops in proptest::collection::vec(op_strategy(), 1..80),
     ) {
-        lockstep(nodes, switch, &ops)?;
+        lockstep(nodes, switch, &watch, &ops)?;
     }
 }
 
@@ -360,7 +424,7 @@ fn long_flow_keeps_its_key_through_churn_elsewhere() {
             ops.push(Op::Advance { dt: 0.003 });
         }
     }
-    if let Err(e) = lockstep(4, None, &ops) {
+    if let Err(e) = lockstep(4, None, &[1, 2], &ops) {
         panic!("{}", e.message);
     }
 }

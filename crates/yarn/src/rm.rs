@@ -55,7 +55,6 @@ pub struct ResourceManager {
     next_request: u64,
     next_container: u64,
     next_app: u32,
-    apps: Vec<String>,
     /// Leaf queue each application was submitted to.
     app_queue: Vec<usize>,
     /// Whether each application has been admitted (may request containers).
@@ -117,7 +116,6 @@ impl ResourceManager {
             next_request: 0,
             next_container: 0,
             next_app: 0,
-            apps: Vec::new(),
             app_queue: Vec::new(),
             app_admitted: Vec::new(),
             app_finished: Vec::new(),
@@ -155,31 +153,26 @@ impl ResourceManager {
     /// via [`Self::request`]. Admission limits still apply: an app that
     /// was queued or rejected gets an id but no containers until (unless)
     /// admitted.
-    pub fn submit_app(&mut self, name: impl Into<String>) -> AppId {
+    pub fn submit_app(&mut self) -> AppId {
         let leaf = self.queues.default_leaf();
-        self.admit(leaf, name.into()).0
+        self.admit(leaf).0
     }
 
     /// Registers an application on a named leaf queue. Errs on unknown
     /// queue names; otherwise reports the admission verdict alongside the
     /// id.
-    pub fn submit_app_to(
-        &mut self,
-        queue: &str,
-        name: impl Into<String>,
-    ) -> Result<(AppId, Admission), String> {
+    pub fn submit_app_to(&mut self, queue: &str) -> Result<(AppId, Admission), String> {
         let leaf = self
             .queues
             .leaf_by_name(queue)
             .ok_or_else(|| format!("unknown queue '{queue}'"))?;
-        Ok(self.admit(leaf, name.into()))
+        Ok(self.admit(leaf))
     }
 
-    fn admit(&mut self, leaf: usize, name: String) -> (AppId, Admission) {
+    fn admit(&mut self, leaf: usize) -> (AppId, Admission) {
         self.dirty = true;
         let id = AppId(self.next_app);
         self.next_app += 1;
-        self.apps.push(name);
         self.app_queue.push(leaf);
         let node = &mut self.queues.nodes[leaf];
         let at_cap = node.max_apps.is_some_and(|cap| node.live_apps >= cap);
@@ -238,15 +231,6 @@ impl ResourceManager {
                 "admitted from wait list".to_string(),
             );
         }
-    }
-
-    pub fn app_name(&self, app: AppId) -> &str {
-        &self.apps[app.0 as usize]
-    }
-
-    /// The leaf queue an application was submitted to.
-    pub fn queue_of(&self, app: AppId) -> &str {
-        &self.queues.nodes[self.app_queue[app.0 as usize]].name
     }
 
     /// Whether an application is currently admitted (rejected or parked
@@ -919,7 +903,7 @@ mod tests {
     #[test]
     fn allocation_respects_capacity() {
         let mut r = rm(1); // m3.large: 2 vcores, 7500 MB
-        let app = r.submit_app("wf");
+        let app = r.submit_app();
         for _ in 0..3 {
             r.request(app, ContainerRequest::anywhere(one_core()));
         }
@@ -934,7 +918,7 @@ mod tests {
     #[test]
     fn memory_limits_bind_too() {
         let mut r = rm(1);
-        let app = r.submit_app("wf");
+        let app = r.submit_app();
         // Two 1-core/6000MB asks: only one fits in 7500 MB.
         for _ in 0..2 {
             r.request(app, ContainerRequest::anywhere(Resource::new(1, 6000)));
@@ -945,7 +929,7 @@ mod tests {
     #[test]
     fn relaxed_requests_spread_round_robin() {
         let mut r = rm(4);
-        let app = r.submit_app("wf");
+        let app = r.submit_app();
         for _ in 0..4 {
             r.request(app, ContainerRequest::anywhere(one_core()));
         }
@@ -958,7 +942,7 @@ mod tests {
     #[test]
     fn strict_placement_waits_for_its_node() {
         let mut r = rm(2);
-        let app = r.submit_app("wf");
+        let app = r.submit_app();
         // Fill node 0 completely.
         r.request(
             app,
@@ -988,8 +972,8 @@ mod tests {
     #[test]
     fn fifo_order_is_preserved() {
         let mut r = rm(1);
-        let a1 = r.submit_app("first");
-        let a2 = r.submit_app("second");
+        let a1 = r.submit_app();
+        let a2 = r.submit_app();
         r.request(a1, ContainerRequest::anywhere(Resource::new(2, 7000)));
         r.request(a2, ContainerRequest::anywhere(Resource::new(2, 7000)));
         let got = r.allocate();
@@ -1000,7 +984,7 @@ mod tests {
     #[test]
     fn node_failure_kills_containers_and_capacity() {
         let mut r = rm(2);
-        let app = r.submit_app("wf");
+        let app = r.submit_app();
         r.request(app, ContainerRequest::pinned(one_core(), NodeId(0)));
         r.request(app, ContainerRequest::pinned(one_core(), NodeId(1)));
         let got = r.allocate();
@@ -1036,18 +1020,16 @@ mod tests {
     }
 
     #[test]
-    fn app_names_are_recorded() {
+    fn submitted_app_is_admitted() {
         let mut r = rm(1);
-        let a = r.submit_app("snv-calling");
-        assert_eq!(r.app_name(a), "snv-calling");
-        assert_eq!(r.queue_of(a), "default");
+        let a = r.submit_app();
         assert!(r.is_admitted(a));
     }
 
     #[test]
     fn recovered_node_restores_full_capacity() {
         let mut r = rm(2);
-        let app = r.submit_app("wf");
+        let app = r.submit_app();
         // Two containers on node 0, then the node dies mid-flight.
         r.request(app, ContainerRequest::pinned(one_core(), NodeId(0)));
         r.request(app, ContainerRequest::pinned(one_core(), NodeId(0)));
@@ -1066,7 +1048,7 @@ mod tests {
     #[test]
     fn old_container_ids_stay_dead_after_recovery() {
         let mut r = rm(2);
-        let app = r.submit_app("wf");
+        let app = r.submit_app();
         r.request(app, ContainerRequest::pinned(one_core(), NodeId(0)));
         let got = r.allocate();
         let old = got[0].id;
@@ -1088,7 +1070,7 @@ mod tests {
     #[test]
     fn new_allocations_land_on_recovered_node() {
         let mut r = rm(2);
-        let app = r.submit_app("wf");
+        let app = r.submit_app();
         r.fail_node(NodeId(0));
         // While node 0 is down, relaxed requests avoid it...
         r.request(app, ContainerRequest::anywhere(one_core()));
@@ -1116,7 +1098,7 @@ mod tests {
         let tracer = Tracer::enabled();
         let mut r = rm(2);
         r.set_tracer(&tracer);
-        let app = r.submit_app("wf");
+        let app = r.submit_app();
         for _ in 0..3 {
             r.request(app, ContainerRequest::anywhere(one_core()));
         }
@@ -1145,7 +1127,7 @@ mod tests {
         let tracer = hiway_obs::Tracer::disabled();
         let mut r = rm(1);
         r.set_tracer(&tracer);
-        let app = r.submit_app("wf");
+        let app = r.submit_app();
         r.request(app, ContainerRequest::anywhere(one_core()));
         r.allocate();
         assert_eq!(tracer.counter_value("rm.requests"), 0);
@@ -1155,7 +1137,7 @@ mod tests {
     #[test]
     fn revive_is_idempotent_on_alive_nodes() {
         let mut r = rm(1);
-        let app = r.submit_app("wf");
+        let app = r.submit_app();
         r.request(app, ContainerRequest::anywhere(one_core()));
         assert_eq!(r.allocate().len(), 1);
         let before = r.available(NodeId(0));
@@ -1171,7 +1153,7 @@ mod tests {
     #[test]
     fn release_after_node_crash_is_a_noop() {
         let mut r = rm(2);
-        let app = r.submit_app("wf");
+        let app = r.submit_app();
         r.request(app, ContainerRequest::pinned(one_core(), NodeId(0)));
         let got = r.allocate();
         let cid = got[0].id;
@@ -1190,7 +1172,7 @@ mod tests {
     #[test]
     fn double_release_is_idempotent() {
         let mut r = rm(1);
-        let app = r.submit_app("wf");
+        let app = r.submit_app();
         r.request(app, ContainerRequest::anywhere(one_core()));
         let got = r.allocate();
         let cid = got[0].id;
@@ -1206,7 +1188,7 @@ mod tests {
     #[test]
     fn oversized_request_fails_fast_not_hangs() {
         let mut r = rm(2); // m3.large: 2 vcores / 7500 MB per node
-        let app = r.submit_app("wf");
+        let app = r.submit_app();
         // More cores than any node has: must not enter the queue at all.
         r.request(app, ContainerRequest::anywhere(Resource::new(64, 1000)));
         assert_eq!(r.pending_requests(), 0);
@@ -1253,7 +1235,7 @@ mod tests {
     #[test]
     fn configure_queues_rejects_late_or_bad_configs() {
         let mut r = rm(1);
-        r.submit_app("wf");
+        r.submit_app();
         assert!(r.configure_queues(QueuesConfig::default()).is_err());
         let mut r = rm(1);
         assert!(r
@@ -1262,7 +1244,7 @@ mod tests {
                 ..QueuesConfig::default()
             })
             .is_err());
-        assert!(r.submit_app_to("nope", "wf").is_err());
+        assert!(r.submit_app_to("nope").is_err());
     }
 
     #[test]
@@ -1270,9 +1252,9 @@ mod tests {
         // 4 nodes × 2 cores = 8 cores. Weights 2:1 ⇒ under saturating
         // demand tenant-a should end up with ~2× tenant-b's cores.
         let mut r = two_tenant_rm(4, None);
-        let (a, v) = r.submit_app_to("tenant-a", "wf-a").unwrap();
+        let (a, v) = r.submit_app_to("tenant-a").unwrap();
         assert_eq!(v, Admission::Admitted);
-        let (b, _) = r.submit_app_to("tenant-b", "wf-b").unwrap();
+        let (b, _) = r.submit_app_to("tenant-b").unwrap();
         for _ in 0..8 {
             r.request(a, ContainerRequest::anywhere(one_core()));
             r.request(b, ContainerRequest::anywhere(one_core()));
@@ -1307,7 +1289,7 @@ mod tests {
             preemption_grace_secs: None,
         })
         .unwrap();
-        let (a, _) = r.submit_app_to("capped", "wf").unwrap();
+        let (a, _) = r.submit_app_to("capped").unwrap();
         for _ in 0..8 {
             r.request(a, ContainerRequest::anywhere(one_core()));
         }
@@ -1317,7 +1299,7 @@ mod tests {
         assert_eq!(r.pending_requests(), 4);
         assert_eq!(r.queue_usage("capped").unwrap().vcores, 4);
         // The sibling may use the rest (work conservation).
-        let (b, _) = r.submit_app_to("open", "wf2").unwrap();
+        let (b, _) = r.submit_app_to("open").unwrap();
         for _ in 0..4 {
             r.request(b, ContainerRequest::anywhere(one_core()));
         }
@@ -1329,7 +1311,7 @@ mod tests {
         // tenant-b alone on the cluster may exceed its 1/3 guarantee all
         // the way to the full cluster.
         let mut r = two_tenant_rm(2, None); // 4 cores
-        let (b, _) = r.submit_app_to("tenant-b", "wf").unwrap();
+        let (b, _) = r.submit_app_to("tenant-b").unwrap();
         for _ in 0..4 {
             r.request(b, ContainerRequest::anywhere(one_core()));
         }
@@ -1356,7 +1338,7 @@ mod tests {
             preemption_grace_secs: None,
         })
         .unwrap();
-        let (b, _) = r.submit_app_to("b", "wf").unwrap();
+        let (b, _) = r.submit_app_to("b").unwrap();
         for n in [0, 0, 1, 2] {
             r.request(b, ContainerRequest::pinned(one_core(), NodeId(n)));
         }
@@ -1381,9 +1363,9 @@ mod tests {
             preemption_grace_secs: None,
         })
         .unwrap();
-        let (a, va) = r.submit_app_to("only", "first").unwrap();
+        let (a, va) = r.submit_app_to("only").unwrap();
         assert_eq!(va, Admission::Admitted);
-        let (b, vb) = r.submit_app_to("only", "second").unwrap();
+        let (b, vb) = r.submit_app_to("only").unwrap();
         assert_eq!(vb, Admission::Rejected);
         assert!(!r.is_admitted(b));
         // Rejected apps' requests never schedule.
@@ -1403,9 +1385,9 @@ mod tests {
             preemption_grace_secs: None,
         })
         .unwrap();
-        let (a, _) = r.submit_app_to("only", "first").unwrap();
-        let (b, vb) = r.submit_app_to("only", "second").unwrap();
-        let (c, vc) = r.submit_app_to("only", "third").unwrap();
+        let (a, _) = r.submit_app_to("only").unwrap();
+        let (b, vb) = r.submit_app_to("only").unwrap();
+        let (c, vc) = r.submit_app_to("only").unwrap();
         assert_eq!(vb, Admission::Queued);
         assert_eq!(vc, Admission::Queued);
         // Parked apps' requests are held back.
@@ -1427,13 +1409,13 @@ mod tests {
     fn preemption_claws_back_capacity_for_starved_queue() {
         // 4 nodes × 2 cores; tenant-a (w2, guarantee 2/3) hogs all 8.
         let mut r = two_tenant_rm(4, Some(10.0));
-        let (a, _) = r.submit_app_to("tenant-a", "hog").unwrap();
+        let (a, _) = r.submit_app_to("tenant-a").unwrap();
         for _ in 0..8 {
             r.request(a, ContainerRequest::anywhere(one_core()));
         }
         assert_eq!(r.allocate_at(0.0).len(), 8);
         // tenant-b arrives with demand. Its fair share is 1/3.
-        let (b, _) = r.submit_app_to("tenant-b", "late").unwrap();
+        let (b, _) = r.submit_app_to("tenant-b").unwrap();
         for _ in 0..4 {
             r.request(b, ContainerRequest::anywhere(one_core()));
         }
@@ -1467,12 +1449,12 @@ mod tests {
     #[test]
     fn preemption_skips_unpreemptable_containers() {
         let mut r = two_tenant_rm(1, Some(1.0)); // 2 cores total
-        let (a, _) = r.submit_app_to("tenant-a", "am-heavy").unwrap();
+        let (a, _) = r.submit_app_to("tenant-a").unwrap();
         // Both of tenant-a's containers are AM-style unpreemptable.
         r.request(a, ContainerRequest::anywhere(one_core()).never_preempt());
         r.request(a, ContainerRequest::anywhere(one_core()).never_preempt());
         assert_eq!(r.allocate_at(0.0).len(), 2);
-        let (b, _) = r.submit_app_to("tenant-b", "late").unwrap();
+        let (b, _) = r.submit_app_to("tenant-b").unwrap();
         r.request(b, ContainerRequest::anywhere(one_core()));
         r.allocate_at(1.0);
         r.allocate_at(3.0);
@@ -1530,7 +1512,7 @@ mod tests {
             7 => r.finish_app(apps[b as usize % apps.len()]),
             8 => {
                 let queue = if b % 2 == 0 { "a" } else { "b" };
-                apps.push(r.submit_app_to(queue, "late").unwrap().0);
+                apps.push(r.submit_app_to(queue).unwrap().0);
             }
             _ => {} // a heartbeat with nothing new
         }
@@ -1589,7 +1571,7 @@ mod tests {
                     r.configure_queues(config.clone()).unwrap();
                     let apps: Vec<AppId> = ["a", "a", "a", "b"]
                         .iter()
-                        .map(|q| r.submit_app_to(q, "wf").unwrap().0)
+                        .map(|q| r.submit_app_to(q).unwrap().0)
                         .collect();
                     (r, apps, Vec::new(), Vec::new())
                 })
@@ -1617,7 +1599,7 @@ mod tests {
         let tracer = Tracer::enabled();
         let mut r = two_tenant_rm(2, None);
         r.set_tracer(&tracer);
-        let (a, _) = r.submit_app_to("tenant-a", "wf").unwrap();
+        let (a, _) = r.submit_app_to("tenant-a").unwrap();
         r.request(a, ContainerRequest::anywhere(one_core()));
         r.allocate_at(2.0);
         tracer.with_queue_audits(|audits| {

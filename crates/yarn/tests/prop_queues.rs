@@ -109,7 +109,7 @@ fn run_ops(
     let apps: Vec<AppId> = queue_names
         .iter()
         .map(|q| {
-            let (app, verdict) = rm.submit_app_to(q, format!("wf-{q}")).unwrap();
+            let (app, verdict) = rm.submit_app_to(q).unwrap();
             assert_eq!(verdict, Admission::Admitted);
             app
         })
@@ -228,8 +228,8 @@ proptest! {
             nodes,
             QueuesConfig::weighted_leaves(&[("a", wa as f64), ("b", wb as f64)], None),
         );
-        let (a, _) = rm.submit_app_to("a", "wf-a").unwrap();
-        let (b, _) = rm.submit_app_to("b", "wf-b").unwrap();
+        let (a, _) = rm.submit_app_to("a").unwrap();
+        let (b, _) = rm.submit_app_to("b").unwrap();
         let cores = 2 * nodes as u32;
         for _ in 0..3 * cores {
             rm.request(a, ContainerRequest::anywhere(unit()));
@@ -267,8 +267,8 @@ proptest! {
                 Some(GRACE),
             ),
         );
-        let (a, _) = rm.submit_app_to("a", "wf-a").unwrap();
-        let (b, _) = rm.submit_app_to("b", "wf-b").unwrap();
+        let (a, _) = rm.submit_app_to("a").unwrap();
+        let (b, _) = rm.submit_app_to("b").unwrap();
         let cores = 2 * nodes as u32;
         let unit_share = 1.0 / cores as f64;
         // The incumbent grabs the whole cluster...

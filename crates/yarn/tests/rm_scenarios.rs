@@ -13,7 +13,7 @@ fn set_capacity_reserves_master_nodes() {
     let mut r = rm(3);
     r.set_capacity(NodeId(0), Resource::ZERO);
     r.set_capacity(NodeId(1), Resource::new(1, 2048));
-    let app = r.submit_app("wf");
+    let app = r.submit_app();
     for _ in 0..5 {
         r.request(app, ContainerRequest::anywhere(Resource::new(1, 1024)));
     }
@@ -29,7 +29,7 @@ fn set_capacity_reserves_master_nodes() {
 #[should_panic(expected = "set_capacity with containers outstanding")]
 fn set_capacity_after_allocation_panics() {
     let mut r = rm(1);
-    let app = r.submit_app("wf");
+    let app = r.submit_app();
     r.request(app, ContainerRequest::anywhere(Resource::new(1, 1024)));
     r.allocate();
     r.set_capacity(NodeId(0), Resource::ZERO);
@@ -38,7 +38,7 @@ fn set_capacity_after_allocation_panics() {
 #[test]
 fn churn_conserves_capacity() {
     let mut r = rm(4);
-    let app = r.submit_app("wf");
+    let app = r.submit_app();
     // Repeated allocate/release cycles must end with full capacity.
     for round in 0..10 {
         let asks = 3 + (round % 4);
@@ -69,7 +69,7 @@ fn churn_conserves_capacity() {
 #[test]
 fn strict_request_completes_once_node_frees_up() {
     let mut r = rm(2);
-    let app = r.submit_app("wf");
+    let app = r.submit_app();
     // Occupy node 1 fully.
     r.request(
         app,
@@ -93,8 +93,8 @@ fn strict_request_completes_once_node_frees_up() {
 #[test]
 fn multiple_apps_interleave_fairly_in_fifo_order() {
     let mut r = rm(1); // 2 vcores
-    let a = r.submit_app("a");
-    let b = r.submit_app("b");
+    let a = r.submit_app();
+    let b = r.submit_app();
     // Interleaved submissions: a, b, a, b.
     r.request(a, ContainerRequest::anywhere(Resource::new(1, 1000)));
     r.request(b, ContainerRequest::anywhere(Resource::new(1, 1000)));
