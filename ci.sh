@@ -24,6 +24,11 @@ echo "==> engine lockstep proptest (2048 cases, release)"
 # against the naive engine gets more cases per push than the in-file 192.
 PROPTEST_CASES=2048 cargo test --release -q -p hiway-sim --test incremental_vs_reference
 
+echo "==> max-min fill oracle proptests (2048 cases, release)"
+# Every fill that replays the previous fill's rounds is held to a fresh
+# full scan bit for bit, with keys freed and reused between fills.
+PROPTEST_CASES=2048 cargo test --release -q -p hiway-sim --lib netfair
+
 echo "==> chaos proptest (256 cases, debug: invariants checked before every fault)"
 # Chaos drops attempts in every phase, so this exercises the driver's one
 # stale-event guard (an event whose attempt is gone) far more than the

@@ -5,16 +5,76 @@
 //! all three runs of a plan agree, and writes `BENCH_engine.json`: per
 //! plan, events/s of each run, the incremental engine's max-min fills/s,
 //! its speedup, and the tracing overhead. The tracing-off run is the
-//! zero-overhead contract for `hiway-obs`.
+//! zero-overhead contract for `hiway-obs`. The incremental engine watches
+//! every node, as the reference engine accounts every node. The workload
+//! block also holds the fill counts: fills, their rounds and the rounds
+//! replayed from the previous fill.
 //!
-//! Usage: `bench_engine [--quick] [output.json]`
+//! `--profile` instead runs each plan once through the incremental engine
+//! with `hiway_obs::profile` on and prints the split of its hot sections,
+//! plus the measured cost of one profile guard; it writes no file.
+//!
+//! Usage: `bench_engine [--quick] [--profile] [output.json]`
 
-use hiway_bench::engine_bench::{drive_incremental, drive_reference, fig4_plan, table2_plan};
+use std::time::Instant;
+
+use hiway_bench::engine_bench::{drive_incremental, drive_reference, fig4_plan, table2_plan, Plan};
 use hiway_bench::report::{self, best_of, Report};
+use hiway_obs::profile::{self, Section};
 use hiway_obs::Tracer;
+
+/// Prints the profiled split of one untraced incremental run of `plan`.
+fn print_profile(shape: &str, plan: &Plan) {
+    profile::reset();
+    profile::set_enabled(true);
+    let t0 = Instant::now();
+    let (_, fills) = drive_incremental(plan, &Tracer::disabled());
+    let wall = t0.elapsed().as_secs_f64();
+    profile::set_enabled(false);
+    println!(
+        "{shape}: {:.1} ms wall, {} fills, {:.2} rounds per fill, {:.1}% replayed",
+        wall * 1e3,
+        fills.fills,
+        fills.rounds as f64 / fills.fills.max(1) as f64,
+        100.0 * fills.rounds_replayed as f64 / fills.rounds.max(1) as f64
+    );
+    for (section, calls, ns) in profile::snapshot() {
+        println!(
+            "  {:<24} {:>9} calls {:>9.2} ms {:>8.1} ns/call {:>5.1}%",
+            section.name(),
+            calls,
+            ns as f64 / 1e6,
+            ns as f64 / calls.max(1) as f64,
+            100.0 * ns as f64 / 1e9 / wall
+        );
+    }
+}
+
+/// Nanoseconds per guard, over `n` empty guards, with profiling on and
+/// off.
+fn guard_cost(n: u32) -> (f64, f64) {
+    let mut per = [0.0; 2];
+    for (on, slot) in [(true, 0), (false, 1)] {
+        profile::set_enabled(on);
+        let t0 = Instant::now();
+        for _ in 0..n {
+            drop(std::hint::black_box(profile::section(Section::Peek)));
+        }
+        per[slot] = t0.elapsed().as_nanos() as f64 / n as f64;
+    }
+    profile::reset();
+    (per[0], per[1])
+}
 
 fn main() {
     let args = report::args("BENCH_engine.json");
+    if std::env::args().any(|a| a == "--profile") {
+        print_profile("fig4", &fig4_plan(24, 576, 4242));
+        print_profile("table2", &table2_plan(128, 8, 4242));
+        let (on, off) = guard_cost(1_000_000);
+        println!("one guard: {on:.1} ns profiling on, {off:.2} ns off");
+        return;
+    }
     let runs = if args.quick { 2 } else { 5 };
     let mut report = Report::new("engine");
     report.workload("runs", runs);
@@ -37,8 +97,8 @@ fn main() {
                 (drive_incremental(&plan, t), t.event_count())
             })
         };
-        let ((off, _), off_s) = incremental(Tracer::disabled);
-        let ((on, trace_events), on_s) = incremental(Tracer::enabled);
+        let (((off, fills), _), off_s) = incremental(Tracer::disabled);
+        let (((on, _), trace_events), on_s) = incremental(Tracer::enabled);
         assert_eq!(
             off, reference,
             "engines disagreed on the {shape} benchmark workload"
@@ -54,7 +114,9 @@ fn main() {
             .workload(&key("task_pipelines"), plan.tasks.len())
             .workload(&key("events"), reference.events)
             .workload(&key("steps"), reference.steps)
-            .workload(&key("fills"), reference.fills)
+            .workload(&key("fills"), fills.fills)
+            .workload(&key("fill_rounds"), fills.rounds)
+            .workload(&key("fill_rounds_replayed"), fills.rounds_replayed)
             .workload(&key("virtual_secs"), reference.virtual_secs);
         for (run, secs) in [
             ("reference", reference_s),

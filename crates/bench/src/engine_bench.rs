@@ -21,6 +21,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use hiway_obs::Tracer;
+use hiway_sim::netfair::FillStats;
 use hiway_sim::reference::ReferenceEngine;
 use hiway_sim::{
     Activity, ActivityId, ClusterSpec, Endpoint, Engine, ExternalId, ExternalSpec, NodeId, NodeSpec,
@@ -158,13 +159,13 @@ fn tag(task: usize, phase: u64) -> u64 {
 }
 
 /// The drive loop, as a macro because the two engines share their inherent
-/// API but no trait. Takes a pre-built engine expression so callers can
-/// attach a tracer (or other setup) before driving.
+/// API but no trait. Takes a `&mut` to a pre-built engine so callers can
+/// attach a tracer (or other setup) before driving and read it after.
 macro_rules! drive_with {
     ($engine:expr, $plan:expr) => {{
         let nodes = $plan.spec.nodes.len();
         let plan: &[TaskPlan] = &$plan.tasks;
-        let mut engine = $engine;
+        let engine = $engine;
 
         // Two infinite background loads: never complete, must never be
         // scanned for completions.
@@ -295,16 +296,23 @@ macro_rules! drive_with {
 }
 
 /// Drives the plan through the incremental engine with `tracer` attached;
-/// `Tracer::disabled()` is the untraced hot path.
-pub fn drive_incremental(plan: &Plan, tracer: &Tracer) -> DriveResult {
+/// `Tracer::disabled()` is the untraced hot path. Every node is watched,
+/// because the reference engine accounts usage on every node, so the two
+/// do the same work. Also returns the engine's max-min fill counts.
+pub fn drive_incremental(plan: &Plan, tracer: &Tracer) -> (DriveResult, FillStats) {
     let mut engine = Engine::<u64>::new(plan.spec.clone());
     engine.set_tracer(tracer);
-    drive_with!(engine, plan)
+    for n in 0..plan.spec.nodes.len() {
+        engine.watch_usage(NodeId(n as u32));
+    }
+    let result = drive_with!(&mut engine, plan);
+    (result, engine.fill_stats())
 }
 
 /// Drives the plan through the naive reference engine.
 pub fn drive_reference(plan: &Plan) -> DriveResult {
-    drive_with!(ReferenceEngine::<u64>::new(plan.spec.clone()), plan)
+    let mut engine = ReferenceEngine::<u64>::new(plan.spec.clone());
+    drive_with!(&mut engine, plan)
 }
 
 #[cfg(test)]
@@ -317,9 +325,10 @@ mod tests {
     #[test]
     fn bench_workload_is_engine_invariant() {
         for plan in [fig4_plan(6, 48, 42), table2_plan(8, 3, 42)] {
-            let a = drive_incremental(&plan, &Tracer::disabled());
+            let (a, fills) = drive_incremental(&plan, &Tracer::disabled());
             let b = drive_reference(&plan);
             assert_eq!(a, b);
+            assert_eq!(fills.fills, a.fills, "the engine fills once per IO change");
             assert_eq!(a.virtual_secs.to_bits(), b.virtual_secs.to_bits());
             // launch + stage-in + 3 computes + write per task, plus heartbeats
             assert!(
@@ -340,6 +349,6 @@ mod tests {
         let on = drive_incremental(&plan, &tracer);
         assert_eq!(plain, on);
         assert!(tracer.event_count() > 0, "enabled tracer saw the run");
-        assert_eq!(tracer.counter_value("engine.steps"), plain.steps);
+        assert_eq!(tracer.counter_value("engine.steps"), plain.0.steps);
     }
 }

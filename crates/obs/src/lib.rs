@@ -17,6 +17,8 @@
 //! * [`export`] — three renderers over a finished trace: Chrome
 //!   trace-event JSON (loadable in Perfetto), a JSON-lines event log, and
 //!   a plain-text per-node Gantt chart.
+//! * [`profile`] — a wall-clock split of the simulator's hot sections,
+//!   off by default and kept apart from every deterministic export.
 //!
 //! Determinism rules (also in DESIGN.md):
 //! 1. Timestamps are simulation seconds (`f64`), never wall-clock.
@@ -27,6 +29,7 @@
 pub mod audit;
 pub mod export;
 pub mod metrics;
+pub mod profile;
 pub mod trace;
 
 pub use audit::{CandidateScore, Decision, DecisionKind, QueueAudit, QueueEventKind};

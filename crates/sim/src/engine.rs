@@ -21,6 +21,8 @@
 //! construction (the cluster spec is immutable) and each activity's
 //! [`FlowPath`] once at `start`, when it joins the [`NetFairWorkspace`]
 //! under its slab slot; it leaves when the activity ends or is cancelled.
+//! A fill may replay the previous fill's unchanged rounds (see
+//! [`crate::netfair`]); [`Engine::fill_stats`] counts them.
 //!
 //! An activity's kind and tag live in a slab slot (stable, with a free
 //! list), which is the key the rate models use. Its remaining volume, rate
@@ -51,11 +53,12 @@
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
+use hiway_obs::profile::{section, Section};
 use hiway_obs::{Tracer, TrackId};
 
 use crate::cpufair::fair_cores_into;
 use crate::metrics::NodeUsage;
-use crate::netfair::{Constraint, FlowPath, NetFairWorkspace};
+use crate::netfair::{Constraint, FillStats, FlowPath, NetFairWorkspace};
 use crate::spec::{ClusterSpec, ExternalId, NodeId};
 use crate::time::SimTime;
 
@@ -566,6 +569,7 @@ impl<T: Clone> Engine<T> {
     /// activity already complete and `now + remaining / rate` otherwise,
     /// over every finite activity that is making progress.
     fn peek_completion(&self) -> Option<SimTime> {
+        let _p = section(Section::Peek);
         let now = self.now.as_secs();
         let mut best = f64::INFINITY;
         for (&rem, &rate) in self.remaining.iter().zip(&self.rate) {
@@ -617,11 +621,13 @@ impl<T: Clone> Engine<T> {
         let mut fired = Vec::new();
         let mut done = std::mem::take(&mut self.done_buf);
         done.clear();
+        let scan = section(Section::CompletionScan);
         for (i, (&rem, &rate)) in self.remaining.iter().zip(&self.rate).enumerate() {
             if rem.is_finite() && is_complete(rem, rate) {
                 done.push((self.ids[i], self.slots[i]));
             }
         }
+        drop(scan);
         // The columns are unordered; fire in creation order like the
         // naive scan.
         done.sort_unstable();
@@ -642,10 +648,12 @@ impl<T: Clone> Engine<T> {
         done.clear();
         self.done_buf = done;
 
+        let pop = section(Section::TimerPop);
         let mut due = Vec::new();
         while self.timers.peek().is_some_and(|t| t.at <= self.now) {
             due.push(self.timers.pop().expect("peeked"));
         }
+        drop(pop);
         // The heap surfaces due timers deadline-first; fire in id order.
         due.sort_unstable_by_key(|t| t.id);
         fired.extend(due.into_iter().map(|t| t.tag));
@@ -669,6 +677,7 @@ impl<T: Clone> Engine<T> {
         self.refresh_rates();
         let dt = target - self.now;
         if dt > 0.0 {
+            let _p = section(Section::Settle);
             // A background load's rate is finite, so its volume stays
             // infinite here.
             for (rem, &rate) in self.remaining.iter_mut().zip(&self.rate) {
@@ -736,13 +745,19 @@ impl<T: Clone> Engine<T> {
         std::mem::take(&mut self.usage[node.index()])
     }
 
+    /// The max-min fills run so far, their rounds and the rounds replayed.
+    pub fn fill_stats(&self) -> FillStats {
+        self.netfair.stats()
+    }
+
     /// Checks the engine's bookkeeping: the slot→index map and the
     /// column of slots are inverse, column slots hold an activity and
     /// free slots none, the columns hold exactly the live activities, the
     /// compute and IO member lists name each live activity once, in id
     /// order, under its kind, each entry's slot leading through `pos` to
-    /// its own id, and each watched node lists exactly the IO activities
-    /// that touch it.
+    /// its own id, each watched node lists exactly the IO activities
+    /// that touch it, and the max-min workspace holds its own
+    /// ([`NetFairWorkspace::check_invariants`]).
     pub fn check_invariants(&self) -> Result<(), String> {
         let n = self.ids.len();
         let occupied = self.slab.len().saturating_sub(self.free.len());
@@ -799,13 +814,14 @@ impl<T: Clone> Engine<T> {
                 ));
             }
         }
-        Ok(())
+        self.netfair.check_invariants()
     }
 
     /// Recomputes the rates invalidated since the last refresh: one
     /// `fair_cores` run per dirty node, one max-min fill iff the IO set
     /// changed.
     fn refresh_rates(&mut self) {
+        let cpu = section(Section::CpuRefresh);
         while let Some(n) = self.cpu_dirty_list.pop() {
             let n = n as usize;
             self.cpu_dirty[n] = false;
@@ -827,10 +843,12 @@ impl<T: Clone> Engine<T> {
             }
             self.inst[n][0] = total;
         }
+        drop(cpu);
 
         if self.io_dirty {
             self.io_dirty = false;
             self.netfair.fill();
+            let _p = section(Section::CopyOut);
             for &(_, slot) in &self.io {
                 self.rate[self.pos[slot as usize] as usize] = self.netfair.rate(slot as usize);
             }

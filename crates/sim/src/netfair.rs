@@ -7,6 +7,43 @@
 //! memberships; rates are assigned by progressive filling, the textbook
 //! algorithm for max-min fairness: raise all rates uniformly, freeze flows
 //! when a constraint they traverse saturates, repeat.
+//!
+//! ## Replaying the previous fill
+//!
+//! Between two fills only a few flows start or end, and the first rounds
+//! of the new fill often repeat the old one's bit for bit. A fill can log
+//! its rounds; the next fill then replays the unchanged ones and runs the
+//! progressive loop only from the first round a change can touch.
+//!
+//! - **Logged per round:** the level before it, the increment, what set
+//!   the increment (a constraint, or the capped flow first in cap order),
+//!   the flows it froze, and how many constraints it charged. Per
+//!   constraint, the residual and unfrozen count at the start of every
+//!   round it was live (its history, as long as its live rounds), and the
+//!   round it saturated in.
+//! - **Recorded between fills, while a log exists:** the constraints
+//!   whose membership changed, the added occurrences per constraint, and
+//!   for each removed flow its freeze round: its history counts drop from
+//!   round 0 to that round, its key leaves the round's frozen list, and a
+//!   round whose increment its cap set is the last one that may replay.
+//!   An added cap limits replay to the rounds where it would not set a
+//!   smaller increment nor reach its threshold.
+//! - **The replay rule:** round `r` is unchanged when it froze a flow that
+//!   is still present, no changed constraint set its increment or
+//!   saturated in it, and every changed constraint, charged from its
+//!   capacity with the history counts plus its added flows, keeps
+//!   `residual / count` at or above the increment and stays above its
+//!   threshold after the charge. Then the unchanged constraints see the
+//!   same residuals and counts, the same constraints saturate and the same
+//!   flows freeze, so by induction the round is identical. The replay
+//!   rewrites the kept rounds' history of the changed constraints,
+//!   restores the state at the first failing round from the log, and runs
+//!   the ordinary loop from there.
+//! - **The logging rule:** a fill logs only when the previous fill's
+//!   charge work (live constraints summed over its rounds) exceeds twice
+//!   its loaded constraints plus flows. See [`NetFairWorkspace::fill`].
+
+use hiway_obs::profile::{section, Section};
 
 /// Rate assigned to a flow that traverses no finite constraint (bytes/s).
 /// Kept finite so completion times remain computable.
@@ -38,6 +75,37 @@ pub fn max_min_rates(constraints: &[Constraint], flows: &[FlowPath]) -> Vec<f64>
     ws.compute(constraints, flows).to_vec()
 }
 
+/// Counts over a workspace's fills: fills run, rounds in them, and rounds
+/// of those replayed from the previous fill's log.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct FillStats {
+    pub fills: u64,
+    pub rounds: u64,
+    pub rounds_replayed: u64,
+}
+
+/// "No constraint", "no round", a removed key in a frozen list.
+const NONE: usize = usize::MAX;
+
+/// One logged round. The log ends with a terminal entry holding the
+/// final level and the end of the frozen list.
+#[derive(Clone, Copy, Debug)]
+struct Round {
+    /// The level at the start of the round.
+    level: f64,
+    inc: f64,
+    /// What set `inc`: a constraint, or with `by_cap` the key of the
+    /// capped flow first in cap order.
+    setter: usize,
+    by_cap: bool,
+    /// Where the round's keys start in `frozen_log`, and how many of them
+    /// are still present.
+    frozen: usize,
+    kept: usize,
+    /// Constraints charged, as logged.
+    live: usize,
+}
+
 /// The flow set of a max-min network plus the scratch state of its
 /// progressive fill. Flows are keyed by a caller-chosen small integer (the
 /// engine uses the activity's slab slot), so membership survives the
@@ -51,12 +119,14 @@ pub fn max_min_rates(constraints: &[Constraint], flows: &[FlowPath]) -> Vec<f64>
 /// so all unfrozen flows hold one value, the running level; a flow that
 /// freezes takes the level of its round, and the flows still unfrozen at
 /// the end take the final level. No round loops over unfrozen flows.
+/// An infinite constraint never binds, so a stored path leaves it out.
 #[derive(Default)]
 pub struct NetFairWorkspace {
     capacity: Vec<f64>,
     /// Saturation threshold per constraint, relative to its capacity.
     eps: Vec<f64>,
-    /// Path per key; `present` says which keys hold a flow.
+    /// Path per key, finite constraints only; `present` says which keys
+    /// hold a flow.
     paths: Vec<FlowPath>,
     present: Vec<bool>,
     flows: usize,
@@ -77,13 +147,37 @@ pub struct NetFairWorkspace {
     count: Vec<usize>,
     live: Vec<usize>,
     saturated: Vec<usize>,
-    /// The fill a key froze in, and the level it froze at.
+    /// A key is frozen iff `frozen_in` equals `epoch`; then it took
+    /// `frozen_level`, in round `frozen_round` of a logged fill. A fill
+    /// that replays keeps the epoch and unfreezes the rerun rounds' keys.
     frozen_in: Vec<u64>,
     frozen_level: Vec<f64>,
-    fill_no: u64,
+    frozen_round: Vec<usize>,
+    epoch: u64,
     /// The rate of every flow still unfrozen when the last fill ended.
     rest: f64,
     out: Vec<f64>,
+    // The log of the last fill, empty when it did not log.
+    rounds: Vec<Round>,
+    /// Keys frozen per round (`NONE` once removed). An unlogged fill uses
+    /// it for the current round only.
+    frozen_log: Vec<usize>,
+    /// Per constraint, `(residual, count)` at the start of each round it
+    /// was live; empty while unloaded.
+    history: Vec<Vec<(f64, usize)>>,
+    saturated_in: Vec<usize>,
+    // Changes since the last fill, recorded while a log exists.
+    changed: Vec<usize>,
+    is_changed: Vec<bool>,
+    added: Vec<usize>,
+    /// Keys inserted since the last fill, which the log does not hold.
+    inserted: Vec<usize>,
+    /// Rounds at or past this may not replay.
+    limit: usize,
+    log_next: bool,
+    #[cfg(test)]
+    force_log: bool,
+    stats: FillStats,
 }
 
 /// The level at or above which a flow capped at `cap` freezes. Relative,
@@ -107,6 +201,20 @@ fn remove_sorted(order: &mut Vec<(f64, usize)>, value: f64, key: usize) {
     }
 }
 
+/// Where the progressive loop starts: a fresh fill's state, or the state
+/// a replay restored.
+struct Start {
+    level: f64,
+    unfrozen: usize,
+    /// The smallest `residual / count` over `live`, and the constraint
+    /// holding it (logged fills only).
+    cons_inc: f64,
+    setter: usize,
+    next_cap: usize,
+    next_threshold: usize,
+    round: usize,
+}
+
 impl NetFairWorkspace {
     /// An empty flow set over `constraints`.
     pub fn new(constraints: &[Constraint]) -> NetFairWorkspace {
@@ -120,12 +228,16 @@ impl NetFairWorkspace {
     fn reset(&mut self, constraints: &[Constraint]) {
         for &c in &self.loaded {
             self.members[c].clear();
+            self.history[c].clear();
         }
         self.loaded.clear();
         self.present.iter_mut().for_each(|p| *p = false);
         self.flows = 0;
         self.by_cap.clear();
         self.by_threshold.clear();
+        self.rounds.clear();
+        self.forget_changes();
+        self.log_next = false;
         let n = constraints.len();
         self.capacity.clear();
         self.capacity.extend(constraints.iter().map(|c| c.capacity));
@@ -133,10 +245,36 @@ impl NetFairWorkspace {
         self.eps
             .extend(constraints.iter().map(|c| 1e-6 + c.capacity.abs() * 1e-9));
         self.members.resize_with(n, Vec::new);
+        self.history.resize_with(n, Vec::new);
         self.loaded_pos.clear();
         self.loaded_pos.resize(n, usize::MAX);
         self.residual.resize(n, 0.0);
         self.count.resize(n, 0);
+        self.saturated_in.resize(n, NONE);
+        self.is_changed.resize(n, false);
+        self.added.resize(n, 0);
+    }
+
+    /// The counts over every fill so far.
+    pub fn stats(&self) -> FillStats {
+        self.stats
+    }
+
+    fn note_changed(&mut self, c: usize) {
+        if !self.is_changed[c] {
+            self.is_changed[c] = true;
+            self.changed.push(c);
+        }
+    }
+
+    fn forget_changes(&mut self) {
+        for &c in &self.changed {
+            self.is_changed[c] = false;
+            self.added[c] = 0;
+        }
+        self.changed.clear();
+        self.inserted.clear();
+        self.limit = NONE;
     }
 
     /// Adds a flow under `key`, which must not hold one.
@@ -146,25 +284,51 @@ impl NetFairWorkspace {
             self.present.resize(key + 1, false);
             self.frozen_in.resize(key + 1, 0);
             self.frozen_level.resize(key + 1, 0.0);
+            self.frozen_round.resize(key + 1, NONE);
         }
         debug_assert!(!self.present[key], "key {key} already holds a flow");
         self.present[key] = true;
+        self.frozen_in[key] = 0;
         self.flows += 1;
-        for &c in &path.constraints {
+        let capacity = &self.capacity;
+        let stored = &mut self.paths[key];
+        stored.constraints.clear();
+        stored.constraints.extend(
+            path.constraints
+                .iter()
+                .copied()
+                .filter(|&c| capacity[c].is_finite()),
+        );
+        stored.rate_cap = path.rate_cap;
+        let logged = !self.rounds.is_empty();
+        for i in 0..self.paths[key].constraints.len() {
+            let c = self.paths[key].constraints[i];
             if self.members[c].is_empty() {
                 self.loaded_pos[c] = self.loaded.len();
                 self.loaded.push(c);
             }
             self.members[c].push(key);
+            if logged {
+                self.note_changed(c);
+                self.added[c] += 1;
+            }
+        }
+        if logged {
+            self.inserted.push(key);
         }
         if let Some(cap) = path.rate_cap.filter(|c| c.is_finite()) {
             insert_sorted(&mut self.by_cap, cap, key);
             insert_sorted(&mut self.by_threshold, cap_threshold(cap), key);
+            // The first round where this cap would set a smaller increment
+            // or freeze its flow.
+            let kept = self.rounds.len().saturating_sub(1);
+            if let Some(r) = self.rounds[..kept]
+                .iter()
+                .position(|r| cap - r.level < r.inc || cap_threshold(cap) <= r.level + r.inc)
+            {
+                self.limit = self.limit.min(r);
+            }
         }
-        let stored = &mut self.paths[key];
-        stored.constraints.clear();
-        stored.constraints.extend_from_slice(&path.constraints);
-        stored.rate_cap = path.rate_cap;
     }
 
     /// Removes the flow under `key`, if any.
@@ -174,6 +338,42 @@ impl NetFairWorkspace {
         }
         self.present[key] = false;
         self.flows -= 1;
+        if let Some(at) = self.inserted.iter().position(|&k| k == key) {
+            // Not in the log: it only counts as added.
+            self.inserted.swap_remove(at);
+            for &c in &self.paths[key].constraints {
+                self.added[c] -= 1;
+            }
+        } else if let Some(last) = self.rounds.len().checked_sub(1) {
+            // The flow counted on its constraints up to its freeze round.
+            let froze = if self.frozen_in[key] == self.epoch {
+                self.frozen_round[key]
+            } else {
+                last
+            };
+            for i in 0..self.paths[key].constraints.len() {
+                let c = self.paths[key].constraints[i];
+                self.note_changed(c);
+                for entry in self.history[c].iter_mut().take(froze + 1) {
+                    entry.1 -= 1;
+                }
+            }
+            if froze < last {
+                let (start, end) = (self.rounds[froze].frozen, self.rounds[froze + 1].frozen);
+                let at = self.frozen_log[start..end]
+                    .iter()
+                    .position(|&k| k == key)
+                    .expect("a frozen key is in its round's list");
+                self.frozen_log[start + at] = NONE;
+                self.rounds[froze].kept -= 1;
+            }
+            if let Some(r) = self.rounds[..last]
+                .iter()
+                .position(|r| r.by_cap && r.setter == key)
+            {
+                self.limit = self.limit.min(r);
+            }
+        }
         let path = &self.paths[key];
         for &c in &path.constraints {
             let members = &mut self.members[c];
@@ -189,6 +389,10 @@ impl NetFairWorkspace {
                     self.loaded_pos[moved] = pos;
                 }
                 self.loaded_pos[c] = usize::MAX;
+                // Its old members are all gone, so what it froze no longer
+                // matters.
+                self.history[c].clear();
+                self.saturated_in[c] = NONE;
             }
         }
         if let Some(cap) = path.rate_cap.filter(|c| c.is_finite()) {
@@ -199,7 +403,7 @@ impl NetFairWorkspace {
 
     /// The rate the last [`fill`](Self::fill) gave the flow under `key`.
     pub fn rate(&self, key: usize) -> f64 {
-        if self.frozen_in[key] == self.fill_no {
+        if self.frozen_in[key] == self.epoch {
             self.frozen_level[key]
         } else {
             self.rest
@@ -219,16 +423,49 @@ impl NetFairWorkspace {
     /// - The order of `live` does not matter. The `min` over
     ///   `residual / count` sees no NaN, so it is order-free; counts are
     ///   integers; and every flow frozen in a round takes the same `L`.
+    /// - A round's count decrements are applied after its freezes, and
+    ///   only when flows are left unfrozen: nothing reads a count between
+    ///   a freeze and the next round's retain.
+    ///
+    /// The fill logs its rounds, and replays the previous fill's (see the
+    /// module doc), only when the previous fill's charge work exceeded
+    /// twice its loaded constraints plus flows. A replay costs a pass over
+    /// the loaded constraints and the refreezing of the rerun rounds'
+    /// flows, about what a fresh fill spends outside its charges; logging
+    /// a round costs about one more charge pass. So replay pays only where
+    /// the charges dominate that fixed part, and twice it is the least
+    /// margin at which the skipped charges repay the logged ones. Small
+    /// fills (a few live constraints per round) and freeze-bound ones
+    /// (many flows, few rounds) stay on the unlogged loop.
     pub fn fill(&mut self) {
-        self.fill_no += 1;
-        let fill = self.fill_no;
+        #[cfg(test)]
+        let log = self.log_next || self.force_log;
+        #[cfg(not(test))]
+        let log = self.log_next;
+        if log {
+            self.run::<true>();
+        } else {
+            self.run::<false>();
+        }
+    }
+
+    fn run<const LOG: bool>(&mut self) {
+        self.stats.fills += 1;
+        let start = {
+            let _p = section(Section::FillRestore);
+            if LOG && !self.rounds.is_empty() {
+                self.replay()
+            } else {
+                self.fresh::<LOG>()
+            }
+        };
+        self.forget_changes();
         let NetFairWorkspace {
-            capacity,
             eps,
             paths,
-            flows,
             members,
             loaded,
+            flows,
             by_cap,
             by_threshold,
             residual,
@@ -237,38 +474,66 @@ impl NetFairWorkspace {
             saturated,
             frozen_in,
             frozen_level,
+            frozen_round,
+            epoch,
             rest,
+            rounds,
+            frozen_log,
+            history,
+            saturated_in,
+            log_next,
+            stats,
             ..
         } = self;
-        // An infinite constraint never binds and its residual stays
-        // infinite, so it is never live. Each pass over `live` also takes
-        // the smallest constraint increment for the next round.
-        live.clear();
-        let mut cons_inc = f64::INFINITY;
-        for &c in loaded.iter() {
-            residual[c] = capacity[c];
-            count[c] = members[c].len();
-            if capacity[c].is_finite() {
-                live.push(c);
-                cons_inc = cons_inc.min(residual[c] / count[c] as f64);
+        let fill = *epoch;
+        let Start {
+            mut level,
+            mut unfrozen,
+            mut cons_inc,
+            mut setter,
+            mut next_cap,
+            mut next_threshold,
+            mut round,
+        } = start;
+        stats.rounds_replayed += round as u64;
+        let mut work = 0;
+        *rest = loop {
+            if unfrozen == 0 {
+                break level;
             }
-        }
-        let mut level = 0.0f64;
-        let mut unfrozen = *flows;
-        let (mut next_cap, mut next_threshold) = (0, 0);
-        while unfrozen > 0 {
             // Smallest uniform increment saturating a constraint or a cap.
+            let charge = section(Section::FillCharge);
             let mut inc = cons_inc;
+            let mut by = false;
             while next_cap < by_cap.len() && frozen_in[by_cap[next_cap].1] == fill {
                 next_cap += 1;
             }
-            if let Some(&(cap, _)) = by_cap.get(next_cap) {
-                inc = inc.min(cap - level);
+            if let Some(&(cap, key)) = by_cap.get(next_cap) {
+                if LOG {
+                    if cap - level < inc {
+                        (inc, setter, by) = (cap - level, key, true);
+                    }
+                } else {
+                    inc = inc.min(cap - level);
+                }
             }
             if !inc.is_finite() {
                 // No binding constraint: remaining flows are unconstrained.
-                *rest = UNCONSTRAINED_BPS;
-                return;
+                break UNCONSTRAINED_BPS;
+            }
+            if LOG {
+                rounds.push(Round {
+                    level,
+                    inc,
+                    setter,
+                    by_cap: by,
+                    frozen: frozen_log.len(),
+                    kept: 0,
+                    live: live.len(),
+                });
+            } else {
+                frozen_log.clear();
+                work += live.len();
             }
 
             // Raise the level by `inc`; charge the constraints and note
@@ -279,26 +544,36 @@ impl NetFairWorkspace {
             level += inc;
             saturated.clear();
             for &c in live.iter() {
+                if LOG {
+                    history[c].push((residual[c], count[c]));
+                }
                 residual[c] -= inc * count[c] as f64;
                 if residual[c] <= eps[c] {
                     saturated.push(c);
                 }
             }
+            drop(charge);
 
             // Freeze flows on saturated constraints or at their private
             // cap.
+            let freezing = section(Section::FillFreeze);
             let before = unfrozen;
+            let first = frozen_log.len();
             let mut freeze = |k: usize| {
                 if frozen_in[k] != fill {
                     frozen_in[k] = fill;
                     frozen_level[k] = level;
-                    for &c in &paths[k].constraints {
-                        count[c] -= 1;
+                    if LOG {
+                        frozen_round[k] = round;
                     }
+                    frozen_log.push(k);
                     unfrozen -= 1;
                 }
             };
             for &c in saturated.iter() {
+                if LOG {
+                    saturated_in[c] = round;
+                }
                 members[c].iter().for_each(|&k| freeze(k));
             }
             // Entries before the cursor are all frozen, so the cursor
@@ -310,23 +585,283 @@ impl NetFairWorkspace {
                 freeze(k);
                 next_threshold += 1;
             }
+            if LOG {
+                rounds[round].kept = before - unfrozen;
+            }
+            drop(freezing);
+            round += 1;
             if unfrozen == before {
                 // Numeric fallback: the increment was swallowed by
                 // rounding. Stop at the current (feasible) rates — this
                 // sacrifices at most an epsilon of max-min optimality
                 // while guaranteeing termination.
-                break;
+                break level;
+            }
+            if unfrozen == 0 {
+                break level;
+            }
+            let _retain = section(Section::FillRetain);
+            for &k in &frozen_log[first..] {
+                for &c in &paths[k].constraints {
+                    count[c] -= 1;
+                }
             }
             cons_inc = f64::INFINITY;
             live.retain(|&c| {
                 let keep = count[c] > 0;
                 if keep {
-                    cons_inc = cons_inc.min(residual[c] / count[c] as f64);
+                    let q = residual[c] / count[c] as f64;
+                    if LOG {
+                        if q < cons_inc {
+                            (cons_inc, setter) = (q, c);
+                        }
+                    } else {
+                        cons_inc = cons_inc.min(q);
+                    }
                 }
                 keep
             });
+        };
+        stats.rounds += round as u64;
+        if LOG {
+            rounds.push(Round {
+                level,
+                inc: f64::INFINITY,
+                setter: NONE,
+                by_cap: false,
+                frozen: frozen_log.len(),
+                kept: 0,
+                live: 0,
+            });
+            work = rounds.iter().map(|r| r.live).sum();
         }
-        *rest = level;
+        *log_next = work > 2 * (loaded.len() + *flows);
+    }
+
+    /// A fill from round 0. An unlogged one drops the log.
+    fn fresh<const LOG: bool>(&mut self) -> Start {
+        self.epoch += 1;
+        self.rounds.clear();
+        self.frozen_log.clear();
+        self.live.clear();
+        let mut cons_inc = f64::INFINITY;
+        let mut setter = NONE;
+        for &c in &self.loaded {
+            self.residual[c] = self.capacity[c];
+            self.count[c] = self.members[c].len();
+            self.live.push(c);
+            let q = self.residual[c] / self.count[c] as f64;
+            if LOG {
+                self.history[c].clear();
+                self.saturated_in[c] = NONE;
+                if q < cons_inc {
+                    (cons_inc, setter) = (q, c);
+                }
+            } else {
+                cons_inc = cons_inc.min(q);
+            }
+        }
+        Start {
+            level: 0.0,
+            unfrozen: self.flows,
+            cons_inc,
+            setter,
+            next_cap: 0,
+            next_threshold: 0,
+            round: 0,
+        }
+    }
+
+    /// Checks the logged rounds against the recorded changes (the rule in
+    /// the module doc), rewrites the kept rounds' history of the changed
+    /// constraints, and restores the state at the first round that must
+    /// run.
+    fn replay(&mut self) -> Start {
+        let last = self.rounds.len() - 1;
+        let mut k = self.limit.min(last);
+        let NetFairWorkspace {
+            capacity,
+            eps,
+            residual,
+            rounds,
+            history,
+            saturated_in,
+            changed,
+            is_changed,
+            added,
+            ..
+        } = &mut *self;
+        for &c in changed.iter() {
+            residual[c] = capacity[c];
+        }
+        let mut r = 0;
+        loop {
+            // Each changed constraint's state at the start of round `r`.
+            for &c in changed.iter() {
+                let history = &mut history[c];
+                if history.len() < r {
+                    continue; // no unfrozen member since an earlier round
+                }
+                let count = history.get(r).map_or(0, |e| e.1) + added[c];
+                if count == 0 {
+                    history.truncate(r);
+                } else if history.len() == r {
+                    history.push((residual[c], count));
+                } else {
+                    history[r] = (residual[c], count);
+                }
+            }
+            if r == k {
+                break;
+            }
+            let round = rounds[r];
+            let mut same = round.kept > 0 && (round.by_cap || !is_changed[round.setter]);
+            for &c in changed.iter() {
+                if !same {
+                    break;
+                }
+                if let Some(&(left, count)) = history[c].get(r) {
+                    residual[c] = left - round.inc * count as f64;
+                    same = saturated_in[c] != r
+                        && left / count as f64 >= round.inc
+                        && residual[c] > eps[c];
+                }
+            }
+            if !same {
+                k = r;
+                break;
+            }
+            r += 1;
+        }
+        for &c in &self.changed {
+            self.saturated_in[c] = NONE;
+        }
+        if k == 0 {
+            return self.fresh::<true>();
+        }
+        let at = self.rounds[k];
+        for &key in &self.frozen_log[at.frozen..] {
+            if key != NONE {
+                self.frozen_in[key] = 0;
+            }
+        }
+        self.frozen_log.truncate(at.frozen);
+        self.rounds.truncate(k);
+        self.live.clear();
+        let mut cons_inc = f64::INFINITY;
+        let mut setter = NONE;
+        for &c in &self.loaded {
+            let history = &mut self.history[c];
+            if let Some(&(residual, count)) = history.get(k) {
+                history.truncate(k);
+                self.saturated_in[c] = NONE;
+                self.residual[c] = residual;
+                self.count[c] = count;
+                self.live.push(c);
+                let q = residual / count as f64;
+                if q < cons_inc {
+                    (cons_inc, setter) = (q, c);
+                }
+            }
+        }
+        let frozen: usize = self.rounds.iter().map(|r| r.kept).sum();
+        // Caps at or below the level froze by their thresholds already.
+        let level = at.level;
+        Start {
+            level,
+            unfrozen: self.flows - frozen,
+            cons_inc,
+            setter,
+            next_cap: self.by_cap.partition_point(|&(cap, _)| cap <= level),
+            next_threshold: self.by_threshold.partition_point(|&(t, _)| t <= level),
+            round: k,
+        }
+    }
+
+    /// Checks the workspace's bookkeeping: every constraint's members are
+    /// the present paths through it, with multiplicity; `loaded` is
+    /// exactly the constraints with members; the cap orders hold exactly
+    /// the present capped flows; and a log is well formed: levels do not
+    /// decrease, frozen-list offsets only grow, every kept frozen key is
+    /// present and frozen at its round's level, and unloaded constraints
+    /// have no history.
+    pub fn check_invariants(&self) -> Result<(), String> {
+        let n = self.capacity.len();
+        let mut want: Vec<Vec<usize>> = vec![Vec::new(); n];
+        let mut capped = Vec::new();
+        for key in (0..self.paths.len()).filter(|&k| self.present[k]) {
+            for &c in &self.paths[key].constraints {
+                want[c].push(key);
+            }
+            if let Some(cap) = self.paths[key].rate_cap.filter(|c| c.is_finite()) {
+                capped.push((cap, key));
+            }
+        }
+        let mut with_members = 0;
+        for (c, want) in want.iter().enumerate() {
+            let mut got = self.members[c].clone();
+            got.sort_unstable();
+            let loaded = self.loaded_pos[c] != usize::MAX;
+            with_members += !got.is_empty() as usize;
+            if got != *want
+                || loaded == got.is_empty()
+                || loaded && self.loaded.get(self.loaded_pos[c]) != Some(&c)
+                || !loaded && !self.history[c].is_empty()
+            {
+                return Err(format!(
+                    "netfair: constraint {c} (loaded {loaded}) members {got:?}, paths {want:?}"
+                ));
+            }
+        }
+        capped.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+        let mut thresholds: Vec<(f64, usize)> = capped
+            .iter()
+            .map(|&(cap, k)| (cap_threshold(cap), k))
+            .collect();
+        thresholds.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+        let bits = |order: &[(f64, usize)]| -> Vec<(u64, usize)> {
+            order.iter().map(|&(v, k)| (v.to_bits(), k)).collect()
+        };
+        if self.loaded.len() != with_members
+            || bits(&self.by_cap) != bits(&capped)
+            || bits(&self.by_threshold) != bits(&thresholds)
+        {
+            return Err(format!(
+                "netfair: {} loaded for {with_members}, cap orders {:?} / {:?}",
+                self.loaded.len(),
+                self.by_cap,
+                self.by_threshold
+            ));
+        }
+        let Some(terminal) = self.rounds.last() else {
+            return Ok(());
+        };
+        if terminal.frozen != self.frozen_log.len() {
+            return Err("netfair: log does not end at the frozen list".into());
+        }
+        for (r, pair) in self.rounds.windows(2).enumerate() {
+            let (round, next) = (pair[0], pair[1]);
+            let keys = &self.frozen_log[round.frozen..next.frozen.max(round.frozen)];
+            let level = round.level + round.inc;
+            let present = keys.iter().filter(|&&k| k != NONE).count();
+            let bad = keys.iter().find(|&&k| {
+                k != NONE
+                    && !(self.present[k]
+                        && self.frozen_in[k] == self.epoch
+                        && self.frozen_round[k] == r
+                        && self.frozen_level[k].to_bits() == level.to_bits())
+            });
+            if next.level < round.level
+                || next.frozen < round.frozen
+                || bad.is_some()
+                || present != round.kept
+            {
+                return Err(format!(
+                    "netfair: round {r} {round:?}, next {next:?}, frozen key {bad:?}"
+                ));
+            }
+        }
+        Ok(())
     }
 
     /// [`max_min_rates`] into the workspace's buffers: replaces the flow
@@ -623,6 +1158,154 @@ mod tests {
                 same_bits(&got, &full_scan_rates(&constraints, &flows), &format!("after op {step}"))?;
             }
         }
+    }
+
+    /// A flow in the Table 2 layout over `nodes` nodes: an S3-shaped read
+    /// (the external aggregate at `4 * nodes + 1`, the reader's NIC in and
+    /// disk write) under a per-flow cap, a replica write through the
+    /// switch at `4 * nodes`, or a local disk stream.
+    fn s3_path(nodes: usize, (kind, a, b, u): (u8, u16, u16, f64)) -> FlowPath {
+        let (a, b) = (a as usize % nodes, b as usize % nodes);
+        match kind % 6 {
+            0..=2 => FlowPath {
+                constraints: vec![4 * nodes + 1, 4 * b + 3, 4 * b + 1],
+                rate_cap: Some(if kind % 6 == 2 {
+                    8.0e7 * (0.5 + u)
+                } else {
+                    8.0e7
+                }),
+            },
+            3 | 4 => FlowPath {
+                constraints: vec![4 * a + 2, 4 * b + 3, 4 * b + 1, 4 * nodes],
+                rate_cap: None,
+            },
+            _ => FlowPath {
+                constraints: vec![4 * a + (b % 2)],
+                rate_cap: None,
+            },
+        }
+    }
+
+    /// One batch op: remove a picked live key, insert a flow, or remove a
+    /// picked key and insert a flow that reuses it.
+    type BatchOp = (u8, u16, (u8, u16, u16, f64));
+
+    /// Runs one replay case: `initial` flows, then each batch of inserts
+    /// and removes followed by a fill, every fill held to a fresh full
+    /// scan and every state to the invariants. Returns the rounds the
+    /// case replayed.
+    fn replay_case(
+        nodes: usize,
+        caps: &[(u8, f64)],
+        initial: &[(u8, u16, u16, f64)],
+        batches: &[Vec<BatchOp>],
+        force_log: bool,
+    ) -> Result<u64, TestCaseError> {
+        // NICs and disks at the engine's magnitudes, a few of them
+        // infinite; the switch and the S3 aggregate from the selectors.
+        let mut constraints: Vec<Constraint> = (0..4 * nodes)
+            .map(|i| {
+                let (sel, u) = caps[i % caps.len()];
+                let capacity = match sel % 10 {
+                    0 => f64::INFINITY,
+                    1..=5 => 1.25e8 * (0.5 + u),
+                    _ => 1.0e8 * (0.2 + u),
+                };
+                Constraint { capacity }
+            })
+            .collect();
+        for (sel, u) in [caps[0], caps[1]] {
+            let capacity = match sel % 3 {
+                0 => f64::INFINITY,
+                _ => 2.0e9 * (0.1 + u),
+            };
+            constraints.push(Constraint { capacity });
+        }
+        let mut ws = NetFairWorkspace::new(&constraints);
+        ws.force_log = force_log;
+        let mut slots: Vec<Option<FlowPath>> = Vec::new();
+        let mut free: Vec<usize> = Vec::new();
+        let add = |ws: &mut NetFairWorkspace,
+                   slots: &mut Vec<Option<FlowPath>>,
+                   free: &mut Vec<usize>,
+                   gen| {
+            let path = s3_path(nodes, gen);
+            let key = free.pop().unwrap_or(slots.len());
+            if key == slots.len() {
+                slots.push(None);
+            }
+            ws.insert(key, &path);
+            slots[key] = Some(path);
+        };
+        for &gen in initial {
+            add(&mut ws, &mut slots, &mut free, gen);
+        }
+        for (b, batch) in std::iter::once(&Vec::new()).chain(batches).enumerate() {
+            for &(op, pick, gen) in batch {
+                let live: Vec<usize> = (0..slots.len()).filter(|&k| slots[k].is_some()).collect();
+                if op % 3 != 1 && !live.is_empty() {
+                    let key = live[pick as usize % live.len()];
+                    slots[key] = None;
+                    free.push(key);
+                    ws.remove(key);
+                }
+                if op % 3 != 0 {
+                    add(&mut ws, &mut slots, &mut free, gen);
+                }
+                ws.check_invariants().map_err(TestCaseError::fail)?;
+            }
+            ws.fill();
+            ws.check_invariants().map_err(TestCaseError::fail)?;
+            let keys: Vec<usize> = (0..slots.len()).filter(|&k| slots[k].is_some()).collect();
+            let flows: Vec<FlowPath> = keys.iter().map(|&k| slots[k].clone().unwrap()).collect();
+            let got: Vec<f64> = keys.iter().map(|&k| ws.rate(k)).collect();
+            same_bits(
+                &got,
+                &full_scan_rates(&constraints, &flows),
+                &format!("after batch {b}"),
+            )?;
+        }
+        Ok(ws.stats().rounds_replayed)
+    }
+
+    /// Fills that replay the previous fill's rounds give the full scan's
+    /// bits: batches of 1–4 starts and ends between fills, keys freed and
+    /// reused within a batch, S3-shaped capped flows on a shared
+    /// aggregate, and infinite constraints on the changed paths. Every
+    /// fill logs, so every fill after the first tries to replay, and the
+    /// rounds replayed over all cases must be above zero; the same cases
+    /// under the logging rule alone must match too.
+    #[test]
+    fn replayed_fills_match_fresh_full_scan() {
+        use proptest::test_runner::{Config, TestRunner};
+        let strategy = (
+            2usize..=40,
+            proptest::collection::vec((any::<u8>(), 0.0f64..1.0), 8),
+            proptest::collection::vec(
+                (any::<u8>(), any::<u16>(), any::<u16>(), 0.0f64..1.0),
+                10..=90,
+            ),
+            proptest::collection::vec(
+                proptest::collection::vec(
+                    (
+                        any::<u8>(),
+                        any::<u16>(),
+                        (any::<u8>(), any::<u16>(), any::<u16>(), 0.0f64..1.0),
+                    ),
+                    1..=4,
+                ),
+                1..=30,
+            ),
+        );
+        let replayed = std::cell::Cell::new(0u64);
+        TestRunner::new(Config::with_cases(128))
+            .run(&strategy, |(nodes, caps, initial, batches)| {
+                replayed.set(replayed.get() + replay_case(nodes, &caps, &initial, &batches, true)?);
+                replay_case(nodes, &caps, &initial, &batches, false)?;
+                Ok(())
+            })
+            .unwrap();
+        assert!(replayed.get() > 0, "no fill replayed a round");
     }
 
     fn close(a: f64, b: f64) -> bool {
