@@ -7,8 +7,7 @@
 //! its speedup, and the tracing overhead. The tracing-off run is the
 //! zero-overhead contract for `hiway-obs`. The incremental engine watches
 //! every node, as the reference engine accounts every node. The workload
-//! block also holds the fill counts: fills, their rounds and the rounds
-//! replayed from the previous fill.
+//! block also holds the fill counts: fills and their rounds.
 //!
 //! `--profile` instead runs each plan once through the incremental engine
 //! with `hiway_obs::profile` on and prints the split of its hot sections,
@@ -32,11 +31,10 @@ fn print_profile(shape: &str, plan: &Plan) {
     let wall = t0.elapsed().as_secs_f64();
     profile::set_enabled(false);
     println!(
-        "{shape}: {:.1} ms wall, {} fills, {:.2} rounds per fill, {:.1}% replayed",
+        "{shape}: {:.1} ms wall, {} fills, {:.2} rounds per fill",
         wall * 1e3,
         fills.fills,
-        fills.rounds as f64 / fills.fills.max(1) as f64,
-        100.0 * fills.rounds_replayed as f64 / fills.rounds.max(1) as f64
+        fills.rounds as f64 / fills.fills.max(1) as f64
     );
     for (section, calls, ns) in profile::snapshot() {
         println!(
@@ -116,7 +114,6 @@ fn main() {
             .workload(&key("steps"), reference.steps)
             .workload(&key("fills"), fills.fills)
             .workload(&key("fill_rounds"), fills.rounds)
-            .workload(&key("fill_rounds_replayed"), fills.rounds_replayed)
             .workload(&key("virtual_secs"), reference.virtual_secs);
         for (run, secs) in [
             ("reference", reference_s),
