@@ -1,11 +1,4 @@
 //! Runs the three design-choice ablations described in DESIGN.md.
 fn main() {
-    println!("Ablations of Hi-WAY's design choices\n");
-    match hiway_bench::experiments::ablation::run(11) {
-        Ok(rows) => println!("{}", hiway_bench::experiments::ablation::render(&rows)),
-        Err(e) => {
-            eprintln!("ablation failed: {e}");
-            std::process::exit(1);
-        }
-    }
+    hiway_bench::experiments::main("ablation")
 }

@@ -1,26 +1,4 @@
 //! Regenerates the chaos experiment: Montage under injected faults.
-use hiway_bench::experiments::chaos;
-
 fn main() {
-    let quick = std::env::args().any(|a| a == "--quick");
-    let params = if quick {
-        chaos::ChaosParams {
-            workers: 6,
-            repetitions: 3,
-            intensities: vec![0.0, 1.0],
-        }
-    } else {
-        chaos::ChaosParams::default()
-    };
-    println!(
-        "Chaos: Montage on {} workers under seeded fault injection, {} repetitions per intensity\n",
-        params.workers, params.repetitions
-    );
-    match chaos::run(&params) {
-        Ok(result) => println!("{}", chaos::render(&result)),
-        Err(e) => {
-            eprintln!("chaos failed: {e}");
-            std::process::exit(1);
-        }
-    }
+    hiway_bench::experiments::main("chaos")
 }

@@ -1,28 +1,4 @@
 //! Regenerates Figure 4: SNV runtime vs container count, Hi-WAY vs Tez.
-use hiway_bench::experiments::fig4;
-
 fn main() {
-    let quick = std::env::args().any(|a| a == "--quick");
-    let params = if quick {
-        fig4::Fig4Params {
-            nodes: 12,
-            container_counts: vec![24, 48, 96, 144],
-            samples: 18,
-            runs: 1,
-            cpu_scale: 0.2,
-        }
-    } else {
-        fig4::Fig4Params::default()
-    };
-    println!(
-        "Figure 4: SNV variant calling on a {}-node local cluster (1 GbE switch), {} runs/point\n",
-        params.nodes, params.runs
-    );
-    match fig4::run(&params) {
-        Ok(points) => println!("{}", fig4::render(&points)),
-        Err(e) => {
-            eprintln!("fig4 failed: {e}");
-            std::process::exit(1);
-        }
-    }
+    hiway_bench::experiments::main("fig4")
 }

@@ -1,21 +1,4 @@
 //! Regenerates Figure 6: master/worker resource utilization.
-use hiway_bench::experiments::fig6;
-
 fn main() {
-    let quick = std::env::args().any(|a| a == "--quick");
-    let params = if quick {
-        fig6::Fig6Params {
-            worker_counts: vec![1, 2, 4, 8],
-        }
-    } else {
-        fig6::Fig6Params::default()
-    };
-    println!("Figure 6: whole-run average utilization of Hadoop master, Hi-WAY AM, and a worker\n");
-    match fig6::run(&params) {
-        Ok(rows) => println!("{}", fig6::render(&rows)),
-        Err(e) => {
-            eprintln!("fig6 failed: {e}");
-            std::process::exit(1);
-        }
-    }
+    hiway_bench::experiments::main("fig6")
 }

@@ -1,25 +1,4 @@
 //! Regenerates Figure 8: TRAPLINE RNA-seq, Hi-WAY vs Galaxy CloudMan.
-use hiway_bench::experiments::fig8;
-
 fn main() {
-    let quick = std::env::args().any(|a| a == "--quick");
-    let params = if quick {
-        fig8::Fig8Params {
-            node_counts: vec![1, 2, 4, 6],
-            runs: 1,
-        }
-    } else {
-        fig8::Fig8Params::default()
-    };
-    println!(
-        "Figure 8: TRAPLINE on EC2 c3.2xlarge, one task per node, {} runs/size\n",
-        params.runs
-    );
-    match fig8::run(&params) {
-        Ok(points) => println!("{}", fig8::render(&points)),
-        Err(e) => {
-            eprintln!("fig8 failed: {e}");
-            std::process::exit(1);
-        }
-    }
+    hiway_bench::experiments::main("fig8")
 }

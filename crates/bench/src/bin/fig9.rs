@@ -1,31 +1,4 @@
 //! Regenerates Figure 9: Montage with HEFT vs FCFS over a provenance warm-up.
-use hiway_bench::experiments::fig9;
-
 fn main() {
-    let quick = std::env::args().any(|a| a == "--quick");
-    let params = if quick {
-        fig9::Fig9Params {
-            workers: 11,
-            repetitions: 5,
-            consecutive_heft_runs: 13,
-        }
-    } else {
-        fig9::Fig9Params::default()
-    };
-    println!(
-        "Figure 9: Montage on 11 heterogeneous (stressed) workers, {} repetitions\n",
-        params.repetitions
-    );
-    match fig9::run(&params) {
-        Ok(result) => {
-            println!("{}", fig9::render(&result));
-            let (t1, t11) = fig9::significance(&result);
-            println!("Welch t, FCFS vs HEFT(1 prior run):        {t1:.2}");
-            println!("Welch t, HEFT(10 prior) vs HEFT(11 prior): {t11:.2}");
-        }
-        Err(e) => {
-            eprintln!("fig9 failed: {e}");
-            std::process::exit(1);
-        }
-    }
+    hiway_bench::experiments::main("fig9")
 }

@@ -1,21 +1,4 @@
 //! Supplementary experiment: concurrent per-workflow AMs vs sequential runs.
-use hiway_bench::experiments::multiwf;
-
 fn main() {
-    println!("Multi-tenancy: k concurrent Montage workflows, one AM each, 11 workers\n");
-    match multiwf::run(11, &[1, 2, 4, 8], 5) {
-        Ok(points) => println!("{}", multiwf::render(&points)),
-        Err(e) => {
-            eprintln!("multiwf failed: {e}");
-            std::process::exit(1);
-        }
-    }
-    println!("Fairness: two queues weighted 2:1, 4 Montage workflows each, 16 workers\n");
-    match multiwf::run_fairness(16, 4, 5) {
-        Ok(sweep) => println!("{}", multiwf::render_fairness(&sweep)),
-        Err(e) => {
-            eprintln!("fairness sweep failed: {e}");
-            std::process::exit(1);
-        }
-    }
+    hiway_bench::experiments::main("multiwf")
 }

@@ -1,23 +1,5 @@
 //! Crash-and-resume experiment: cold run, warm resume, and a run killed
-//! mid-DAG then resumed, all against durable provenance stores. Output
-//! is deterministic (virtual time and counts only — no host paths) and
-//! gated byte-for-byte against `results/resume.txt` by CI.
-
-use hiway_bench::experiments::resume;
-
+//! mid-DAG then resumed, all against durable provenance stores.
 fn main() {
-    println!(
-        "Crash-and-resume: Montage on 4 workers, durable provenance store, memoized re-execution\n"
-    );
-    let scratch = std::env::temp_dir().join(format!("hiway-resume-exp-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&scratch);
-    match resume::run(&scratch) {
-        Ok(result) => println!("{}", resume::render(&result)),
-        Err(e) => {
-            eprintln!("resume experiment failed: {e}");
-            let _ = std::fs::remove_dir_all(&scratch);
-            std::process::exit(1);
-        }
-    }
-    let _ = std::fs::remove_dir_all(&scratch);
+    hiway_bench::experiments::main("resume")
 }

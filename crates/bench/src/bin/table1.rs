@@ -1,5 +1,4 @@
 //! Regenerates Table 1 (overview of conducted experiments).
 fn main() {
-    println!("Table 1: overview of conducted experiments\n");
-    println!("{}", hiway_bench::experiments::table1::render());
+    hiway_bench::experiments::main("table1")
 }

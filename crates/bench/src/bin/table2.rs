@@ -1,25 +1,4 @@
 //! Regenerates Table 2 and Figure 5: SNV weak scaling, 1→128 workers.
-use hiway_bench::experiments::table2;
-
 fn main() {
-    let quick = std::env::args().any(|a| a == "--quick");
-    let params = if quick {
-        table2::Table2Params {
-            worker_counts: vec![1, 2, 4, 8],
-            runs: 1,
-        }
-    } else {
-        table2::Table2Params::default()
-    };
-    println!(
-        "Table 2 / Figure 5: SNV weak scaling on EC2 m3.large, {} runs/rung\n",
-        params.runs
-    );
-    match table2::run(&params) {
-        Ok(rows) => println!("{}", table2::render(&rows)),
-        Err(e) => {
-            eprintln!("table2 failed: {e}");
-            std::process::exit(1);
-        }
-    }
+    hiway_bench::experiments::main("table2")
 }

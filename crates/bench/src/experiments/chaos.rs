@@ -56,7 +56,7 @@ impl Default for ChaosParams {
 }
 
 /// Outcome of one repetition.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct ChaosCell {
     pub completed: bool,
     pub makespan_secs: f64,
@@ -150,14 +150,18 @@ pub fn run_cell_traced(
     })
 }
 
+/// The seed of repetition `rep` at the sweep's `i`-th intensity.
+pub fn cell_seed(i: usize, rep: usize) -> u64 {
+    11_000 + rep as u64 * 131 + i as u64 * 7_919
+}
+
 /// Runs the sweep; repetitions fan out across threads and merge back in
 /// submission order, so output is byte-identical however many threads run.
 pub fn run(params: &ChaosParams) -> Result<ChaosResult, String> {
     let mut jobs = Vec::new();
     for (i, &intensity) in params.intensities.iter().enumerate() {
         for rep in 0..params.repetitions {
-            let seed = 11_000 + rep as u64 * 131 + i as u64 * 7_919;
-            jobs.push((i, intensity, seed));
+            jobs.push((i, intensity, cell_seed(i, rep)));
         }
     }
     let outcomes = common::par_map(jobs, |(i, intensity, seed)| {
@@ -337,10 +341,11 @@ mod tests {
         );
 
         // An enabled tracer at intensity 0 sees plenty of engine/driver
-        // activity but exactly zero fault instants and fault counters.
+        // activity but exactly zero fault instants and fault counters,
+        // and records the run without changing it.
         let on = Tracer::enabled();
-        let cell = run_cell_traced(6, 0.0, 4242, &on).unwrap();
-        assert_eq!(cell.faults_injected, 0);
+        let traced = run_cell_traced(6, 0.0, 4242, &on).unwrap();
+        assert_eq!(traced, cell, "tracing changed the run");
         assert_eq!(on.counter_value("fault.injected"), 0);
         assert_eq!(on.counter_value("fault.skipped"), 0);
         let snap = on.snapshot().unwrap();

@@ -14,6 +14,7 @@
 use hiway_core::driver::Runtime;
 use hiway_core::{HiwayConfig, SchedulerPolicy};
 use hiway_lang::cuneiform::CuneiformWorkflow;
+use hiway_obs::profile::{self, Section};
 use hiway_provdb::ProvDb;
 use hiway_sim::NodeId;
 use hiway_workloads::baseline::{run_dag, Baseline};
@@ -153,6 +154,7 @@ fn run_tez_baseline(
     let source = CuneiformWorkflow::parse("snv-fig4", &snv.cuneiform_source(), seed)
         .map_err(|e| e.to_string())?;
     let workflow = materialize(Box::new(source))?;
+    let _p = profile::section(Section::BaselineRun);
     let report = run_dag(
         &mut deployment.runtime.cluster,
         workflow,

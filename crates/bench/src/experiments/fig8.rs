@@ -9,6 +9,7 @@
 
 use hiway_core::SchedulerPolicy;
 use hiway_lang::galaxy::parse_galaxy;
+use hiway_obs::profile::{self, Section};
 use hiway_provdb::ProvDb;
 use hiway_sim::NodeSpec;
 use hiway_workloads::baseline::run_cloudman;
@@ -115,6 +116,7 @@ fn run_cloudman_baseline(rnaseq: &RnaseqParams, nodes: usize, seed: u64) -> Resu
         &rnaseq.tool_profiles(),
     )
     .map_err(|e| e.to_string())?;
+    let _p = profile::section(Section::BaselineRun);
     let report = run_cloudman(&mut cluster, workflow, ebs)?;
     Ok(report.runtime_secs)
 }

@@ -2,9 +2,9 @@
 //!
 //! Each experiment of the evaluation (Section 4) is implemented as a
 //! library function returning structured results, so the same code backs
-//! the `table1`/`fig4`/`table2`/`fig6`/`fig8`/`fig9` binaries and the
-//! regression tests. See `EXPERIMENTS.md` at
-//! the repository root for paper-vs-measured numbers.
+//! the regression tests and, through the one table
+//! [`experiments::ALL`], the experiment binaries and `bench_e2e`. See
+//! `EXPERIMENTS.md` at the repository root for paper-vs-measured numbers.
 //!
 //! | Binary    | Paper artefact | What it sweeps |
 //! |-----------|----------------|----------------|
@@ -16,13 +16,13 @@
 //! | `fig9`    | Figure 9       | Montage: HEFT vs FCFS over provenance warm-up |
 //!
 //! Supplementary binaries: `ablation`, `multiwf`, `chaos`, `resume`,
-//! `bench_engine` (engine hot path at Fig 4 and Table 2 scale vs the
-//! reference engine, tracing off and on → `BENCH_engine.json`), `bench_provdb` (provenance store →
+//! `bench_e2e` (the ten experiments above and below run serially, checked
+//! against `results/`, timed, and split over the `hiway_obs::profile`
+//! sections → `BENCH_e2e.json`), `bench_provdb` (provenance store →
 //! `BENCH_provdb.json`), and `hiway-trace` (one fully-traced run exported
 //! as Perfetto JSON / JSON-lines / text Gantt; see [`trace_run`]). Both
-//! bench bins time and write through [`report`].
+//! bench bins write through [`report`].
 
-pub mod engine_bench;
 pub mod experiments;
 pub mod report;
 pub mod stats;

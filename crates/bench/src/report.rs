@@ -1,9 +1,9 @@
-//! The harness behind every `BENCH_*.json` bin: one argument parser, one
-//! best-of timing loop and one writer, so each bench file reads the same
-//! way as `perfbench`'s output:
+//! The harness behind every `BENCH_*.json` bin: one best-of timing loop
+//! and one writer, so each bench file reads the same way as `perfbench`'s
+//! output, and `bench_provdb`'s argument parser:
 //!
 //! ```json
-//! {"bench": "engine", "workload": {...}, "metrics": {"speedup": {"value": 8.5, "unit": "ratio"}}}
+//! {"bench": "e2e", "workload": {...}, "metrics": {"table2.wall_s": {"value": 1.7, "unit": "s"}}}
 //! ```
 
 use std::fmt::Debug;

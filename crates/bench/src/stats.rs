@@ -57,23 +57,6 @@ pub fn welch_t(a: &[f64], b: &[f64]) -> f64 {
     }
 }
 
-/// Formats seconds as `MM.M min`.
-pub fn mins(secs: f64) -> String {
-    format!("{:.1} min", secs / 60.0)
-}
-
-/// Formats a byte count with binary units.
-pub fn human_bytes(bytes: f64) -> String {
-    const UNITS: [&str; 5] = ["B", "KiB", "MiB", "GiB", "TiB"];
-    let mut v = bytes;
-    let mut u = 0;
-    while v >= 1024.0 && u + 1 < UNITS.len() {
-        v /= 1024.0;
-        u += 1;
-    }
-    format!("{v:.2} {}", UNITS[u])
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -99,12 +82,5 @@ mod tests {
         assert!(welch_t(&slow, &fast) > 10.0);
         assert!(welch_t(&fast, &slow) < -10.0);
         assert_eq!(welch_t(&[1.0], &[2.0, 3.0]), 0.0, "degenerate inputs");
-    }
-
-    #[test]
-    fn formatting() {
-        assert_eq!(mins(90.0), "1.5 min");
-        assert_eq!(human_bytes(8.06e9 / 1.0), "7.51 GiB");
-        assert_eq!(human_bytes(512.0), "512.00 B");
     }
 }

@@ -34,6 +34,7 @@ use rand::{Rng, SeedableRng};
 use hiway_hdfs::LocalityRow;
 use hiway_lang::trace::{FileEvent, TaskEvent};
 use hiway_lang::{TaskId, TaskSpec, WorkflowSource};
+use hiway_obs::profile::{section, Section};
 use hiway_obs::{Tracer, TrackId};
 use hiway_provdb::ProvDb;
 use hiway_sim::{Activity, ActivityId, Endpoint, NodeId, SimTime};
@@ -749,13 +750,17 @@ impl Runtime {
                 task,
                 attempt,
                 file,
-            } => self.on_activity_done(wf as usize, task, attempt, file),
+            } => {
+                let _p = section(Section::AttemptEvent);
+                self.on_activity_done(wf as usize, task, attempt, file)
+            }
             Tag::RetryTask { wf, task } => self.on_retry_due(wf as usize, task),
             Tag::Stress | Tag::Replication => {}
         }
     }
 
     fn on_heartbeat(&mut self) {
+        let mut prof = section(Section::HeartbeatIdle);
         self.heartbeat_armed = false;
         // Fail fast workflows whose requests can never be satisfied — an
         // ask larger than every node (or the queue's elastic ceiling)
@@ -776,6 +781,9 @@ impl Runtime {
         let now = self.cluster.engine.now().as_secs();
         let granted = self.cluster.rm.allocate_at(now);
         let any_granted = !granted.is_empty();
+        if any_granted {
+            prof.relabel(Section::HeartbeatRoute);
+        }
         for container in granted {
             self.route_container(container);
         }
@@ -858,6 +866,7 @@ impl Runtime {
         let alive = hdfs.is_alive(node);
         let am = &mut self.ams[wf];
         let rows = alive && am.scheduler.policy().reads_locality();
+        let build = section(Section::RouteCandidates);
         let candidates: Vec<Candidate> = am
             .ready_order
             .iter_mut()
@@ -867,6 +876,7 @@ impl Runtime {
                 locality: rows.then(|| hdfs.refresh_row(&spec.inputs, locality)),
             })
             .collect();
+        drop(build);
         let node_name = &self.cluster.engine.spec().node(node).name;
         let selection = am.scheduler.select(
             node,
@@ -1315,7 +1325,10 @@ impl Runtime {
     /// Figure 3: it may reveal tasks), then cascade readiness and check
     /// whether the workflow is done.
     fn after_completion(&mut self, wf: usize, task_id: TaskId) {
-        match self.ams[wf].source.on_task_completed(task_id) {
+        let lang = section(Section::LangCompleted);
+        let revealed = self.ams[wf].source.on_task_completed(task_id);
+        drop(lang);
+        match revealed {
             Ok(new_tasks) => self.register_tasks(wf, new_tasks),
             Err(e) => {
                 self.fail_workflow(wf, e.to_string());

@@ -25,6 +25,7 @@ use std::collections::HashMap;
 use hiway_format::json::Json;
 use hiway_hdfs::fnv1a64;
 use hiway_lang::trace::{FileEvent, TaskEvent, TraceEvent, WorkflowEvent};
+use hiway_obs::profile::{section, Section};
 use hiway_provdb::{Aggregate, Collection, Op, ProvDb};
 
 /// Collection names inside the provenance database.
@@ -172,6 +173,7 @@ impl ProvenanceManager {
     /// and the committed outputs, so on a durable store the commit and its
     /// memo reach the WAL in one insert.
     pub fn record_task(&mut self, event: TaskEvent, memo_key: Option<String>) {
+        let _p = section(Section::ProvRecord);
         let mut doc = task_doc(&event);
         if let Some(key) = memo_key {
             let outputs = event
@@ -318,46 +320,6 @@ impl ProvenanceManager {
     pub fn observation_count(&self, signature: &str) -> usize {
         self.signature_stats(signature, |s| s.count).unwrap_or(0)
     }
-
-    /// Latest recorded size of a file (§3.4 statistics source ii: "the
-    /// names and sizes of the files being processed in these tasks").
-    pub fn known_file_size(&self, path: &str) -> Option<u64> {
-        self.db
-            .collection(FILES_COLLECTION)
-            .query()
-            .filter("path", Op::Eq, path)
-            .last()
-            .and_then(|doc| doc.get("size").and_then(Json::as_u64))
-    }
-
-    /// Average observed transfer seconds per byte for stage-in traffic —
-    /// available to schedulers that want to estimate data transfer times
-    /// (§3.4 point iii).
-    pub fn avg_transfer_secs_per_byte(&self) -> Option<f64> {
-        let docs = self
-            .db
-            .collection(FILES_COLLECTION)
-            .query()
-            .filter("direction", Op::Eq, "in")
-            .filter("size", Op::Gt, 0.0)
-            .collect();
-        if docs.is_empty() {
-            return None;
-        }
-        let (mut secs, mut bytes) = (0.0, 0.0);
-        for d in docs {
-            secs += d
-                .get("transfer_seconds")
-                .and_then(Json::as_f64)
-                .unwrap_or(0.0);
-            bytes += d.get("size").and_then(Json::as_f64).unwrap_or(0.0);
-        }
-        if bytes > 0.0 {
-            Some(secs / bytes)
-        } else {
-            None
-        }
-    }
 }
 
 #[cfg(test)]
@@ -479,10 +441,35 @@ mod tests {
         assert_eq!(hit.outputs[0].1, 2);
     }
 
+    /// The stored file documents, oldest first, as (path, size,
+    /// direction, transfer seconds).
+    pub(super) fn file_docs(p: &ProvenanceManager) -> Vec<(String, u64, String, f64)> {
+        let field = |d: &Json, k: &str| d.get(k).cloned().unwrap_or(Json::Null);
+        p.db.collection(FILES_COLLECTION)
+            .query()
+            .collect()
+            .iter()
+            .map(|d| {
+                (
+                    field(d, "path").as_str().unwrap_or_default().to_string(),
+                    field(d, "size").as_u64().unwrap_or_default(),
+                    field(d, "direction")
+                        .as_str()
+                        .unwrap_or_default()
+                        .to_string(),
+                    field(d, "transfer_seconds").as_f64().unwrap_or_default(),
+                )
+            })
+            .collect()
+    }
+
+    /// Stage-in and stage-out transfers both land in the store, each
+    /// with its direction and seconds: what a transfer-time estimate
+    /// (§3.4 point iii) reads.
     #[test]
     fn transfer_rate_estimate() {
         let mut p = ProvenanceManager::new(ProvDb::new());
-        assert_eq!(p.avg_transfer_secs_per_byte(), None);
+        assert!(file_docs(&p).is_empty());
         p.record_file(FileEvent {
             path: "/a".into(),
             size: 100,
@@ -494,10 +481,16 @@ mod tests {
             path: "/b".into(),
             size: 100,
             task: 0,
-            direction: "out".into(), // ignored: only stage-in counts
+            direction: "out".into(),
             transfer_seconds: 50.0,
         });
-        assert_eq!(p.avg_transfer_secs_per_byte(), Some(0.02));
+        assert_eq!(
+            file_docs(&p),
+            [
+                ("/a".to_string(), 100, "in".to_string(), 2.0),
+                ("/b".to_string(), 100, "out".to_string(), 50.0)
+            ]
+        );
     }
 }
 
@@ -506,11 +499,11 @@ mod statistics_source_tests {
     use super::*;
     use hiway_lang::trace::FileEvent;
 
-    /// The three statistics sources §3.4 enumerates are all queryable.
+    /// File sizes and transfer times (§3.4 statistics sources ii and
+    /// iii) are recorded, a re-observed path as a newer document.
     #[test]
     fn file_sizes_and_transfer_rates_are_recorded() {
         let mut p = ProvenanceManager::new(ProvDb::new());
-        assert_eq!(p.known_file_size("/in/reads.fq"), None);
         p.record_file(FileEvent {
             path: "/in/reads.fq".into(),
             size: 1_000_000,
@@ -518,9 +511,7 @@ mod statistics_source_tests {
             direction: "in".into(),
             transfer_seconds: 2.0,
         });
-        assert_eq!(p.known_file_size("/in/reads.fq"), Some(1_000_000));
-        assert_eq!(p.avg_transfer_secs_per_byte(), Some(2.0e-6));
-        // Latest size wins when a path is re-observed.
+        // A re-observed path gets a newer document.
         p.record_file(FileEvent {
             path: "/in/reads.fq".into(),
             size: 2_000_000,
@@ -528,6 +519,13 @@ mod statistics_source_tests {
             direction: "in".into(),
             transfer_seconds: 4.0,
         });
-        assert_eq!(p.known_file_size("/in/reads.fq"), Some(2_000_000));
+        let path = "/in/reads.fq".to_string();
+        assert_eq!(
+            super::tests::file_docs(&p),
+            [
+                (path.clone(), 1_000_000, "in".to_string(), 2.0),
+                (path, 2_000_000, "in".to_string(), 4.0)
+            ]
+        );
     }
 }

@@ -28,6 +28,7 @@ use std::collections::HashMap;
 
 use hiway_hdfs::LocalityRow;
 use hiway_lang::{TaskId, TaskSpec};
+use hiway_obs::profile::{section, Section};
 use hiway_obs::{CandidateScore, Decision, DecisionKind, Tracer};
 use hiway_sim::NodeId;
 use hiway_yarn::{ContainerRequest, Resource};
@@ -136,6 +137,7 @@ impl Scheduler {
         tracer: &Tracer,
         now: f64,
     ) -> Selection {
+        let _p = section(Section::SchedSelect);
         let scores: Vec<Score> = candidates
             .iter()
             .enumerate()
@@ -618,7 +620,7 @@ mod tests {
             // same and nothing is logged.
             let untraced = Tracer::disabled();
             assert_eq!(select(&untraced), picked, "{case}");
-            assert_eq!(untraced.decision_count(), 0, "{case}");
+            untraced.with_decisions(|ds| assert!(ds.is_empty(), "{case}"));
             tracer.with_decisions(|ds| {
                 assert_eq!(ds.len(), 1, "{case}: one row per container");
                 let d = &ds[0];

@@ -119,7 +119,7 @@ mod tests {
         // per-block targets are random, so 2 or 3 distinct nodes).
         assert!(ids.len() >= 3 && ids.len() <= 4, "got {}", ids.len());
         assert_eq!(
-            wp.total_network_bytes(),
+            wp.remote.iter().map(|&(_, bytes)| bytes).sum::<u64>(),
             2 * (180 << 20),
             "2 remote replicas"
         );

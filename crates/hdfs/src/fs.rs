@@ -7,6 +7,7 @@ use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 
+use hiway_obs::profile::{section, Section};
 use hiway_obs::Tracer;
 use hiway_sim::NodeId;
 
@@ -188,6 +189,7 @@ impl Hdfs {
         size: u64,
         writer: NodeId,
     ) -> Result<WritePlan, HdfsError> {
+        let _p = section(Section::HdfsCreate);
         if self.files.contains_key(path) {
             return Err(HdfsError::AlreadyExists(path.to_string()));
         }

@@ -64,12 +64,6 @@ pub struct WritePlan {
     pub remote: Vec<(NodeId, u64)>,
 }
 
-impl WritePlan {
-    pub fn total_network_bytes(&self) -> u64 {
-        self.remote.iter().map(|(_, b)| *b).sum()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -97,16 +91,5 @@ mod tests {
         assert_eq!(plan.total_bytes(), 175);
         assert_eq!(plan.local_bytes(), 100);
         assert_eq!(plan.remote_bytes(), 75);
-    }
-
-    #[test]
-    fn write_plan_network_bytes() {
-        let plan = WritePlan {
-            path: "/y".into(),
-            writer: NodeId(0),
-            local_bytes: 10,
-            remote: vec![(NodeId(1), 10), (NodeId(2), 10)],
-        };
-        assert_eq!(plan.total_network_bytes(), 20);
     }
 }

@@ -12,7 +12,10 @@ use std::cell::{Cell, RefCell};
 use std::time::Instant;
 
 /// A profiled section. The fill sections are disjoint from the engine's:
-/// the fill runs between the CPU refresh and the copy-out.
+/// the fill runs between the CPU refresh and the copy-out. The driver
+/// dispatches an event after the engine step that fired it, so the
+/// engine's sections never nest inside the `driver.*` ones; see
+/// [`Section::in_dispatch`] for the sections that do.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Section {
     /// A max-min fill's start: the replay check and the restore of the
@@ -36,9 +39,30 @@ pub enum Section {
     CompletionScan,
     /// Popping the due timers.
     TimerPop,
+    /// A driver heartbeat whose RM round granted no container.
+    HeartbeatIdle,
+    /// A driver heartbeat that routed at least one granted container.
+    HeartbeatRoute,
+    /// A driver attempt event: an attempt's startup, stage-in, run or
+    /// stage-out ending.
+    AttemptEvent,
+    /// One RM allocation round (`ResourceManager::allocate_at`).
+    RmAllocate,
+    /// Building the ready candidates for a routed container.
+    RouteCandidates,
+    /// The scheduler picking among those candidates.
+    SchedSelect,
+    /// Creating an HDFS file and planning its replicas.
+    HdfsCreate,
+    /// Feeding a completed task back to the workflow front-end.
+    LangCompleted,
+    /// Recording a finished task in the provenance store.
+    ProvRecord,
+    /// One whole baseline-engine run (Tez, CloudMan).
+    BaselineRun,
 }
 
-const SECTIONS: usize = 10;
+const SECTIONS: usize = 20;
 
 impl Section {
     /// Every section, in report order.
@@ -53,6 +77,16 @@ impl Section {
         Section::Settle,
         Section::CompletionScan,
         Section::TimerPop,
+        Section::HeartbeatIdle,
+        Section::HeartbeatRoute,
+        Section::AttemptEvent,
+        Section::RmAllocate,
+        Section::RouteCandidates,
+        Section::SchedSelect,
+        Section::HdfsCreate,
+        Section::LangCompleted,
+        Section::ProvRecord,
+        Section::BaselineRun,
     ];
 
     pub fn name(self) -> &'static str {
@@ -67,7 +101,38 @@ impl Section {
             Section::Settle => "engine.settle",
             Section::CompletionScan => "engine.completion_scan",
             Section::TimerPop => "engine.timer_pop",
+            Section::HeartbeatIdle => "driver.heartbeat_idle",
+            Section::HeartbeatRoute => "driver.heartbeat_route",
+            Section::AttemptEvent => "driver.attempt_event",
+            Section::RmAllocate => "rm.allocate_at",
+            Section::RouteCandidates => "route.candidates",
+            Section::SchedSelect => "sched.select",
+            Section::HdfsCreate => "hdfs.create",
+            Section::LangCompleted => "lang.on_task_completed",
+            Section::ProvRecord => "prov.record_task",
+            Section::BaselineRun => "baseline.run_dag",
         }
+    }
+
+    /// Whether the driver runs this section inside a `driver.*` one, so
+    /// its time is already part of that section's: the RM round inside
+    /// a heartbeat, the candidate build and the pick inside a routing
+    /// heartbeat, the file creation, the front-end and the provenance
+    /// write inside an attempt event (or a memo hit while routing).
+    /// Prestaging inputs before a run and a baseline engine's writes
+    /// also create files, outside any dispatch. The engine's and the
+    /// fill's sections are never inside a `driver.*` one, but are inside
+    /// `baseline.run_dag` while a baseline engine runs.
+    pub fn in_dispatch(self) -> bool {
+        matches!(
+            self,
+            Section::RmAllocate
+                | Section::RouteCandidates
+                | Section::SchedSelect
+                | Section::HdfsCreate
+                | Section::LangCompleted
+                | Section::ProvRecord
+        )
     }
 }
 
@@ -110,6 +175,14 @@ pub struct Guard {
 pub fn section(section: Section) -> Guard {
     let start = ENABLED.with(|e| e.get()).then(Instant::now);
     Guard { section, start }
+}
+
+impl Guard {
+    /// Books the enclosing scope under `section` instead, for a scope
+    /// whose kind is known only part way through.
+    pub fn relabel(&mut self, section: Section) {
+        self.section = section;
+    }
 }
 
 impl Drop for Guard {

@@ -230,22 +230,6 @@ impl Tracer {
             .unwrap_or(0)
     }
 
-    /// Number of audit-log decisions recorded so far.
-    pub fn decision_count(&self) -> usize {
-        self.inner
-            .as_ref()
-            .map(|i| i.borrow().decisions.len())
-            .unwrap_or(0)
-    }
-
-    /// Number of queue audit entries recorded so far.
-    pub fn queue_audit_count(&self) -> usize {
-        self.inner
-            .as_ref()
-            .map(|i| i.borrow().queue_audits.len())
-            .unwrap_or(0)
-    }
-
     /// Runs `f` over the queue audit log (empty slice when disabled).
     pub fn with_queue_audits<R>(&self, f: impl FnOnce(&[QueueAudit]) -> R) -> R {
         match &self.inner {
@@ -366,13 +350,11 @@ mod tests {
         };
         let disabled = Tracer::disabled();
         disabled.queue_audit(entry.clone());
-        assert_eq!(disabled.queue_audit_count(), 0);
         disabled.with_queue_audits(|a| assert!(a.is_empty()));
 
         let t = Tracer::enabled();
         t.clone().queue_audit(entry.clone());
-        assert_eq!(t.queue_audit_count(), 1);
-        t.with_queue_audits(|a| assert_eq!(a[0], entry));
+        t.with_queue_audits(|a| assert_eq!(a, std::slice::from_ref(&entry)));
         assert_eq!(t.snapshot().unwrap().queue_audits.len(), 1);
     }
 

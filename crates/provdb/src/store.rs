@@ -368,11 +368,6 @@ impl ProvDb {
         })
     }
 
-    /// Whether this database writes through to disk.
-    pub fn is_durable(&self) -> bool {
-        self.durable.is_some()
-    }
-
     /// The durable directory, if any.
     pub fn path(&self) -> Option<PathBuf> {
         self.durable
@@ -763,7 +758,7 @@ mod durable_tests {
         let dir = crate::test_dir("store_reopen");
         {
             let db = ProvDb::open(&dir).unwrap();
-            assert!(db.is_durable());
+            assert!(db.durable.is_some());
             assert_eq!(db.path().unwrap(), dir);
             let tasks = db.collection("tasks");
             tasks.create_index("name");
@@ -859,7 +854,7 @@ mod durable_tests {
     #[test]
     fn in_memory_db_reports_no_durability() {
         let db = ProvDb::new();
-        assert!(!db.is_durable());
+        assert!(db.durable.is_none());
         assert_eq!(db.path(), None);
         assert_eq!(db.stats(), DurabilityStats::default());
         db.compact().unwrap(); // no-op, not an error

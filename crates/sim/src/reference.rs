@@ -6,11 +6,12 @@
 //! scratch; `peek_next_time` and `step` scan every activity and timer
 //! linearly. This is exactly the pre-overhaul hot path — O(all activities)
 //! per event — and the incremental engine must reproduce its completion
-//! sequences and virtual times bit for bit (see the property tests in
-//! `tests/incremental_vs_reference.rs` and the `bench_engine` binary).
+//! sequences and virtual times bit for bit.
 //!
-//! Not public API: exposed (`#[doc(hidden)]` from the crate root) only so
-//! the benchmark harness can measure the speedup against it.
+//! Not public API: it serves the lockstep tests in
+//! `tests/incremental_vs_reference.rs` only, and is exposed
+//! (`#[doc(hidden)]` from the crate root) because those are integration
+//! tests.
 
 use std::collections::{BTreeMap, HashMap};
 

@@ -13,6 +13,8 @@
 //! watched node must equal the reference's, all seven fields bit for bit.
 
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 
 use hiway_sim::reference::ReferenceEngine;
 use hiway_sim::{
@@ -177,16 +179,22 @@ macro_rules! assert_same_time {
 }
 
 /// Runs `ops` through both engines, the incremental one watching the
-/// nodes in `watch` (taken modulo `nodes`) from the start.
+/// nodes in `watch` (taken modulo `nodes`) from the start. The S3 service
+/// caps each flow as `ExternalSpec::s3` does, under `s3_aggregate_bps`
+/// shared by all its flows (`None`: unlimited).
 fn lockstep(
     nodes: usize,
     switch_gbps: Option<f64>,
+    s3_aggregate_bps: Option<f64>,
     watch: &[u8],
     ops: &[Op],
 ) -> Result<(), proptest::test_runner::TestCaseError> {
     let mut spec = ClusterSpec::homogeneous(nodes, "n", &NodeSpec::m3_large("p"));
     spec.switch_bps = switch_gbps.map(|g| g * 1.0e9);
-    let s3 = spec.add_external(ExternalSpec::s3());
+    let s3 = spec.add_external(ExternalSpec {
+        aggregate_bps: s3_aggregate_bps.unwrap_or(f64::INFINITY),
+        ..ExternalSpec::s3()
+    });
     let mut inc: Engine<u32> = Engine::new(spec.clone());
     let mut refe: ReferenceEngine<u32> = ReferenceEngine::new(spec);
 
@@ -382,10 +390,11 @@ proptest! {
     fn incremental_engine_matches_reference(
         nodes in 1usize..6,
         switch in proptest::option::of(0.5f64..4.0),
+        s3_aggregate in proptest::option::of(0.5e8f64..4.0e8),
         watch in proptest::collection::vec(0u8..8, 1..4),
         ops in proptest::collection::vec(op_strategy(), 1..80),
     ) {
-        lockstep(nodes, switch, &watch, &ops)?;
+        lockstep(nodes, switch, s3_aggregate, &watch, &ops)?;
     }
 }
 
@@ -424,7 +433,59 @@ fn long_flow_keeps_its_key_through_churn_elsewhere() {
             ops.push(Op::Advance { dt: 0.003 });
         }
     }
-    if let Err(e) = lockstep(4, None, &[1, 2], &ops) {
+    if let Err(e) = lockstep(4, None, None, &[1, 2], &ops) {
+        panic!("{}", e.message);
+    }
+}
+
+/// Table 2's top rung in shape: two idle masters and 128 workers that
+/// read their inputs from S3 under a finite 2 GB/s aggregate (binding
+/// once 25 of the 80 MB/s reads overlap), compute, and now and then write
+/// a replica to another worker, with heartbeat timers and cancellations
+/// between the steps. The proptest stops at 6 nodes; this case holds the
+/// engines to each other where a fill has ~130 nodes' constraints.
+#[test]
+fn table2_scale_s3_reads_match_reference() {
+    let mut rng = StdRng::seed_from_u64(2017);
+    let worker = |rng: &mut StdRng| 2 + rng.gen_range(0..128u32) as u8;
+    let mut ops = Vec::new();
+    for _ in 0..60 {
+        let node = worker(&mut rng);
+        let volume = rng.gen_range(0.5e8..2.0e8);
+        ops.push(Op::External {
+            node,
+            upload: false,
+            volume,
+        });
+    }
+    for _ in 0..1500 {
+        let node = worker(&mut rng);
+        ops.push(match rng.gen_range(0..20u32) {
+            0..=5 => Op::External {
+                node,
+                upload: false,
+                volume: rng.gen_range(0.5e8..2.0e8),
+            },
+            6 | 7 => Op::Compute {
+                node,
+                threads: 1.0,
+                volume: rng.gen_range(5.0..40.0),
+            },
+            8 | 9 => Op::Flow {
+                src: node,
+                dst: worker(&mut rng),
+                src_disk: false,
+                dst_disk: true,
+                volume: rng.gen_range(0.2e8..0.6e8),
+            },
+            10 => Op::Timer { delay: 3.0 },
+            11 => Op::CancelAct {
+                pick: rng.gen_range(0..1000u32) as u16,
+            },
+            _ => Op::Step,
+        });
+    }
+    if let Err(e) = lockstep(130, None, Some(2.0e9), &[0, 2, 77, 129], &ops) {
         panic!("{}", e.message);
     }
 }

@@ -9,6 +9,7 @@
 
 use std::collections::BTreeMap;
 
+use hiway_obs::profile::{section, Section};
 use hiway_obs::{QueueAudit, QueueEventKind, Tracer};
 use hiway_sim::{ClusterSpec, NodeId};
 
@@ -233,14 +234,8 @@ impl ResourceManager {
         }
     }
 
-    /// Whether an application is currently admitted (rejected or parked
-    /// applications cannot be granted containers).
-    pub fn is_admitted(&self, app: AppId) -> bool {
-        self.app_admitted[app.0 as usize]
-    }
-
     /// Enqueues a container request; allocation happens on the next
-    /// [`Self::allocate`] (the AM–RM heartbeat). Requests no node (and no
+    /// [`Self::allocate_at`] (the AM–RM heartbeat). Requests no node (and no
     /// queue ceiling) could *ever* satisfy are failed fast instead of
     /// queued: they land in [`Self::take_infeasible`] and the driver
     /// fails the workflow rather than letting it hang.
@@ -304,18 +299,6 @@ impl ResourceManager {
         None
     }
 
-    /// Withdraws a pending request (e.g. the workflow finished early).
-    pub fn cancel_request(&mut self, id: RequestId) -> bool {
-        let removed = self.queue.remove(&id.0).is_some();
-        if removed {
-            self.dirty = true;
-            self.tracer.inc("rm.requests_cancelled", 1);
-            self.tracer
-                .set_gauge("rm.pending_requests", self.queue.len() as f64);
-        }
-        removed
-    }
-
     pub fn pending_requests(&self) -> usize {
         self.queue.len()
     }
@@ -323,14 +306,6 @@ impl ResourceManager {
     /// Pending requests of one application.
     pub fn pending_for(&self, app: AppId) -> usize {
         self.queue.values().filter(|p| p.app == app).count()
-    }
-
-    /// One allocation round at an unspecified time — equivalent to
-    /// [`Self::allocate_at`] at the last seen virtual time. Preemption
-    /// grace periods only advance through `allocate_at`, so tests that
-    /// don't care about time keep using this.
-    pub fn allocate(&mut self) -> Vec<Container> {
-        self.allocate_at(self.last_now)
     }
 
     /// One allocation round at virtual time `now`: serves queues in DRF
@@ -344,6 +319,7 @@ impl ResourceManager {
     /// fails against its final state: a round with nothing changed since
     /// the last one would grant nothing, and skips the scan.
     pub fn allocate_at(&mut self, now: f64) -> Vec<Container> {
+        let _p = section(Section::RmAllocate);
         self.last_now = now;
         let total = self.alive_total();
         let granted = if std::mem::take(&mut self.dirty) {
@@ -900,6 +876,19 @@ mod tests {
         Resource::new(1, 1000)
     }
 
+    /// Whether `app` is admitted: rejected or parked applications cannot
+    /// be granted containers.
+    fn admitted(r: &ResourceManager, app: AppId) -> bool {
+        r.app_admitted[app.0 as usize]
+    }
+
+    /// Withdraws a pending request, as an AM giving up on it would.
+    fn cancel(r: &mut ResourceManager, id: RequestId) {
+        if r.queue.remove(&id.0).is_some() {
+            r.dirty = true;
+        }
+    }
+
     #[test]
     fn allocation_respects_capacity() {
         let mut r = rm(1); // m3.large: 2 vcores, 7500 MB
@@ -907,12 +896,12 @@ mod tests {
         for _ in 0..3 {
             r.request(app, ContainerRequest::anywhere(one_core()));
         }
-        let got = r.allocate();
+        let got = r.allocate_at(0.0);
         assert_eq!(got.len(), 2, "only two cores available");
         assert_eq!(r.pending_requests(), 1);
         // Releasing one frees capacity for the queued request.
         r.release(got[0].id);
-        assert_eq!(r.allocate().len(), 1);
+        assert_eq!(r.allocate_at(0.0).len(), 1);
     }
 
     #[test]
@@ -923,7 +912,7 @@ mod tests {
         for _ in 0..2 {
             r.request(app, ContainerRequest::anywhere(Resource::new(1, 6000)));
         }
-        assert_eq!(r.allocate().len(), 1);
+        assert_eq!(r.allocate_at(0.0).len(), 1);
     }
 
     #[test]
@@ -933,7 +922,7 @@ mod tests {
         for _ in 0..4 {
             r.request(app, ContainerRequest::anywhere(one_core()));
         }
-        let got = r.allocate();
+        let got = r.allocate_at(0.0);
         let mut nodes: Vec<u32> = got.iter().map(|c| c.node.0).collect();
         nodes.sort_unstable();
         assert_eq!(nodes, vec![0, 1, 2, 3]);
@@ -948,13 +937,13 @@ mod tests {
             app,
             ContainerRequest::pinned(Resource::new(2, 7000), NodeId(0)),
         );
-        assert_eq!(r.allocate().len(), 1);
+        assert_eq!(r.allocate_at(0.0).len(), 1);
         // A strict request for node 0 must wait even though node 1 is free.
         let rid = r.request(app, ContainerRequest::pinned(one_core(), NodeId(0)));
-        assert!(r.allocate().is_empty());
+        assert!(r.allocate_at(0.0).is_empty());
         assert_eq!(r.pending_requests(), 1);
         // A relaxed request with the same preference falls back to node 1.
-        r.cancel_request(rid);
+        cancel(&mut r, rid);
         r.request(
             app,
             ContainerRequest {
@@ -964,7 +953,7 @@ mod tests {
                 unpreemptable: false,
             },
         );
-        let got = r.allocate();
+        let got = r.allocate_at(0.0);
         assert_eq!(got.len(), 1);
         assert_eq!(got[0].node, NodeId(1));
     }
@@ -976,7 +965,7 @@ mod tests {
         let a2 = r.submit_app();
         r.request(a1, ContainerRequest::anywhere(Resource::new(2, 7000)));
         r.request(a2, ContainerRequest::anywhere(Resource::new(2, 7000)));
-        let got = r.allocate();
+        let got = r.allocate_at(0.0);
         assert_eq!(got.len(), 1);
         assert_eq!(got[0].app, a1);
     }
@@ -987,7 +976,7 @@ mod tests {
         let app = r.submit_app();
         r.request(app, ContainerRequest::pinned(one_core(), NodeId(0)));
         r.request(app, ContainerRequest::pinned(one_core(), NodeId(1)));
-        let got = r.allocate();
+        let got = r.allocate_at(0.0);
         assert_eq!(got.len(), 2);
         let killed = r.fail_node(NodeId(0));
         assert_eq!(killed.len(), 1);
@@ -996,7 +985,7 @@ mod tests {
         assert_eq!(r.alive_nodes(), vec![NodeId(1)]);
         // New relaxed requests land on the survivor.
         r.request(app, ContainerRequest::anywhere(one_core()));
-        let got = r.allocate();
+        let got = r.allocate_at(0.0);
         assert_eq!(got.len(), 1);
         assert_eq!(got[0].node, NodeId(1));
         // Releasing a killed container is a no-op (already gone).
@@ -1023,7 +1012,7 @@ mod tests {
     fn submitted_app_is_admitted() {
         let mut r = rm(1);
         let a = r.submit_app();
-        assert!(r.is_admitted(a));
+        assert!(admitted(&r, a));
     }
 
     #[test]
@@ -1033,7 +1022,7 @@ mod tests {
         // Two containers on node 0, then the node dies mid-flight.
         r.request(app, ContainerRequest::pinned(one_core(), NodeId(0)));
         r.request(app, ContainerRequest::pinned(one_core(), NodeId(0)));
-        assert_eq!(r.allocate().len(), 2);
+        assert_eq!(r.allocate_at(0.0).len(), 2);
         assert_eq!(r.available(NodeId(0)).vcores, 0);
         r.fail_node(NodeId(0));
 
@@ -1050,7 +1039,7 @@ mod tests {
         let mut r = rm(2);
         let app = r.submit_app();
         r.request(app, ContainerRequest::pinned(one_core(), NodeId(0)));
-        let got = r.allocate();
+        let got = r.allocate_at(0.0);
         let old = got[0].id;
         let killed = r.fail_node(NodeId(0));
         assert_eq!(killed[0].id, old);
@@ -1062,7 +1051,7 @@ mod tests {
         assert!(r.release(old).is_none());
         assert_eq!(r.available(NodeId(0)), r.total(NodeId(0)));
         r.request(app, ContainerRequest::pinned(one_core(), NodeId(0)));
-        let fresh = r.allocate();
+        let fresh = r.allocate_at(0.0);
         assert_eq!(fresh.len(), 1);
         assert_ne!(fresh[0].id, old);
     }
@@ -1074,21 +1063,21 @@ mod tests {
         r.fail_node(NodeId(0));
         // While node 0 is down, relaxed requests avoid it...
         r.request(app, ContainerRequest::anywhere(one_core()));
-        assert_eq!(r.allocate()[0].node, NodeId(1));
+        assert_eq!(r.allocate_at(0.0)[0].node, NodeId(1));
         // ...and pinned requests for it starve.
         let starved = r.request(app, ContainerRequest::pinned(one_core(), NodeId(0)));
-        assert!(r.allocate().is_empty());
+        assert!(r.allocate_at(0.0).is_empty());
         assert_eq!(r.pending_requests(), 1);
 
         r.revive_node(NodeId(0));
         // The queued pinned request is finally served on the revived node.
-        let got = r.allocate();
+        let got = r.allocate_at(0.0);
         assert_eq!(got.len(), 1);
         assert_eq!(got[0].node, NodeId(0));
         let _ = starved;
         // And relaxed requests may use it again too.
         r.request(app, ContainerRequest::anywhere(one_core()));
-        let nodes: Vec<NodeId> = r.allocate().iter().map(|c| c.node).collect();
+        let nodes: Vec<NodeId> = r.allocate_at(0.0).iter().map(|c| c.node).collect();
         assert!(!nodes.is_empty());
     }
 
@@ -1102,7 +1091,7 @@ mod tests {
         for _ in 0..3 {
             r.request(app, ContainerRequest::anywhere(one_core()));
         }
-        let got = r.allocate();
+        let got = r.allocate_at(0.0);
         assert_eq!(tracer.counter_value("rm.requests"), 3);
         assert_eq!(
             tracer.counter_value("rm.containers_allocated"),
@@ -1118,7 +1107,7 @@ mod tests {
         assert_eq!(snap.metrics.gauge("rm.pending_requests"), Some(0.0));
         // Default (unconfigured) queues stay silent: no queue audits, no
         // per-queue gauges — historical traces must not change.
-        assert_eq!(tracer.queue_audit_count(), 0);
+        tracer.with_queue_audits(|a| assert!(a.is_empty()));
         assert_eq!(snap.metrics.gauge("rm.queue.default.used_vcores"), None);
     }
 
@@ -1129,7 +1118,7 @@ mod tests {
         r.set_tracer(&tracer);
         let app = r.submit_app();
         r.request(app, ContainerRequest::anywhere(one_core()));
-        r.allocate();
+        r.allocate_at(0.0);
         assert_eq!(tracer.counter_value("rm.requests"), 0);
         assert!(tracer.snapshot().is_none());
     }
@@ -1139,7 +1128,7 @@ mod tests {
         let mut r = rm(1);
         let app = r.submit_app();
         r.request(app, ContainerRequest::anywhere(one_core()));
-        assert_eq!(r.allocate().len(), 1);
+        assert_eq!(r.allocate_at(0.0).len(), 1);
         let before = r.available(NodeId(0));
         // Reviving a node that never died must not resurrect capacity
         // currently leased to containers.
@@ -1155,7 +1144,7 @@ mod tests {
         let mut r = rm(2);
         let app = r.submit_app();
         r.request(app, ContainerRequest::pinned(one_core(), NodeId(0)));
-        let got = r.allocate();
+        let got = r.allocate_at(0.0);
         let cid = got[0].id;
         r.fail_node(NodeId(0));
         // The driver may still hold the container handle and release it
@@ -1174,7 +1163,7 @@ mod tests {
         let mut r = rm(1);
         let app = r.submit_app();
         r.request(app, ContainerRequest::anywhere(one_core()));
-        let got = r.allocate();
+        let got = r.allocate_at(0.0);
         let cid = got[0].id;
         assert!(r.release(cid).is_some());
         let avail = r.available(NodeId(0));
@@ -1192,7 +1181,7 @@ mod tests {
         // More cores than any node has: must not enter the queue at all.
         r.request(app, ContainerRequest::anywhere(Resource::new(64, 1000)));
         assert_eq!(r.pending_requests(), 0);
-        assert!(r.allocate().is_empty());
+        assert!(r.allocate_at(0.0).is_empty());
         let infeasible = r.take_infeasible();
         assert_eq!(infeasible.len(), 1);
         assert_eq!(infeasible[0].0, app);
@@ -1259,7 +1248,7 @@ mod tests {
             r.request(a, ContainerRequest::anywhere(one_core()));
             r.request(b, ContainerRequest::anywhere(one_core()));
         }
-        let got = r.allocate();
+        let got = r.allocate_at(0.0);
         assert_eq!(got.len(), 8, "work conservation: all cores in use");
         let a_cores = got.iter().filter(|c| c.app == a).count();
         let b_cores = got.iter().filter(|c| c.app == b).count();
@@ -1294,7 +1283,7 @@ mod tests {
             r.request(a, ContainerRequest::anywhere(one_core()));
         }
         // Even with the whole cluster idle, "capped" stops at 50% = 4 cores.
-        let got = r.allocate();
+        let got = r.allocate_at(0.0);
         assert_eq!(got.len(), 4);
         assert_eq!(r.pending_requests(), 4);
         assert_eq!(r.queue_usage("capped").unwrap().vcores, 4);
@@ -1303,7 +1292,7 @@ mod tests {
         for _ in 0..4 {
             r.request(b, ContainerRequest::anywhere(one_core()));
         }
-        assert_eq!(r.allocate().len(), 4);
+        assert_eq!(r.allocate_at(0.0).len(), 4);
     }
 
     #[test]
@@ -1315,7 +1304,7 @@ mod tests {
         for _ in 0..4 {
             r.request(b, ContainerRequest::anywhere(one_core()));
         }
-        assert_eq!(r.allocate().len(), 4);
+        assert_eq!(r.allocate_at(0.0).len(), 4);
         assert!(r.queue_share("tenant-b").unwrap() > 0.9);
     }
 
@@ -1342,15 +1331,15 @@ mod tests {
         for n in [0, 0, 1, 2] {
             r.request(b, ContainerRequest::pinned(one_core(), NodeId(n)));
         }
-        assert_eq!(r.allocate().len(), 4);
+        assert_eq!(r.allocate_at(0.0).len(), 4);
         // A fifth core would put "b" at 5 of 6 cores, over its 4.5 ceiling.
         r.request(b, ContainerRequest::anywhere(one_core()));
-        assert!(r.allocate().is_empty());
-        assert!(r.allocate().is_empty());
+        assert!(r.allocate_at(0.0).is_empty());
+        assert!(r.allocate_at(0.0).is_empty());
         // Node 0 takes two of b's cores with it: 3 of the 4 live cores
         // fit under the 3-core ceiling, so the next round grants.
         r.fail_node(NodeId(0));
-        assert_eq!(r.allocate().len(), 1);
+        assert_eq!(r.allocate_at(0.0).len(), 1);
         assert_eq!(r.check_invariants(), Ok(()));
     }
 
@@ -1367,13 +1356,13 @@ mod tests {
         assert_eq!(va, Admission::Admitted);
         let (b, vb) = r.submit_app_to("only").unwrap();
         assert_eq!(vb, Admission::Rejected);
-        assert!(!r.is_admitted(b));
+        assert!(!admitted(&r, b));
         // Rejected apps' requests never schedule.
         r.request(b, ContainerRequest::anywhere(one_core()));
-        assert!(r.allocate().is_empty());
+        assert!(r.allocate_at(0.0).is_empty());
         // The admitted app is unaffected.
         r.request(a, ContainerRequest::anywhere(one_core()));
-        assert_eq!(r.allocate().len(), 1);
+        assert_eq!(r.allocate_at(0.0).len(), 1);
     }
 
     #[test]
@@ -1392,17 +1381,17 @@ mod tests {
         assert_eq!(vc, Admission::Queued);
         // Parked apps' requests are held back.
         r.request(b, ContainerRequest::anywhere(one_core()));
-        assert!(r.allocate().is_empty());
+        assert!(r.allocate_at(0.0).is_empty());
         // First finishes: b (older) admitted, c still parked.
         r.finish_app(a);
-        assert!(r.is_admitted(b));
-        assert!(!r.is_admitted(c));
-        assert_eq!(r.allocate().len(), 1);
+        assert!(admitted(&r, b));
+        assert!(!admitted(&r, c));
+        assert_eq!(r.allocate_at(0.0).len(), 1);
         // finish_app is idempotent; finishing b admits c.
         r.finish_app(a);
-        assert!(!r.is_admitted(c));
+        assert!(!admitted(&r, c));
         r.finish_app(b);
-        assert!(r.is_admitted(c));
+        assert!(admitted(&r, c));
     }
 
     #[test]
@@ -1498,7 +1487,7 @@ mod tests {
                 asked.push(r.request(apps[a as usize % apps.len()], request));
             }
             3 if !asked.is_empty() => {
-                r.cancel_request(asked[b as usize % asked.len()]);
+                cancel(r, asked[b as usize % asked.len()]);
             }
             4 if !held.is_empty() => {
                 let cid = held.remove(b as usize % held.len());

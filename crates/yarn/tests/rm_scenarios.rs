@@ -17,7 +17,7 @@ fn set_capacity_reserves_master_nodes() {
     for _ in 0..5 {
         r.request(app, ContainerRequest::anywhere(Resource::new(1, 1024)));
     }
-    let got = r.allocate();
+    let got = r.allocate_at(0.0);
     // Node 0 takes nothing; node 1 takes exactly one; node 2 two cores.
     assert_eq!(got.len(), 3);
     assert!(got.iter().all(|c| c.node != NodeId(0)));
@@ -31,7 +31,7 @@ fn set_capacity_after_allocation_panics() {
     let mut r = rm(1);
     let app = r.submit_app();
     r.request(app, ContainerRequest::anywhere(Resource::new(1, 1024)));
-    r.allocate();
+    r.allocate_at(0.0);
     r.set_capacity(NodeId(0), Resource::ZERO);
 }
 
@@ -45,13 +45,13 @@ fn churn_conserves_capacity() {
         for _ in 0..asks {
             r.request(app, ContainerRequest::anywhere(Resource::new(1, 1000)));
         }
-        let got = r.allocate();
+        let got = r.allocate_at(0.0);
         for c in &got {
             r.release(c.id);
         }
         // Drain whatever stayed queued so rounds are independent.
         while r.pending_requests() > 0 {
-            let got = r.allocate();
+            let got = r.allocate_at(0.0);
             if got.is_empty() {
                 break;
             }
@@ -75,17 +75,17 @@ fn strict_request_completes_once_node_frees_up() {
         app,
         ContainerRequest::pinned(Resource::new(2, 7000), NodeId(1)),
     );
-    let first = r.allocate();
+    let first = r.allocate_at(0.0);
     assert_eq!(first.len(), 1);
     // A pinned ask for node 1 queues...
     r.request(
         app,
         ContainerRequest::pinned(Resource::new(1, 1000), NodeId(1)),
     );
-    assert!(r.allocate().is_empty());
+    assert!(r.allocate_at(0.0).is_empty());
     // ...until the occupant releases.
     r.release(first[0].id);
-    let got = r.allocate();
+    let got = r.allocate_at(0.0);
     assert_eq!(got.len(), 1);
     assert_eq!(got[0].node, NodeId(1));
 }
@@ -100,7 +100,7 @@ fn multiple_apps_interleave_fairly_in_fifo_order() {
     r.request(b, ContainerRequest::anywhere(Resource::new(1, 1000)));
     r.request(a, ContainerRequest::anywhere(Resource::new(1, 1000)));
     r.request(b, ContainerRequest::anywhere(Resource::new(1, 1000)));
-    let got = r.allocate();
+    let got = r.allocate_at(0.0);
     assert_eq!(got.len(), 2);
     assert_eq!(got[0].app, a);
     assert_eq!(got[1].app, b, "FIFO across applications");
