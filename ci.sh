@@ -3,9 +3,8 @@
 # and experiment golden gates. Everything here is deterministic apart from
 # the timings; bench_e2e regenerates BENCH_e2e.json (each experiment's wall
 # time and per-section split, Table 2's fill counts and the tracing
-# overhead) and the provenance smoke BENCH_provdb.json, so regressions show
-# up in the artifacts. Gate outputs are left in trace_run1/, trace_run2/
-# and experiment_runs/ for upload.
+# overhead), so regressions show up in the artifact. Gate outputs are left
+# in trace_run1/, trace_run2/ and experiment_runs/ for upload.
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -65,10 +64,6 @@ echo "==> end-to-end benchmark (the ten experiments serially, each matched again
 # Two passes, profiler off then on; about 9 s per pass on 2 cores. Exits
 # non-zero if any experiment's serial output drifts from its golden file.
 ./target/release/bench_e2e BENCH_e2e.json
-
-echo "==> provenance store benchmark smoke"
-./target/release/bench_provdb --quick BENCH_provdb.json
-cat BENCH_provdb.json
 
 echo "==> trace determinism gate (same seed, twice, byte-identical)"
 ./target/release/hiway-trace --out-dir trace_run1 > /dev/null

@@ -18,10 +18,9 @@
 //! Supplementary binaries: `ablation`, `multiwf`, `chaos`, `resume`,
 //! `bench_e2e` (the ten experiments above and below run serially, checked
 //! against `results/`, timed, and split over the `hiway_obs::profile`
-//! sections → `BENCH_e2e.json`), `bench_provdb` (provenance store →
-//! `BENCH_provdb.json`), and `hiway-trace` (one fully-traced run exported
-//! as Perfetto JSON / JSON-lines / text Gantt; see [`trace_run`]). Both
-//! bench bins write through [`report`].
+//! sections → `BENCH_e2e.json`, written through [`report`]), and
+//! `hiway-trace` (one fully-traced run exported as Perfetto JSON /
+//! JSON-lines / text Gantt; see [`trace_run`]).
 
 pub mod experiments;
 pub mod report;

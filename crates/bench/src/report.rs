@@ -1,6 +1,5 @@
-//! The harness behind every `BENCH_*.json` bin: one best-of timing loop
-//! and one writer, so each bench file reads the same way as `perfbench`'s
-//! output, and `bench_provdb`'s argument parser:
+//! The harness behind `bench_e2e`: one best-of timing loop and one
+//! writer, so `BENCH_e2e.json` reads the same way as `perfbench`'s output:
 //!
 //! ```json
 //! {"bench": "e2e", "workload": {...}, "metrics": {"table2.wall_s": {"value": 1.7, "unit": "s"}}}
@@ -10,26 +9,6 @@ use std::fmt::Debug;
 use std::time::Instant;
 
 use hiway_format::json::Json;
-
-/// Command line of a bench bin: `[--quick] [out.json]`.
-pub struct Args {
-    pub quick: bool,
-    pub out: String,
-}
-
-/// Parses the process arguments; `default_out` is the path written when
-/// none is given.
-pub fn args(default_out: &str) -> Args {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    Args {
-        quick: args.iter().any(|a| a == "--quick"),
-        out: args
-            .iter()
-            .find(|a| !a.starts_with("--"))
-            .cloned()
-            .unwrap_or_else(|| default_out.to_string()),
-    }
-}
 
 /// Runs `run` once to warm up, then `runs` timed times, and returns the
 /// warm-up's result with the best wall seconds. Every timed run must

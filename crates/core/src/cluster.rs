@@ -10,7 +10,7 @@ use hiway_hdfs::{Hdfs, HdfsConfig, HdfsError};
 use hiway_lang::TaskId;
 use hiway_sim::stress;
 use hiway_sim::{Activity, ActivityId, ClusterSpec, Endpoint, Engine, ExternalId, NodeId};
-use hiway_yarn::{Container, ResourceManager, RmConfig};
+use hiway_yarn::{Container, ResourceManager};
 
 /// Completion tags flowing through the engine. `wf` is the AM index
 /// within the [`crate::driver::Runtime`].
@@ -69,7 +69,7 @@ impl Cluster {
     /// bulky intermediate data).
     pub fn with_hdfs_config(spec: ClusterSpec, config: HdfsConfig, seed: u64) -> Cluster {
         let n = spec.nodes.len();
-        let rm = ResourceManager::new(&spec, RmConfig::default());
+        let rm = ResourceManager::new(&spec);
         let hdfs = Hdfs::new(n, config, seed ^ 0x5f5f);
         Cluster {
             engine: Engine::new(spec),

@@ -313,38 +313,27 @@ pub struct Runtime {
 
 /// Models the control plane's resource use on dedicated master nodes —
 /// the quantities Figure 6 monitors with `uptime`/`iostat`/`ifstat`.
+/// The charges per event are the `MASTER_*` constants below, calibrated
+/// so the Figure 6 panels land in the paper's magnitude band (master load
+/// <5 % of a 2-core node at 128 workers).
 #[derive(Clone, Copy, Debug)]
 pub struct MasterOverhead {
     /// Node hosting YARN's RM and HDFS's NameNode.
     pub hadoop_master: NodeId,
     /// Node hosting the Hi-WAY AM container.
     pub am_master: NodeId,
-    /// CPU-seconds charged to the Hadoop master per container allocation
-    /// and per HDFS file operation.
-    pub per_event_cpu: f64,
-    /// CPU-seconds charged to the AM node per task state transition.
-    pub per_task_cpu: f64,
-    /// Bytes of RPC/heartbeat/log-aggregation traffic between the worker
-    /// and the master per control-plane event.
-    pub rpc_bytes: u64,
-    /// Bytes of audit/event logs the master writes per event.
-    pub log_bytes: u64,
 }
 
-impl MasterOverhead {
-    /// Defaults calibrated so the Figure 6 panels land in the paper's
-    /// magnitude band (master load <5 % of a 2-core node at 128 workers).
-    pub fn defaults(hadoop_master: NodeId, am_master: NodeId) -> MasterOverhead {
-        MasterOverhead {
-            hadoop_master,
-            am_master,
-            per_event_cpu: 0.2,
-            per_task_cpu: 0.3,
-            rpc_bytes: 4 << 20,
-            log_bytes: 2 << 20,
-        }
-    }
-}
+/// CPU-seconds charged to the Hadoop master per container allocation and
+/// per HDFS file operation.
+const MASTER_EVENT_CPU: f64 = 0.2;
+/// CPU-seconds charged to the AM node per task state transition.
+const MASTER_TASK_CPU: f64 = 0.3;
+/// Bytes of RPC/heartbeat/log-aggregation traffic between the worker and
+/// the master per control-plane event.
+const MASTER_RPC_BYTES: u64 = 4 << 20;
+/// Bytes of audit/event logs the master writes per event.
+const MASTER_LOG_BYTES: u64 = 2 << 20;
 
 impl Runtime {
     pub fn new(cluster: Cluster) -> Runtime {
@@ -1954,43 +1943,35 @@ impl Runtime {
     fn charge_master_overhead_from(&mut self, hadoop_side: bool, peer: Option<NodeId>) {
         if let Some(mo) = self.master_overhead {
             let (node, cpu) = if hadoop_side {
-                (mo.hadoop_master, mo.per_event_cpu)
+                (mo.hadoop_master, MASTER_EVENT_CPU)
             } else {
-                (mo.am_master, mo.per_task_cpu)
+                (mo.am_master, MASTER_TASK_CPU)
             };
             if !self.cluster.rm.is_alive(node) {
                 return;
             }
-            if cpu > 0.0 {
-                self.cluster.engine.start(
-                    Activity::Compute { node, threads: 1.0 },
-                    cpu,
-                    Tag::Stress,
-                );
-            }
-            if mo.rpc_bytes > 0 {
-                if let Some(peer) = peer {
-                    if peer != node {
-                        self.cluster.engine.start(
-                            Activity::Flow {
-                                src: Endpoint::Node(peer),
-                                dst: Endpoint::Node(node),
-                                src_disk: false,
-                                dst_disk: false,
-                            },
-                            mo.rpc_bytes as f64,
-                            Tag::Stress,
-                        );
-                    }
+            self.cluster
+                .engine
+                .start(Activity::Compute { node, threads: 1.0 }, cpu, Tag::Stress);
+            if let Some(peer) = peer {
+                if peer != node {
+                    self.cluster.engine.start(
+                        Activity::Flow {
+                            src: Endpoint::Node(peer),
+                            dst: Endpoint::Node(node),
+                            src_disk: false,
+                            dst_disk: false,
+                        },
+                        MASTER_RPC_BYTES as f64,
+                        Tag::Stress,
+                    );
                 }
             }
-            if mo.log_bytes > 0 {
-                self.cluster.engine.start(
-                    Activity::DiskWrite { node },
-                    mo.log_bytes as f64,
-                    Tag::Stress,
-                );
-            }
+            self.cluster.engine.start(
+                Activity::DiskWrite { node },
+                MASTER_LOG_BYTES as f64,
+                Tag::Stress,
+            );
         }
     }
 }

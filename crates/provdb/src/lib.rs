@@ -11,8 +11,7 @@
 //! * named collections of JSON documents,
 //! * hash indexes over scalar fields (built eagerly, maintained on insert),
 //! * a small filter/projection query API, and
-//! * aggregation over the matches (count / sum / avg / min / max),
-//! * JSON-lines export/import for durability.
+//! * aggregation over the matches (count / sum / avg / min / max).
 //!
 //! The Workflow Scheduler's statistics lookups (latest observed runtime of
 //! a task signature on a machine, file sizes, transfer times — §3.4) are
@@ -34,7 +33,7 @@ pub mod store;
 pub mod wal;
 
 pub use query::{Aggregate, Filter, Op};
-pub use store::{Collection, DocId, DurableOptions, ProvDb};
+pub use store::{Collection, DurableOptions, ProvDb};
 pub use wal::DurabilityStats;
 
 /// Unique scratch directory for this crate's tests.

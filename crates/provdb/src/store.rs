@@ -26,10 +26,6 @@ use crate::recover::recover;
 use crate::segment::{write_snapshot, CollectionImage, DbImage};
 use crate::wal::{snap_path, wal_path, DurabilityStats, Record, Wal};
 
-/// Identifier of a document within its collection (dense, insertion order).
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
-pub struct DocId(pub u64);
-
 /// Tuning knobs of a durable database.
 #[derive(Clone, Copy, Debug)]
 pub struct DurableOptions {
@@ -81,27 +77,32 @@ fn index_key(value: &Json) -> Option<String> {
 #[derive(Default)]
 struct CollectionInner {
     docs: Vec<Json>,
-    /// field → (key → doc ids)
-    indexes: HashMap<String, HashMap<String, Vec<DocId>>>,
+    /// field → (key → positions in `docs`)
+    indexes: HashMap<String, HashMap<String, Vec<usize>>>,
 }
 
 impl CollectionInner {
-    fn insert_unlogged(&mut self, doc: Json) -> DocId {
-        let id = DocId(self.docs.len() as u64);
+    fn insert_unlogged(&mut self, doc: Json) {
+        let pos = self.docs.len();
         for (field, index) in &mut self.indexes {
             if let Some(key) = doc.get(field).and_then(index_key) {
-                index.entry(key).or_default().push(id);
+                index.entry(key).or_default().push(pos);
             }
         }
         self.docs.push(doc);
-        id
+    }
+
+    fn sorted_index_fields(&self) -> Vec<String> {
+        let mut fields: Vec<String> = self.indexes.keys().cloned().collect();
+        fields.sort();
+        fields
     }
 
     fn build_index(&mut self, field: &str) {
-        let mut index: HashMap<String, Vec<DocId>> = HashMap::new();
-        for (i, doc) in self.docs.iter().enumerate() {
+        let mut index: HashMap<String, Vec<usize>> = HashMap::new();
+        for (pos, doc) in self.docs.iter().enumerate() {
             if let Some(key) = doc.get(field).and_then(index_key) {
-                index.entry(key).or_default().push(DocId(i as u64));
+                index.entry(key).or_default().push(pos);
             }
         }
         self.indexes.insert(field.to_string(), index);
@@ -126,11 +127,10 @@ impl Collection {
 
     /// Inserts a document, maintaining any existing indexes. On durable
     /// databases the insert is in the WAL before this returns.
-    pub fn insert(&self, doc: Json) -> DocId {
+    pub fn insert(&self, doc: Json) {
         let mut wal = self.wal_guard();
         let serialized = wal.as_ref().map(|_| doc.to_compact());
-        let id = self
-            .inner
+        self.inner
             .write()
             .expect("provdb lock poisoned")
             .insert_unlogged(doc);
@@ -146,30 +146,6 @@ impl Collection {
                 doc,
             });
         }
-        id
-    }
-
-    /// Inserts a batch of documents under a single write guard (and a
-    /// single WAL acquisition) — the bulk path `import_jsonl` and the
-    /// dump loader use, instead of re-acquiring the lock per line.
-    pub fn insert_many(&self, docs: Vec<Json>) -> Vec<DocId> {
-        let mut wal = self.wal_guard();
-        let name = self.durable.as_ref().map(|(n, _)| n.clone());
-        let mut ids = Vec::with_capacity(docs.len());
-        {
-            let mut inner = self.inner.write().expect("provdb lock poisoned");
-            for doc in docs {
-                let serialized = wal.as_ref().map(|_| doc.to_compact());
-                ids.push(inner.insert_unlogged(doc));
-                if let (Some(engine), Some(doc)) = (wal.as_deref_mut(), serialized) {
-                    engine.append(&Record::Insert {
-                        collection: name.clone().expect("wal implies durable"),
-                        doc,
-                    });
-                }
-            }
-        }
-        ids
     }
 
     /// Builds a hash index over `field`. Idempotent: an already-indexed
@@ -198,13 +174,13 @@ impl Collection {
         }
     }
 
-    /// Fields with a hash index, sorted — persisted by dumps and durable
-    /// snapshots so restored databases keep serving indexed lookups.
+    /// Fields with a hash index, sorted — persisted by durable snapshots
+    /// so reopened databases keep serving indexed lookups.
     pub fn index_fields(&self) -> Vec<String> {
-        let inner = self.inner.read().expect("provdb lock poisoned");
-        let mut fields: Vec<String> = inner.indexes.keys().cloned().collect();
-        fields.sort();
-        fields
+        self.inner
+            .read()
+            .expect("provdb lock poisoned")
+            .sorted_index_fields()
     }
 
     pub fn len(&self) -> usize {
@@ -215,26 +191,13 @@ impl Collection {
         self.len() == 0
     }
 
-    pub fn get(&self, id: DocId) -> Option<Json> {
-        self.inner
-            .read()
-            .expect("provdb lock poisoned")
-            .docs
-            .get(id.0 as usize)
-            .cloned()
-    }
-
     /// Exact-match lookup, served from the index when one exists.
     pub fn find_eq(&self, field: &str, value: &Json) -> Vec<Json> {
         let inner = self.inner.read().expect("provdb lock poisoned");
         if let (Some(index), Some(key)) = (inner.indexes.get(field), index_key(value)) {
             return index
                 .get(&key)
-                .map(|ids| {
-                    ids.iter()
-                        .map(|id| inner.docs[id.0 as usize].clone())
-                        .collect()
-                })
+                .map(|positions| positions.iter().map(|&p| inner.docs[p].clone()).collect())
                 .unwrap_or_default();
         }
         inner
@@ -278,31 +241,6 @@ impl Collection {
             .expect("provdb lock poisoned")
             .docs
             .clone()
-    }
-
-    /// Serializes to JSON lines.
-    pub fn export_jsonl(&self) -> String {
-        let inner = self.inner.read().expect("provdb lock poisoned");
-        let mut out = String::new();
-        for d in &inner.docs {
-            out.push_str(&d.to_compact());
-            out.push('\n');
-        }
-        out
-    }
-
-    /// Appends documents from a JSON-lines dump; returns how many loaded.
-    /// Parsing happens before any insert, under no lock; the documents
-    /// then land in one [`Collection::insert_many`] batch — a dump either
-    /// imports fully or not at all.
-    pub fn import_jsonl(&self, text: &str) -> Result<usize, String> {
-        let mut docs = Vec::new();
-        for line in text.lines().map(str::trim).filter(|l| !l.is_empty()) {
-            docs.push(Json::parse(line).map_err(|e| e.to_string())?);
-        }
-        let n = docs.len();
-        self.insert_many(docs);
-        Ok(n)
     }
 
     /// Scan with an arbitrary filter (used by [`Query`] internally too).
@@ -421,6 +359,29 @@ impl ProvDb {
         names
     }
 
+    /// The full state as a snapshot image: collections in name order,
+    /// each with its sorted index fields and its documents as compact
+    /// JSON. This is what [`ProvDb::compact`] writes and what recovery
+    /// reads back. Each collection is captured under its own read lock;
+    /// a capture consistent across collections needs writers quiescent,
+    /// or the WAL lock held as `compact` does.
+    pub fn image(&self) -> DbImage {
+        let map = self.collections.read().expect("provdb lock poisoned");
+        let mut names: Vec<&String> = map.keys().collect();
+        names.sort();
+        names
+            .into_iter()
+            .map(|name| {
+                let inner = map[name].inner.read().expect("provdb lock poisoned");
+                let image = CollectionImage {
+                    index_fields: inner.sorted_index_fields(),
+                    docs: inner.docs.iter().map(Json::to_compact).collect(),
+                };
+                (name.clone(), image)
+            })
+            .collect()
+    }
+
     /// Deterministic, explicit compaction: folds the WAL (and any previous
     /// snapshot) into a single sorted snapshot segment, then deletes the
     /// superseded files — tombstone-free GC, since the store is
@@ -433,27 +394,7 @@ impl ProvDb {
         let mut engine = engine.lock().expect("provdb wal lock poisoned");
         // Capture the image under the WAL lock: every mutator also holds
         // it, so the capture is consistent across collections.
-        let image: DbImage = {
-            let map = self.collections.read().expect("provdb lock poisoned");
-            let mut names: Vec<&String> = map.keys().collect();
-            names.sort();
-            names
-                .into_iter()
-                .map(|name| {
-                    let col = &map[name];
-                    let inner = col.inner.read().expect("provdb lock poisoned");
-                    let mut fields: Vec<String> = inner.indexes.keys().cloned().collect();
-                    fields.sort();
-                    (
-                        name.clone(),
-                        CollectionImage {
-                            index_fields: fields,
-                            docs: inner.docs.iter().map(Json::to_compact).collect(),
-                        },
-                    )
-                })
-                .collect()
-        };
+        let image = self.image();
         let old_wal_seq = engine.wal.seq;
         let snap_seq = old_wal_seq + 1;
         write_snapshot(&engine.dir, snap_seq, &image)
@@ -472,64 +413,6 @@ impl ProvDb {
         engine.wal.stats.compactions += 1;
         Ok(())
     }
-
-    /// Serializes every collection to a single durable dump: a header
-    /// line `#collection <name>`, that collection's index definitions as
-    /// `#index <field>` lines, then its JSON lines. The moral equivalent
-    /// of a `mysqldump` of the provenance database (§3.5's long-term
-    /// storage concern).
-    pub fn export_all(&self) -> String {
-        let mut out = String::new();
-        for name in self.collection_names() {
-            out.push_str(&format!("#collection {name}\n"));
-            let col = self.collection(&name);
-            for field in col.index_fields() {
-                out.push_str(&format!("#index {field}\n"));
-            }
-            out.push_str(&col.export_jsonl());
-        }
-        out
-    }
-
-    /// Appends the contents of a dump produced by [`ProvDb::export_all`].
-    /// Index definitions round-trip: a restored database serves
-    /// `find_eq` from the same indexes the original had. Documents load
-    /// in one batch per collection section. Returns the number of
-    /// documents loaded.
-    pub fn import_all(&self, dump: &str) -> Result<usize, String> {
-        let mut current: Option<Collection> = None;
-        let mut pending: Vec<Json> = Vec::new();
-        let mut loaded = 0;
-        let flush = |col: &Option<Collection>, pending: &mut Vec<Json>| {
-            if let Some(col) = col {
-                if !pending.is_empty() {
-                    col.insert_many(std::mem::take(pending));
-                }
-            }
-        };
-        for line in dump.lines().map(str::trim).filter(|l| !l.is_empty()) {
-            if let Some(name) = line.strip_prefix("#collection ") {
-                flush(&current, &mut pending);
-                current = Some(self.collection(name.trim()));
-                continue;
-            }
-            if let Some(field) = line.strip_prefix("#index ") {
-                let col = current
-                    .as_ref()
-                    .ok_or_else(|| "index before any #collection header".to_string())?;
-                flush(&current, &mut pending);
-                col.create_index(field.trim());
-                continue;
-            }
-            if current.is_none() {
-                return Err("document before any #collection header".to_string());
-            }
-            pending.push(Json::parse(line).map_err(|e| e.to_string())?);
-            loaded += 1;
-        }
-        flush(&current, &mut pending);
-        Ok(loaded)
-    }
 }
 
 #[cfg(test)]
@@ -546,13 +429,11 @@ mod tests {
     #[test]
     fn insert_and_get() {
         let c = Collection::default();
-        let id = c.insert(doc("align", "n0", 12.5));
+        c.insert(doc("align", "n0", 12.5));
         assert_eq!(c.len(), 1);
-        assert_eq!(
-            c.get(id).unwrap().get("task").unwrap().as_str(),
-            Some("align")
-        );
-        assert!(c.get(DocId(99)).is_none());
+        let docs = c.snapshot();
+        assert_eq!(docs[0].get("task").unwrap().as_str(), Some("align"));
+        assert_eq!(docs.get(1), None);
     }
 
     #[test]
@@ -614,47 +495,6 @@ mod tests {
     }
 
     #[test]
-    fn insert_many_matches_serial_inserts() {
-        let serial = Collection::default();
-        serial.create_index("task");
-        let batch = Collection::default();
-        batch.create_index("task");
-        let docs: Vec<Json> = (0..10)
-            .map(|i| doc("t", &format!("n{i}"), i as f64))
-            .collect();
-        for d in docs.clone() {
-            serial.insert(d);
-        }
-        let ids = batch.insert_many(docs);
-        assert_eq!(ids.len(), 10);
-        assert_eq!(ids[0], DocId(0));
-        assert_eq!(batch.snapshot(), serial.snapshot());
-        assert_eq!(
-            batch.find_eq("task", &Json::String("t".into())).len(),
-            serial.find_eq("task", &Json::String("t".into())).len()
-        );
-    }
-
-    #[test]
-    fn export_import_round_trip() {
-        let c = Collection::default();
-        c.insert(doc("a", "n0", 1.5));
-        c.insert(doc("b", "n1", 2.5));
-        let dump = c.export_jsonl();
-        let c2 = Collection::default();
-        assert_eq!(c2.import_jsonl(&dump).unwrap(), 2);
-        assert_eq!(c2.snapshot(), c.snapshot());
-        assert!(c2.import_jsonl("garbage").is_err());
-    }
-
-    #[test]
-    fn failed_import_inserts_nothing() {
-        let c = Collection::default();
-        assert!(c.import_jsonl("{\"ok\":1}\ngarbage\n{\"ok\":2}").is_err());
-        assert!(c.is_empty(), "batch import is atomic");
-    }
-
-    #[test]
     fn db_collections_are_shared_handles() {
         let db = ProvDb::new();
         let a = db.collection("tasks");
@@ -690,68 +530,9 @@ mod tests {
 }
 
 #[cfg(test)]
-mod dump_tests {
-    use super::*;
-    use hiway_format::json::Json;
-
-    #[test]
-    fn export_import_all_round_trips_every_collection() {
-        let db = ProvDb::new();
-        db.collection("tasks")
-            .insert(Json::object().with("name", "a").with("t", 1u64));
-        db.collection("tasks")
-            .insert(Json::object().with("name", "b").with("t", 2u64));
-        db.collection("files")
-            .insert(Json::object().with("path", "/x"));
-        let dump = db.export_all();
-        assert!(dump.contains("#collection files"));
-        assert!(dump.contains("#collection tasks"));
-
-        let restored = ProvDb::new();
-        assert_eq!(restored.import_all(&dump).unwrap(), 3);
-        assert_eq!(restored.collection("tasks").len(), 2);
-        assert_eq!(restored.collection("files").len(), 1);
-        assert_eq!(restored.export_all(), dump, "dump is stable");
-
-        assert!(restored.import_all("{\"stray\": 1}").is_err());
-    }
-
-    /// Regression: index definitions used to be lost on round-trip — a
-    /// freshly imported database silently fell back to full scans in
-    /// `find_eq`. Dumps now carry `#index` lines and rebuild on import.
-    #[test]
-    fn dump_round_trip_preserves_index_definitions() {
-        let db = ProvDb::new();
-        let tasks = db.collection("tasks");
-        tasks.insert(Json::object().with("name", "a"));
-        tasks.create_index("name");
-        tasks.create_index("node");
-        db.collection("files"); // no indexes on this one
-
-        let dump = db.export_all();
-        assert!(dump.contains("#index name"));
-        assert!(dump.contains("#index node"));
-
-        let restored = ProvDb::new();
-        restored.import_all(&dump).unwrap();
-        assert_eq!(
-            restored.collection("tasks").index_fields(),
-            vec!["name".to_string(), "node".to_string()]
-        );
-        assert!(restored.collection("files").index_fields().is_empty());
-        // Second-generation dump is identical (stability with indexes).
-        assert_eq!(restored.export_all(), dump);
-        // The restored index actually serves lookups (and stays exact as
-        // new documents arrive).
-        let r = restored.collection("tasks");
-        r.insert(Json::object().with("name", "b"));
-        assert_eq!(r.find_eq("name", &Json::String("b".into())).len(), 1);
-    }
-}
-
-#[cfg(test)]
 mod durable_tests {
     use super::*;
+    use crate::segment::read_snapshot;
 
     #[test]
     fn durable_round_trip_across_reopen() {
@@ -779,10 +560,30 @@ mod durable_tests {
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
+    /// The image in the directory's one snapshot segment, asserting that
+    /// compaction left exactly one snapshot and one (fresh) WAL segment.
+    fn only_snapshot(dir: &Path) -> DbImage {
+        let mut snaps = Vec::new();
+        let mut wals = 0;
+        for e in std::fs::read_dir(dir).unwrap() {
+            let path = e.unwrap().path();
+            let name = path.file_name().unwrap().to_string_lossy().to_string();
+            if name.starts_with("snap-") {
+                snaps.push(path);
+            } else if name.starts_with("wal-") {
+                wals += 1;
+            }
+        }
+        assert_eq!((snaps.len(), wals), (1, 1));
+        read_snapshot(&snaps[0])
+            .unwrap()
+            .expect("snapshot reads back")
+    }
+
     #[test]
     fn compaction_preserves_state_and_gcs_wal() {
         let dir = crate::test_dir("store_compact");
-        let export = {
+        let image = {
             let db = ProvDb::open_with(
                 &dir,
                 DurableOptions {
@@ -798,32 +599,21 @@ mod durable_tests {
             assert!(db.stats().wal_rotations > 0, "tiny segments must rotate");
             db.compact().unwrap();
             assert_eq!(db.stats().compactions, 1);
-            // After compaction: exactly one snapshot + one (fresh) WAL.
-            let mut snaps = 0;
-            let mut wals = 0;
-            for e in std::fs::read_dir(&dir).unwrap() {
-                let name = e.unwrap().file_name().to_string_lossy().to_string();
-                if name.starts_with("snap-") {
-                    snaps += 1;
-                }
-                if name.starts_with("wal-") {
-                    wals += 1;
-                }
-            }
-            assert_eq!((snaps, wals), (1, 1));
+            assert_eq!(only_snapshot(&dir), db.image());
             // Writes after compaction land in the fresh WAL.
             t.insert(Json::object().with("i", 50u64));
-            db.export_all()
+            db.image()
         };
         let db = ProvDb::open(&dir).unwrap();
         assert_eq!(db.collection("t").len(), 51);
         assert_eq!(db.collection("t").index_fields(), vec!["i".to_string()]);
-        assert_eq!(db.export_all(), export);
+        assert_eq!(db.image(), image);
         // Compacting twice is idempotent on state.
         db.compact().unwrap();
         db.compact().unwrap();
+        assert_eq!(only_snapshot(&dir), image);
         let db2 = ProvDb::open(&dir).unwrap();
-        assert_eq!(db2.export_all(), export);
+        assert_eq!(db2.image(), image);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -4,8 +4,9 @@
 //!
 //! 1. **Byte-determinism**: any sequence of operations (unicode documents,
 //!    escapes, nested values; collection creation; index definitions;
-//!    compaction at an arbitrary point) survives close-and-reopen with a
-//!    byte-identical `export_all` dump, across WAL segment rotations.
+//!    compaction at an arbitrary point) survives close-and-reopen with an
+//!    identical `ProvDb::image` (names, index specs, compact documents),
+//!    across WAL segment rotations.
 //! 2. **Prefix recovery**: truncating the on-disk log at *any* byte
 //!    offset, `ProvDb::open` succeeds (no panic, no partial record) and
 //!    the recovered state equals the state after some prefix of the
@@ -16,6 +17,7 @@
 use proptest::prelude::*;
 
 use hiway_format::json::Json;
+use hiway_provdb::segment::DbImage;
 use hiway_provdb::{DurableOptions, ProvDb};
 
 /// Unique scratch directory per test case.
@@ -85,36 +87,36 @@ fn apply(db: &ProvDb, op: &DbOp) {
     }
 }
 
-/// `export_all` after applying each prefix of `ops` to a fresh in-memory
+/// `image` after applying each prefix of `ops` to a fresh in-memory
 /// database — the reference states the recovered database must be among.
-fn prefix_exports(ops: &[DbOp]) -> Vec<String> {
+fn prefix_images(ops: &[DbOp]) -> Vec<DbImage> {
     // Record-level granularity: a first touch of a collection is its own
     // committed write (the WAL logs it separately from the insert that
     // triggered it), so it contributes its own prefix state.
     let db = ProvDb::new();
-    let mut exports = vec![db.export_all()];
+    let mut images = vec![db.image()];
     for op in ops {
         let name = COLLECTIONS[match op {
             DbOp::Insert { collection, .. } | DbOp::Index { collection, .. } => *collection,
         }];
         if !db.collection_names().contains(&name.to_string()) {
             db.collection(name);
-            exports.push(db.export_all());
+            images.push(db.image());
         }
-        let before = db.export_all();
+        let before = db.image();
         apply(&db, op);
-        let after = db.export_all();
+        let after = db.image();
         if after != before {
-            exports.push(after);
+            images.push(after);
         }
     }
-    exports
+    images
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Invariant 1: close-and-reopen is byte-identical, with segment
+    /// Invariant 1: close-and-reopen is identical, with segment
     /// rotation forced and compaction at an arbitrary point.
     #[test]
     fn reopen_is_byte_identical(
@@ -135,19 +137,16 @@ proptest! {
                 }
                 apply(&db, op);
             }
-            db.export_all()
+            db.image()
         };
         {
             let reopened = ProvDb::open(&dir).expect("reopen");
-            prop_assert_eq!(reopened.export_all(), expected.clone(), "reopen");
-            // Index *definitions* survived, not just documents.
-            for name in reopened.collection_names() {
-                let _ = reopened.collection(&name).index_fields();
-            }
+            // The image carries index definitions, not just documents.
+            prop_assert_eq!(reopened.image(), expected.clone(), "reopen");
             reopened.compact().expect("compact at quiesce");
         }
         let again = ProvDb::open(&dir).expect("reopen after compaction");
-        prop_assert_eq!(again.export_all(), expected, "post-compaction reopen");
+        prop_assert_eq!(again.image(), expected, "post-compaction reopen");
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -201,41 +200,19 @@ proptest! {
         // (Segments after the cut are intentionally left in place:
         // recovery itself must drop them to preserve the invariant.)
         let recovered = ProvDb::open(&dir).expect("recovery never fails");
-        let export = recovered.export_all();
-        let prefixes = prefix_exports(&ops);
+        let image = recovered.image();
+        let prefixes = prefix_images(&ops);
         prop_assert!(
-            prefixes.contains(&export),
-            "recovered state is not a prefix of committed writes\n cut {} of {}\n got:\n{}",
+            prefixes.contains(&image),
+            "recovered state is not a prefix of committed writes\n cut {} of {}\n got:\n{:?}",
             cut,
             total,
-            export
+            image
         );
         // Idempotence: recovering again reproduces the same state.
         drop(recovered);
         let again = ProvDb::open(&dir).expect("second recovery");
-        prop_assert_eq!(again.export_all(), export);
+        prop_assert_eq!(again.image(), image);
         let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    /// The dump format round-trips arbitrary documents and index specs
-    /// through text (`export_all` → `import_all`) byte-identically.
-    #[test]
-    fn dump_round_trip_is_stable((ops, case) in (arb_ops(), 0u64..u64::MAX)) {
-        let _ = case;
-        let db = ProvDb::new();
-        for op in &ops {
-            apply(&db, op);
-        }
-        let dump = db.export_all();
-        let restored = ProvDb::new();
-        restored.import_all(&dump).expect("own dump imports");
-        prop_assert_eq!(restored.export_all(), dump.clone(), "dump stability");
-        for name in db.collection_names() {
-            prop_assert_eq!(
-                restored.collection(&name).index_fields(),
-                db.collection(&name).index_fields(),
-                "index specs round-trip"
-            );
-        }
     }
 }

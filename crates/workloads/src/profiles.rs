@@ -106,7 +106,10 @@ pub fn ec2_cluster(workers: usize, node_type: &NodeSpec, seed: u64) -> Deploymen
     cluster.rm.set_capacity(NodeId(1), Resource::new(1, 2048));
 
     let mut runtime = Runtime::new(cluster);
-    runtime.master_overhead = Some(MasterOverhead::defaults(NodeId(0), NodeId(1)));
+    runtime.master_overhead = Some(MasterOverhead {
+        hadoop_master: NodeId(0),
+        am_master: NodeId(1),
+    });
     Deployment {
         runtime,
         first_worker: 2,

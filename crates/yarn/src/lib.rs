@@ -27,5 +27,5 @@ pub mod rm;
 pub mod types;
 
 pub use queues::{Admission, AdmissionPolicy, QueueSpec, QueuesConfig};
-pub use rm::{ResourceManager, RmConfig};
+pub use rm::ResourceManager;
 pub use types::{AppId, Container, ContainerId, ContainerRequest, RequestId, Resource};

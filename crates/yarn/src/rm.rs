@@ -16,24 +16,6 @@ use hiway_sim::{ClusterSpec, NodeId};
 use crate::queues::{Admission, AdmissionPolicy, QueueSet, QueuesConfig};
 use crate::types::{AppId, Container, ContainerId, ContainerRequest, RequestId, Resource};
 
-/// RM configuration.
-#[derive(Clone, Copy, Debug)]
-pub struct RmConfig {
-    /// Capacity advertised by each NodeManager, as a fraction of the
-    /// node's physical cores/memory (YARN reserves headroom for the OS
-    /// and the NM itself; 1.0 hands everything to containers, which is
-    /// how the paper's experiments were configured).
-    pub capacity_fraction: f64,
-}
-
-impl Default for RmConfig {
-    fn default() -> RmConfig {
-        RmConfig {
-            capacity_fraction: 1.0,
-        }
-    }
-}
-
 struct NodeState {
     total: Resource,
     available: Resource,
@@ -91,18 +73,14 @@ pub struct ResourceManager {
 
 impl ResourceManager {
     /// Builds an RM from the cluster hardware description: one NodeManager
-    /// per node.
-    pub fn new(spec: &ClusterSpec, config: RmConfig) -> ResourceManager {
+    /// per node, advertising all of the node's cores (at least one) and
+    /// memory to containers, as the paper's experiments were configured.
+    pub fn new(spec: &ClusterSpec) -> ResourceManager {
         let nodes = spec
             .nodes
             .iter()
             .map(|n| {
-                let total = Resource::new(
-                    ((n.cores as f64) * config.capacity_fraction)
-                        .floor()
-                        .max(1.0) as u32,
-                    ((n.memory_mb as f64) * config.capacity_fraction).floor() as u64,
-                );
+                let total = Resource::new(n.cores.max(1), n.memory_mb);
                 NodeState {
                     total,
                     available: total,
@@ -869,7 +847,7 @@ mod tests {
 
     fn rm(nodes: usize) -> ResourceManager {
         let spec = ClusterSpec::homogeneous(nodes, "n", &NodeSpec::m3_large("p"));
-        ResourceManager::new(&spec, RmConfig::default())
+        ResourceManager::new(&spec)
     }
 
     fn one_core() -> Resource {
@@ -993,19 +971,6 @@ mod tests {
         // Revive restores capacity.
         r.revive_node(NodeId(0));
         assert_eq!(r.available(NodeId(0)), r.total(NodeId(0)));
-    }
-
-    #[test]
-    fn capacity_fraction_reserves_headroom() {
-        let spec = ClusterSpec::homogeneous(1, "n", &NodeSpec::c3_2xlarge("p"));
-        let r = ResourceManager::new(
-            &spec,
-            RmConfig {
-                capacity_fraction: 0.5,
-            },
-        );
-        assert_eq!(r.total(NodeId(0)).vcores, 4);
-        assert_eq!(r.total(NodeId(0)).memory_mb, 7500);
     }
 
     #[test]

@@ -27,7 +27,7 @@ use proptest::prelude::*;
 use hiway_sim::{ClusterSpec, NodeId, NodeSpec};
 use hiway_yarn::{
     Admission, AdmissionPolicy, AppId, ContainerId, ContainerRequest, QueueSpec, QueuesConfig,
-    Resource, ResourceManager, RmConfig,
+    Resource, ResourceManager,
 };
 
 const EPS: f64 = 1e-9;
@@ -40,7 +40,7 @@ fn unit() -> Resource {
 
 fn rm_with(nodes: usize, config: QueuesConfig) -> ResourceManager {
     let spec = ClusterSpec::homogeneous(nodes, "n", &NodeSpec::m3_large("p"));
-    let mut rm = ResourceManager::new(&spec, RmConfig::default());
+    let mut rm = ResourceManager::new(&spec);
     rm.configure_queues(config).expect("valid queue config");
     rm
 }

@@ -1,11 +1,11 @@
 //! Scenario tests of the ResourceManager beyond single-call units.
 
 use hiway_sim::{ClusterSpec, NodeId, NodeSpec};
-use hiway_yarn::{ContainerRequest, Resource, ResourceManager, RmConfig};
+use hiway_yarn::{ContainerRequest, Resource, ResourceManager};
 
 fn rm(nodes: usize) -> ResourceManager {
     let spec = ClusterSpec::homogeneous(nodes, "n", &NodeSpec::m3_large("p"));
-    ResourceManager::new(&spec, RmConfig::default())
+    ResourceManager::new(&spec)
 }
 
 #[test]
