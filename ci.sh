@@ -29,6 +29,12 @@ echo "==> max-min fill oracle proptests (2048 cases, release)"
 # full scan bit for bit, with keys freed and reused between fills.
 PROPTEST_CASES=2048 cargo test --release -q -p hiway-sim --lib netfair
 
+echo "==> RM grant oracle proptest (2048 cases, release)"
+# The grant walk reads each leaf's requests from its range of the queue
+# and stops once no alive node fits any pending shape; it is held to the
+# snapshot full scan on every round: same containers, same spread cursor.
+PROPTEST_CASES=2048 cargo test --release -q -p hiway-yarn --lib rm::tests::change_flag_matches_scanning_every_round
+
 echo "==> chaos proptest (256 cases, debug: invariants checked before every fault)"
 # Chaos drops attempts in every phase, so this exercises the driver's one
 # stale-event guard (an event whose attempt is gone) far more than the

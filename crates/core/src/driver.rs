@@ -31,7 +31,6 @@ use std::rc::Rc;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use hiway_hdfs::LocalityRow;
 use hiway_lang::trace::{FileEvent, TaskEvent};
 use hiway_lang::{TaskId, TaskSpec, WorkflowSource};
 use hiway_obs::profile::{section, Section};
@@ -41,11 +40,11 @@ use hiway_sim::{Activity, ActivityId, Endpoint, NodeId, SimTime};
 use hiway_yarn::{AppId, Container, ContainerId, ContainerRequest};
 
 use crate::cluster::{Cluster, Tag};
-use crate::config::HiwayConfig;
+use crate::config::{HiwayConfig, SchedulerPolicy};
 use crate::provenance::{memo_key, MemoHit, ProvenanceManager};
-use crate::ready::ReadyTracker;
+use crate::ready::{Ready, ReadyList, ReadyTracker};
 use crate::report::{TaskReport, WorkflowReport};
-use crate::scheduler::{make_scheduler, Candidate, Scheduler};
+use crate::scheduler::{make_scheduler, Scheduler, Selection};
 use hiway_yarn::Resource;
 
 /// Worker container startup latency (process spawn, localization), in
@@ -178,20 +177,6 @@ impl TaskRun {
     }
 }
 
-/// A Requested task's entry in [`Am::ready_order`]: what routing a
-/// container reads, copied when the task becomes ready so the candidate
-/// build does no map lookup.
-struct Ready {
-    id: TaskId,
-    /// The task's [`TaskRun::avoid_node`], which changes only on an
-    /// attempt failure and so never while the task is listed.
-    avoid: Option<NodeId>,
-    spec: Rc<TaskSpec>,
-    /// The spec's input locality, built on the first container routed
-    /// past the task under a policy that reads it and rebuilt once stale.
-    locality: Option<LocalityRow>,
-}
-
 /// Per-workflow blacklist entry: strike count and its decay horizon.
 #[derive(Clone, Copy, Debug, Default)]
 struct Strikes {
@@ -212,7 +197,7 @@ struct Am {
     /// The Waiting tasks and the inputs each still misses.
     waiting: ReadyTracker,
     /// Ready-but-unlaunched tasks in readiness order.
-    ready_order: Vec<Ready>,
+    ready_order: ReadyList,
     /// Tasks with an unserved speculative container request.
     spec_pending: Vec<TaskId>,
     /// Nodes this workflow has seen attempts fail on, with decay.
@@ -432,7 +417,7 @@ impl Runtime {
             tasks: BTreeMap::new(),
             inflight_tasks: 0,
             waiting: ReadyTracker::default(),
-            ready_order: Vec::new(),
+            ready_order: ReadyList::default(),
             spec_pending: Vec::new(),
             blacklist: BTreeMap::new(),
             started: false,
@@ -633,7 +618,7 @@ impl Runtime {
                     "workflow {wf}: ready list {listed:?}, Requested {requested:?}"
                 ));
             }
-            for r in &am.ready_order {
+            for r in am.ready_order.iter() {
                 let task = &am.tasks[&r.id];
                 if r.avoid != task.avoid_node || !Rc::ptr_eq(&r.spec, &task.spec) {
                     return Err(format!(
@@ -854,28 +839,30 @@ impl Runtime {
         let hdfs = &self.cluster.hdfs;
         let alive = hdfs.is_alive(node);
         let am = &mut self.ams[wf];
-        let rows = alive && am.scheduler.policy().reads_locality();
-        let build = section(Section::RouteCandidates);
-        let candidates: Vec<Candidate> = am
-            .ready_order
-            .iter_mut()
-            .filter(|r| !(multi_node && r.avoid == Some(node)))
-            .map(|Ready { spec, locality, .. }| Candidate {
-                spec,
-                locality: rows.then(|| hdfs.refresh_row(&spec.inputs, locality)),
-            })
-            .collect();
-        drop(build);
-        let node_name = &self.cluster.engine.spec().node(node).name;
-        let selection = am.scheduler.select(
-            node,
-            node_name,
-            alive,
-            &candidates,
-            &am.prov,
-            &self.tracer,
-            now,
-        );
+        let policy = am.scheduler.policy();
+        let selection = if policy == SchedulerPolicy::Fcfs && !self.tracer.is_enabled() {
+            // FCFS runs the head; only the audit row scores every
+            // candidate, and its winner is the same head.
+            Selection {
+                winner: am.ready_order.head(node, multi_node),
+                decline: false,
+            }
+        } else {
+            let rows = (alive && policy.reads_locality()).then_some(hdfs);
+            let build = section(Section::RouteCandidates);
+            let candidates = am.ready_order.candidates(node, multi_node, rows);
+            drop(build);
+            let node_name = &self.cluster.engine.spec().node(node).name;
+            am.scheduler.select(
+                node,
+                node_name,
+                alive,
+                &candidates,
+                &am.prov,
+                &self.tracer,
+                now,
+            )
+        };
         // Late binding: an adaptive policy may decline a poorly placed
         // container and wait for a better one (bounded per task).
         let chosen = selection.winner;
@@ -912,7 +899,7 @@ impl Runtime {
     /// Issues a fresh container request for the head Requested task (used
     /// after handing a container back).
     fn re_request_head(&mut self, wf: usize) {
-        if let Some(tid) = self.ams[wf].ready_order.first().map(|r| r.id) {
+        if let Some(tid) = self.ams[wf].ready_order.first() {
             self.request_container(wf, tid);
         }
     }
@@ -943,7 +930,7 @@ impl Runtime {
         if speculative {
             am.speculative_attempts += 1;
         } else {
-            am.ready_order.retain(|r| r.id != task_id);
+            am.ready_order.remove(task_id);
         }
         self.containers.insert(container.id, (wf, task_id, attempt));
         if self.tracer.is_enabled() {

@@ -21,7 +21,7 @@
 //!   the runtime-estimate queries the adaptive scheduler consumes (§3.5),
 //!   plus the memo lookup that lets a resumed run skip committed work.
 //! * [`ready`] — the input-readiness countdown shared by the driver and
-//!   the baseline engines' DAG runner.
+//!   the baseline engines' DAG runner, and the driver's ready list.
 //! * [`cluster`] — the simulated substrate bundle (engine + HDFS + YARN
 //!   RM) and the client-side setup helpers.
 //! * [`config`] — AM configuration (container sizing, scheduler policy,

@@ -1,4 +1,4 @@
-//! Input readiness as a countdown.
+//! Input readiness as a countdown, and the ready list it feeds.
 //!
 //! A task becomes runnable once every one of its input files exists. Each
 //! waiting task counts the inputs it still misses, and each path that
@@ -6,10 +6,18 @@
 //! count reaches 0 is ready. Availability only grows (committed and
 //! external files are never withdrawn, and no task returns to waiting),
 //! so a count never rises again and no rescan is needed.
+//!
+//! A ready task then waits in its workflow's [`ReadyList`], in readiness
+//! order, until a container is routed to it.
 
-use std::collections::{BTreeSet, HashMap};
+use std::collections::{BTreeSet, HashMap, VecDeque};
+use std::rc::Rc;
 
-use hiway_lang::TaskId;
+use hiway_hdfs::{Hdfs, LocalityRow};
+use hiway_lang::{TaskId, TaskSpec};
+use hiway_sim::NodeId;
+
+use crate::scheduler::Candidate;
 
 /// The waiting tasks of one workflow and the inputs each still misses.
 #[derive(Debug, Default)]
@@ -59,6 +67,88 @@ impl ReadyTracker {
     pub fn held(&self) -> impl Iterator<Item = (TaskId, usize)> + '_ {
         let waiting = self.missing.iter().map(|(t, n)| (*t, *n));
         waiting.chain(self.ready.iter().map(|t| (*t, 0)))
+    }
+}
+
+/// A ready task's entry in a [`ReadyList`]: what routing a container
+/// reads, copied when the task becomes ready so the candidate build does
+/// no map lookup.
+pub(crate) struct Ready {
+    pub id: TaskId,
+    /// The node the task's last attempt failed on, which changes only on
+    /// an attempt failure and so never while the task is listed.
+    pub avoid: Option<NodeId>,
+    pub spec: Rc<TaskSpec>,
+    /// The spec's input locality, built on the first container routed
+    /// past the task under a policy that reads it and rebuilt once stale.
+    pub locality: Option<LocalityRow>,
+}
+
+/// One workflow's ready-but-unlaunched tasks, in readiness order.
+#[derive(Default)]
+pub(crate) struct ReadyList {
+    entries: VecDeque<Ready>,
+}
+
+impl ReadyList {
+    /// Lists a newly ready task at the back.
+    pub fn push(&mut self, entry: Ready) {
+        self.entries.push_back(entry);
+    }
+
+    /// Takes task `id` off the list, keeping the others' order. The scan
+    /// stops at the entry, and taking the head moves nothing.
+    pub fn remove(&mut self, id: TaskId) {
+        if let Some(at) = self.entries.iter().position(|r| r.id == id) {
+            self.entries.remove(at);
+        }
+    }
+
+    pub fn len(&self) -> usize {
+        self.entries.len()
+    }
+
+    pub fn iter(&self) -> impl Iterator<Item = &Ready> {
+        self.entries.iter()
+    }
+
+    /// The first ready task, whatever node it avoids.
+    pub fn first(&self) -> Option<TaskId> {
+        self.entries.front().map(|r| r.id)
+    }
+
+    /// Whether `entry` is offered a container on `node`: a retried task
+    /// avoids the node its last attempt failed on, unless that node is
+    /// the only one alive.
+    fn offers(entry: &Ready, node: NodeId, multi_node: bool) -> bool {
+        !(multi_node && entry.avoid == Some(node))
+    }
+
+    /// The first task offered a container on `node`: FCFS's pick, which
+    /// is also the winner of its audited selection over
+    /// [`Self::candidates`].
+    pub fn head(&self, node: NodeId, multi_node: bool) -> Option<TaskId> {
+        let offered = |r: &&Ready| Self::offers(r, node, multi_node);
+        self.entries.iter().find(offered).map(|r| r.id)
+    }
+
+    /// The tasks offered a container on `node`, in readiness order, as
+    /// scheduler candidates. Given `rows`, each carries its locality row,
+    /// rebuilt first if stale.
+    pub fn candidates<'a>(
+        &'a mut self,
+        node: NodeId,
+        multi_node: bool,
+        rows: Option<&Hdfs>,
+    ) -> Vec<Candidate<'a>> {
+        self.entries
+            .iter_mut()
+            .filter(|r| Self::offers(r, node, multi_node))
+            .map(|Ready { spec, locality, .. }| Candidate {
+                spec,
+                locality: rows.map(|hdfs| hdfs.refresh_row(&spec.inputs, locality)),
+            })
+            .collect()
     }
 }
 
@@ -206,6 +296,100 @@ mod tests {
             }
             while pair.pop()?.is_some() {}
             pair.check()?;
+        }
+    }
+
+    // ----- the ready list and FCFS's untraced pick ----------------------
+
+    fn entry(id: u64, avoid: Option<NodeId>) -> Ready {
+        Ready {
+            id: TaskId(id),
+            avoid,
+            spec: Rc::new(TaskSpec {
+                id: TaskId(id),
+                name: format!("t{id}"),
+                command: "tool".into(),
+                inputs: Vec::new(),
+                outputs: Vec::new(),
+                cost: Default::default(),
+            }),
+            locality: None,
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Random pushes (with and without an avoided node), removals (the
+        /// head, another entry, an unlisted task) and container arrivals
+        /// on one-node and multi-node clusters. The list keeps readiness
+        /// order, as a `Vec` with `retain` does; and at every arrival the
+        /// untraced FCFS pick is the first entry not avoiding the node,
+        /// which is also the winner of the traced `Select` row and of the
+        /// untraced selection over the same candidates.
+        #[test]
+        fn fcfs_head_is_the_traced_winner(
+            nodes in 1u32..5,
+            ops in proptest::collection::vec((0u8..4, any::<u8>()), 1..120),
+        ) {
+            use crate::config::SchedulerPolicy;
+            use crate::provenance::ProvenanceManager;
+            use crate::scheduler::make_scheduler;
+            use hiway_obs::Tracer;
+
+            let fcfs = make_scheduler(SchedulerPolicy::Fcfs);
+            let prov = ProvenanceManager::new(hiway_provdb::ProvDb::new());
+            let mut list = ReadyList::default();
+            let mut oracle: Vec<(TaskId, Option<NodeId>)> = Vec::new();
+            let mut next_id = 0;
+            for (kind, b) in ops {
+                let node = NodeId(u32::from(b) % nodes);
+                match kind {
+                    0 | 1 => {
+                        // Half the pushes avoid a node, as a retry does.
+                        let avoid = (b % 2 == 0).then_some(node);
+                        list.push(entry(next_id, avoid));
+                        oracle.push((TaskId(next_id), avoid));
+                        next_id += 1;
+                    }
+                    2 => {
+                        // The head, a listed task, or one never listed.
+                        let id = match b % 3 {
+                            0 => oracle.first().map_or(TaskId(next_id), |e| e.0),
+                            1 if !oracle.is_empty() => oracle[b as usize % oracle.len()].0,
+                            _ => TaskId(next_id + 7),
+                        };
+                        list.remove(id);
+                        oracle.retain(|e| e.0 != id);
+                    }
+                    _ => {
+                        let multi_node = nodes > 1;
+                        let expected = oracle
+                            .iter()
+                            .find(|(_, avoid)| !(multi_node && *avoid == Some(node)))
+                            .map(|e| e.0);
+                        let head = list.head(node, multi_node);
+                        prop_assert_eq!(head, expected);
+                        let candidates = list.candidates(node, multi_node, None);
+                        let tracer = Tracer::enabled();
+                        let select = |tracer: &Tracer| {
+                            fcfs.select(node, "w", true, &candidates, &prov, tracer, 0.0)
+                        };
+                        let traced = select(&tracer);
+                        let untraced = select(&Tracer::disabled());
+                        prop_assert_eq!(traced, untraced);
+                        prop_assert_eq!(traced.winner, head);
+                        prop_assert!(!traced.decline);
+                        let row = tracer.with_decisions(|ds| ds.last().map(|d| d.winner));
+                        prop_assert_eq!(row, Some(head.map(|id| id.0)));
+                    }
+                }
+                let listed: Vec<TaskId> = list.iter().map(|r| r.id).collect();
+                let want: Vec<TaskId> = oracle.iter().map(|e| e.0).collect();
+                prop_assert_eq!(listed, want);
+                prop_assert_eq!(list.first(), oracle.first().map(|e| e.0));
+                prop_assert_eq!(list.len(), oracle.len());
+            }
         }
     }
 

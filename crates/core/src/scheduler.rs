@@ -125,7 +125,9 @@ impl Scheduler {
     /// readiness order) runs in a container on `node`, whose DataNode is
     /// `alive` or not. Every candidate is scored once in the policy's
     /// terms; the winner and the decline are read from those scores, and
-    /// so is the one `Select` audit row.
+    /// so is the one `Select` audit row. Untraced, the driver does not
+    /// call this under FCFS: the head wins, and the scores would only
+    /// feed the row.
     #[allow(clippy::too_many_arguments)]
     pub fn select(
         &self,
@@ -150,6 +152,9 @@ impl Scheduler {
         };
         let ranked = scores.iter().enumerate().rev();
         let best = match self.policy {
+            // The head of the ready queue, as the driver picks it
+            // untraced (`ReadyList::head`).
+            SchedulerPolicy::Fcfs => scores.iter().enumerate().next(),
             // Highest locality wins. `max_by` keeps the last maximum of
             // the reversed walk, so ties go to the earliest-ready task.
             SchedulerPolicy::DataAware => ranked.max_by(by_value),
@@ -158,11 +163,10 @@ impl Scheduler {
             SchedulerPolicy::RoundRobin | SchedulerPolicy::Heft => {
                 ranked.filter(|(_, s)| s.value > 0.0).max_by(by_value)
             }
-            // Lowest queue position or relative fitness wins, higher
-            // locality breaking fitness ties. `min_by` keeps the first
-            // minimum of the reversed walk, so remaining ties go to the
-            // latest-ready task.
-            SchedulerPolicy::Fcfs | SchedulerPolicy::Adaptive => ranked.min_by(|a, b| {
+            // Lowest relative fitness wins, higher locality breaking
+            // fitness ties. `min_by` keeps the first minimum of the
+            // reversed walk, so remaining ties go to the latest-ready task.
+            SchedulerPolicy::Adaptive => ranked.min_by(|a, b| {
                 by_value(a, b).then(a.1.tie.partial_cmp(&b.1.tie).expect("fractions are finite"))
             }),
         };

@@ -7,7 +7,9 @@ use proptest::prelude::*;
 use hiway_core::cluster::Cluster;
 use hiway_core::config::{HiwayConfig, SchedulerPolicy};
 use hiway_core::driver::Runtime;
+use hiway_core::report::WorkflowReport;
 use hiway_lang::ir::{OutputSpec, StaticWorkflow, TaskCost, TaskId, TaskSpec};
+use hiway_obs::Tracer;
 use hiway_provdb::ProvDb;
 use hiway_sim::{ClusterSpec, NodeSpec};
 
@@ -44,8 +46,79 @@ fn layered_dag(layers: &[usize], cpu: f64) -> StaticWorkflow {
     StaticWorkflow::new("random-dag", "test", tasks)
 }
 
+/// Every field of a report, floats as their bits.
+fn report_bits(r: &WorkflowReport) -> Vec<String> {
+    let mut out = vec![format!(
+        "{} {} {} {:x} {:x} {:x} {} {} {} {:?} {}",
+        r.name,
+        r.language,
+        r.scheduler,
+        r.t_submit.to_bits(),
+        r.t_finish.to_bits(),
+        r.wasted_container_secs.to_bits(),
+        r.infra_failures,
+        r.task_failures,
+        r.speculative_attempts,
+        r.trace_path,
+        r.trace,
+    )];
+    out.extend(r.tasks.iter().map(|t| {
+        format!(
+            "{:?} {} {} {:x} {:x} {:x} {} {:x} {:x}",
+            t.id,
+            t.name,
+            t.node,
+            t.t_ready.to_bits(),
+            t.t_start.to_bits(),
+            t.t_end.to_bits(),
+            t.attempts,
+            t.localize_secs.to_bits(),
+            t.commit_secs.to_bits(),
+        )
+    }));
+    out
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// Untraced, FCFS takes the head of the ready list without scoring
+    /// it; traced, it scores every candidate for the audit row. Random
+    /// DAGs on one-node and multi-node clusters, with task failures whose
+    /// retries avoid the failed node, give `to_bits`-identical reports
+    /// either way.
+    #[test]
+    fn fcfs_runs_match_traced_and_untraced(
+        layers in proptest::collection::vec(1usize..6, 1..4),
+        nodes in 1usize..5,
+        failure_prob in 0.0f64..0.4,
+        seed in 0u64..500,
+    ) {
+        let run = |traced: bool| {
+            let spec = ClusterSpec::homogeneous(nodes, "w", &NodeSpec::m3_large("p"));
+            let mut cluster = Cluster::new(spec, seed);
+            cluster.prestage("/in", 4 << 20);
+            let mut rt = Runtime::new(cluster);
+            let tracer = if traced { Tracer::enabled() } else { Tracer::disabled() };
+            rt.set_tracer(&tracer);
+            let mut config = HiwayConfig::default()
+                .with_scheduler(SchedulerPolicy::Fcfs)
+                .with_seed(seed);
+            config.task_failure_prob = failure_prob;
+            config.task_retries = 50;
+            let idx = rt.submit(Box::new(layered_dag(&layers, 3.0)), config, ProvDb::new());
+            let reports = rt.run_to_completion();
+            let decisions = tracer.with_decisions(|ds| ds.len());
+            (report_bits(&reports[idx]), rt.error_of(idx).map(str::to_string), decisions)
+        };
+        let (untraced, error, none) = run(false);
+        let (traced, traced_error, decisions) = run(true);
+        prop_assert!(error.is_none(), "{:?}", error);
+        prop_assert_eq!(traced_error, error);
+        prop_assert_eq!(none, 0);
+        prop_assert!(decisions > 0, "the traced run audits its selections");
+        prop_assert_eq!(traced, untraced);
+    }
 
     /// Every random DAG completes under both dynamic schedulers, and no
     /// task starts before its producers finished.

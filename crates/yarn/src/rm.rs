@@ -30,10 +30,14 @@ struct PendingRequest {
 /// The simulated ResourceManager.
 pub struct ResourceManager {
     nodes: Vec<NodeState>,
-    /// FIFO queue of pending requests across all applications. Ordering
-    /// within a scheduler queue is request-id order; ordering *between*
-    /// scheduler queues is DRF.
-    queue: BTreeMap<u64, PendingRequest>,
+    /// Pending requests of all applications, keyed by (leaf queue,
+    /// request id), so each leaf's requests form one id-ordered range.
+    /// Ordering within a scheduler queue is request-id order; ordering
+    /// *between* scheduler queues is DRF.
+    queue: BTreeMap<(usize, u64), PendingRequest>,
+    /// How many pending requests ask for each resource shape: a round in
+    /// which no alive node fits any of them cannot grant anything.
+    shapes: Vec<(Resource, usize)>,
     containers: BTreeMap<u64, Container>,
     next_request: u64,
     next_container: u64,
@@ -91,6 +95,7 @@ impl ResourceManager {
         ResourceManager {
             nodes,
             queue: BTreeMap::new(),
+            shapes: Vec::new(),
             containers: BTreeMap::new(),
             next_request: 0,
             next_container: 0,
@@ -228,7 +233,10 @@ impl ResourceManager {
             self.tracer.inc("rm.requests_infeasible", 1);
             return id;
         }
-        self.queue.insert(id.0, PendingRequest { app, request });
+        let leaf = self.app_queue[app.0 as usize];
+        self.queue
+            .insert((leaf, id.0), PendingRequest { app, request });
+        count_shape(&mut self.shapes, request.resource);
         self.tracer.inc("rm.requests", 1);
         self.tracer
             .set_gauge("rm.pending_requests", self.queue.len() as f64);
@@ -299,13 +307,12 @@ impl ResourceManager {
     pub fn allocate_at(&mut self, now: f64) -> Vec<Container> {
         let _p = section(Section::RmAllocate);
         self.last_now = now;
-        let total = self.alive_total();
         let granted = if std::mem::take(&mut self.dirty) {
-            self.grant(total)
+            self.grant()
         } else {
             Vec::new()
         };
-        self.update_preemption(now, total);
+        self.update_preemption(now);
         if self.tracer.is_enabled() {
             self.tracer.inc("rm.allocation_rounds", 1);
             self.tracer
@@ -319,58 +326,101 @@ impl ResourceManager {
         granted
     }
 
-    /// The grant scan of [`Self::allocate_at`]: tries every schedulable
-    /// pending request once, leaves in DRF order, each leaf in id order.
-    fn grant(&mut self, total: Resource) -> Vec<Container> {
+    /// The grant walk of [`Self::allocate_at`]: tries every schedulable
+    /// pending request once, leaves in DRF order, each leaf in id order,
+    /// reading each leaf's next request from its range of the queue.
+    ///
+    /// Every grant needs an alive node whose `available` fits the request
+    /// (pinned or relaxed alike), while leaf picks and ceiling checks are
+    /// pure and the spread cursor moves only on a grant. So once no alive
+    /// node fits any pending shape, the rest of the walk grants nothing
+    /// and changes nothing: the round stops there, or never starts.
+    fn grant(&mut self) -> Vec<Container> {
         let mut granted = Vec::new();
-        // Per-leaf id-ordered snapshots of schedulable pending requests,
-        // carrying each request so a pick needs no queue lookup.
-        let nq = self.queues.nodes.len();
-        let mut per_leaf: Vec<Vec<(u64, ContainerRequest)>> = vec![Vec::new(); nq];
-        for (&id, p) in &self.queue {
-            if self.app_admitted[p.app.0 as usize] {
-                per_leaf[self.app_queue[p.app.0 as usize]].push((id, p.request));
-            }
+        if !self.any_shape_fits() {
+            return granted;
         }
-        let mut cursor = vec![0usize; nq];
-        let mut eligible: Vec<bool> = per_leaf.iter().map(|v| !v.is_empty()).collect();
+        let total = self.alive_total();
+        let nq = self.queues.nodes.len();
+        let mut next: Vec<_> = (0..nq).map(|leaf| self.next_pending(leaf, 0)).collect();
+        let mut eligible: Vec<bool> = next.iter().map(Option::is_some).collect();
         while let Some(leaf) = self.queues.pick_leaf(&eligible, total) {
-            let (id, request) = per_leaf[leaf][cursor[leaf]];
-            cursor[leaf] += 1;
-            if cursor[leaf] >= per_leaf[leaf].len() {
-                eligible[leaf] = false;
-            }
+            let (id, request) = next[leaf].expect("an eligible leaf has a next request");
+            next[leaf] = self.next_pending(leaf, id + 1);
+            eligible[leaf] = next[leaf].is_some();
             if !self.queues.fits_under_max(leaf, request.resource, total) {
                 continue; // over the queue ceiling: stays pending
             }
             if let Some(node) = self.find_node(&request) {
-                let app = self.queue.remove(&id).expect("still queued").app;
-                self.nodes[node.index()]
-                    .available
-                    .subtract(&request.resource);
-                let cid = ContainerId(self.next_container);
-                self.next_container += 1;
-                let container = Container {
-                    id: cid,
-                    app,
-                    node,
-                    resource: request.resource,
-                    request: RequestId(id),
-                    unpreemptable: request.unpreemptable,
-                };
-                self.containers.insert(cid.0, container);
-                self.queues.charge(leaf, container.resource);
-                self.emit_queue_audit(
-                    leaf,
-                    QueueEventKind::Allocate,
-                    Some(container.app),
-                    Some(cid),
-                    String::new(),
-                );
-                granted.push(container);
+                granted.push(self.launch(leaf, id, node));
+                if !self.any_shape_fits() {
+                    break;
+                }
             }
         }
         granted
+    }
+
+    /// The lowest-id pending request of an admitted application in
+    /// `leaf`, from id `from` on.
+    fn next_pending(&self, leaf: usize, from: u64) -> Option<(u64, ContainerRequest)> {
+        self.queue
+            .range((leaf, from)..=(leaf, u64::MAX))
+            .find(|(_, p)| self.app_admitted[p.app.0 as usize])
+            .map(|(&(_, id), p)| (id, p.request))
+    }
+
+    /// Whether some alive node's available capacity fits some pending
+    /// request's shape.
+    fn any_shape_fits(&self) -> bool {
+        self.nodes
+            .iter()
+            .any(|n| n.alive && self.shapes.iter().any(|(s, _)| n.available.fits(s)))
+    }
+
+    /// Grants pending request `id` of `leaf` on `node`: takes it off the
+    /// queue at once (the queue audit of this grant reads the queue) and
+    /// books the container on the node and the queue tree.
+    fn launch(&mut self, leaf: usize, id: u64, node: NodeId) -> Container {
+        let PendingRequest { app, request } = self.unqueue(leaf, id).expect("still queued");
+        self.nodes[node.index()]
+            .available
+            .subtract(&request.resource);
+        let cid = ContainerId(self.next_container);
+        self.next_container += 1;
+        let container = Container {
+            id: cid,
+            app,
+            node,
+            resource: request.resource,
+            request: RequestId(id),
+            unpreemptable: request.unpreemptable,
+        };
+        self.containers.insert(cid.0, container);
+        self.queues.charge(leaf, container.resource);
+        self.emit_queue_audit(
+            leaf,
+            QueueEventKind::Allocate,
+            Some(container.app),
+            Some(cid),
+            String::new(),
+        );
+        container
+    }
+
+    /// Removes a pending request, keeping the shape counts in step.
+    fn unqueue(&mut self, leaf: usize, id: u64) -> Option<PendingRequest> {
+        let p = self.queue.remove(&(leaf, id))?;
+        let at = self
+            .shapes
+            .iter()
+            .position(|(s, _)| *s == p.request.resource)
+            .expect("a pending shape is counted");
+        self.shapes[at].1 -= 1;
+        if self.shapes[at].1 == 0 {
+            self.shapes.swap_remove(at);
+        }
+        Some(p)
     }
 
     /// Per-leaf demand as cluster fractions: current usage plus pending
@@ -407,30 +457,21 @@ impl ResourceManager {
     /// sibling queues are selected as victims (never below a queue's
     /// guarantee, never unpreemptable containers) and handed to the
     /// driver via [`Self::take_preemptions`].
-    fn update_preemption(&mut self, now: f64, total: Resource) {
+    fn update_preemption(&mut self, now: f64) {
         let Some(grace) = self.queues.grace_secs else {
             return;
         };
+        let total = self.alive_total();
         let demands = self.leaf_demands(total);
         let fair = self.queues.fair_shares(&demands);
         let leaves = self.queues.leaves();
-        // Head request (lowest id) per leaf, for the "could take one more"
-        // test.
-        let mut head: Vec<Option<Resource>> = vec![None; self.queues.nodes.len()];
-        for p in self.queue.values() {
-            if !self.app_admitted[p.app.0 as usize] {
-                continue;
-            }
-            let leaf = self.app_queue[p.app.0 as usize];
-            if head[leaf].is_none() {
-                head[leaf] = Some(p.request.resource);
-            }
-        }
         for &leaf in &leaves {
-            let starved = match head[leaf] {
-                Some(next) => {
+            // The head request (lowest id), for the "could take one more"
+            // test.
+            let starved = match self.next_pending(leaf, 0) {
+                Some((_, next)) => {
                     let mut with_next = self.queues.nodes[leaf].used;
-                    with_next.add(&next);
+                    with_next.add(&next.resource);
                     QueueSet::dominant_share(with_next, total) <= fair[leaf] + 1e-9
                 }
                 None => false,
@@ -763,11 +804,29 @@ impl ResourceManager {
         }
     }
 
-    /// Checks the RM's books against its live containers: on every alive
-    /// node, `available` plus the node's containers equals `total`; no
-    /// container sits on a dead node; and every queue's `used` equals the
-    /// containers of its subtree, so ancestors include their children.
+    /// Checks the RM's books against its live containers and pending
+    /// requests: on every alive node, `available` plus the node's
+    /// containers equals `total`; no container sits on a dead node; every
+    /// queue's `used` equals the containers of its subtree, so ancestors
+    /// include their children; each pending request is filed under its
+    /// application's leaf; and the shape counts equal a recount.
     pub fn check_invariants(&self) -> Result<(), String> {
+        let mut shapes: Vec<(Resource, usize)> = Vec::new();
+        for (&(leaf, id), p) in &self.queue {
+            if leaf != self.app_queue[p.app.0 as usize] {
+                return Err(format!(
+                    "request {id} filed under leaf {leaf}, not its app's"
+                ));
+            }
+            count_shape(&mut shapes, p.request.resource);
+        }
+        let counted = |s: &Resource| self.shapes.iter().find(|(c, _)| c == s).map(|&(_, n)| n);
+        if shapes.len() != self.shapes.len() || shapes.iter().any(|(s, n)| counted(s) != Some(*n)) {
+            return Err(format!(
+                "shape counts {:?}, pending requests {shapes:?}",
+                self.shapes
+            ));
+        }
         let mut held = vec![Resource::ZERO; self.nodes.len()];
         let mut used = vec![Resource::ZERO; self.queues.nodes.len()];
         for c in self.containers.values() {
@@ -838,6 +897,14 @@ impl ResourceManager {
     }
 }
 
+/// Counts one more pending request of shape `resource`.
+fn count_shape(shapes: &mut Vec<(Resource, usize)>, resource: Resource) {
+    match shapes.iter_mut().find(|(s, _)| *s == resource) {
+        Some((_, n)) => *n += 1,
+        None => shapes.push((resource, 1)),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -862,7 +929,9 @@ mod tests {
 
     /// Withdraws a pending request, as an AM giving up on it would.
     fn cancel(r: &mut ResourceManager, id: RequestId) {
-        if r.queue.remove(&id.0).is_some() {
+        let key = r.queue.keys().find(|&&(_, i)| i == id.0).copied();
+        if let Some((leaf, id)) = key {
+            r.unqueue(leaf, id);
             r.dirty = true;
         }
     }
@@ -1419,7 +1488,7 @@ mod tests {
         );
     }
 
-    // ----- the change flag against an RM that scans every round ---------
+    // ----- the grant walk against the full scan on every round ----------
 
     /// Applies one random operation to `r`. `held` tracks the live
     /// containers, `asked` every request id issued; both RMs of the
@@ -1435,8 +1504,9 @@ mod tests {
         let node = NodeId(a as u32 % nodes as u32);
         match kind % 10 {
             0..=2 => {
-                // 1–2 vcores (3 is infeasible on an m3.large); strict,
-                // relaxed-with-preference or anywhere.
+                // 1–3 vcores (3 fits only the 3-vcore nodes, and is
+                // infeasible without one); strict, relaxed-with-preference
+                // or anywhere.
                 let resource = Resource::new(1 + b as u32 % 3, 500 + 1500 * (b as u64 / 3 % 4));
                 let mut request = match b / 12 % 3 {
                     0 => ContainerRequest::pinned(resource, node),
@@ -1465,16 +1535,29 @@ mod tests {
             6 => r.revive_node(node),
             7 => r.finish_app(apps[b as usize % apps.len()]),
             8 => {
-                let queue = if b % 2 == 0 { "a" } else { "b" };
+                let queue = ["a", "b", "c"][b as usize % 3];
                 apps.push(r.submit_app_to(queue).unwrap().0);
             }
             _ => {} // a heartbeat with nothing new
         }
     }
 
-    /// The observable result of one round, for comparison.
-    fn round(r: &mut ResourceManager, t: f64, held: &mut Vec<ContainerId>) -> String {
-        let granted = r.allocate_at(t);
+    /// The observable result of one round, for comparison. The
+    /// oracle's grant is the full scan, run whatever the change flag says;
+    /// its preemption bookkeeping is `allocate_at`'s own.
+    fn round(
+        r: &mut ResourceManager,
+        t: f64,
+        held: &mut Vec<ContainerId>,
+        full_scan: bool,
+    ) -> String {
+        let mut granted = Vec::new();
+        if full_scan {
+            r.last_now = t;
+            r.dirty = false;
+            granted = r.grant_full_scan();
+        }
+        granted.extend(r.allocate_at(t));
         held.extend(granted.iter().map(|c| c.id));
         let victims = r.take_preemptions();
         // The driver kills preemption victims through `release`.
@@ -1482,27 +1565,65 @@ mod tests {
             r.release(*v);
             held.retain(|h| h != v);
         }
-        let usage: Vec<_> = ["a", "b"].iter().map(|q| r.queue_usage(q)).collect();
+        let usage: Vec<_> = r.queue_names().iter().map(|q| r.queue_usage(q)).collect();
         format!(
-            "{granted:?} {victims:?} {:?} {} {usage:?}",
+            "{granted:?} {victims:?} {:?} {} {usage:?} cursor {}",
             r.take_infeasible(),
-            r.pending_requests()
+            r.pending_requests(),
+            r.spread_cursor
         )
+    }
+
+    impl ResourceManager {
+        /// The snapshot grant, the oracle of [`Self::grant`]: copies
+        /// every schedulable pending request into per-leaf lists, then
+        /// tries each once, leaves in DRF order, each leaf in id order,
+        /// however little capacity is left.
+        fn grant_full_scan(&mut self) -> Vec<Container> {
+            let mut granted = Vec::new();
+            let total = self.alive_total();
+            let nq = self.queues.nodes.len();
+            let mut per_leaf: Vec<Vec<(u64, ContainerRequest)>> = vec![Vec::new(); nq];
+            for (&(leaf, id), p) in &self.queue {
+                if self.app_admitted[p.app.0 as usize] {
+                    per_leaf[leaf].push((id, p.request));
+                }
+            }
+            let mut cursor = vec![0usize; nq];
+            let mut eligible: Vec<bool> = per_leaf.iter().map(|v| !v.is_empty()).collect();
+            while let Some(leaf) = self.queues.pick_leaf(&eligible, total) {
+                let (id, request) = per_leaf[leaf][cursor[leaf]];
+                cursor[leaf] += 1;
+                if cursor[leaf] >= per_leaf[leaf].len() {
+                    eligible[leaf] = false;
+                }
+                if !self.queues.fits_under_max(leaf, request.resource, total) {
+                    continue;
+                }
+                if let Some(node) = self.find_node(&request) {
+                    granted.push(self.launch(leaf, id, node));
+                }
+            }
+            granted
+        }
     }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(128))]
 
-        /// Skipping unchanged rounds gives the same grants, preemptions,
-        /// infeasible requests, pending counts and queue usage as
-        /// scanning every round.
+        /// Skipping unchanged rounds, walking each leaf's range and
+        /// stopping once no shape fits grant the same containers (id,
+        /// app, node, shape, request, in order) and leave the same spread
+        /// cursor, infeasible and pending requests, preemptions and queue
+        /// usage as the full scan run on every round, on nodes of uneven
+        /// capacity under a three-level queue tree.
         #[test]
         fn change_flag_matches_scanning_every_round(
-            nodes in 1usize..5,
+            nodes in 1usize..6,
             grace in 1u8..6,
             ops in proptest::collection::vec(
                 (0u8..20, any::<u8>(), any::<u8>()),
-                1..120,
+                1..160,
             ),
         ) {
             let config = QueuesConfig {
@@ -1512,8 +1633,17 @@ mod tests {
                     1.0,
                     1.0,
                     vec![
-                        QueueSpec::leaf("a", 2.0, 0.5, 1.0).with_max_apps(2),
-                        QueueSpec::leaf("b", 1.0, 0.5, 0.75),
+                        QueueSpec::leaf("a", 2.0, 0.4, 1.0).with_max_apps(2),
+                        QueueSpec::parent(
+                            "p",
+                            1.0,
+                            0.6,
+                            0.9,
+                            vec![
+                                QueueSpec::leaf("b", 1.0, 0.5, 0.8),
+                                QueueSpec::leaf("c", 3.0, 0.5, 1.0),
+                            ],
+                        ),
                     ],
                 ),
                 admission: AdmissionPolicy::Queue,
@@ -1522,8 +1652,16 @@ mod tests {
             let mut sides: Vec<_> = (0..2)
                 .map(|_| {
                     let mut r = rm(nodes);
+                    // m3.large nodes (2 vcores, 7500 MB) next to smaller
+                    // and larger ones, so shapes fit some nodes only.
+                    for n in 0..nodes {
+                        if n % 3 > 0 {
+                            let cap = Resource::new(n as u32 % 3 * 2 - 1, 3000 * n as u64);
+                            r.set_capacity(NodeId(n as u32), cap);
+                        }
+                    }
                     r.configure_queues(config.clone()).unwrap();
-                    let apps: Vec<AppId> = ["a", "a", "a", "b"]
+                    let apps: Vec<AppId> = ["a", "a", "a", "b", "c"]
                         .iter()
                         .map(|q| r.submit_app_to(q).unwrap().0)
                         .collect();
@@ -1536,10 +1674,7 @@ mod tests {
                 for (oracle, (r, apps, held, asked)) in sides.iter_mut().enumerate() {
                     apply_op(r, apps, held, asked, nodes, op);
                     r.check_invariants().map_err(TestCaseError::fail)?;
-                    if oracle == 1 {
-                        r.dirty = true;
-                    }
-                    seen.push(round(r, t, held));
+                    seen.push(round(r, t, held, oracle == 1));
                     r.check_invariants().map_err(TestCaseError::fail)?;
                 }
                 prop_assert_eq!(&seen[0], &seen[1], "step {} op {:?}", step, op);
