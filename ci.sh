@@ -35,6 +35,12 @@ echo "==> RM grant oracle proptest (2048 cases, release)"
 # snapshot full scan on every round: same containers, same spread cursor.
 PROPTEST_CASES=2048 cargo test --release -q -p hiway-yarn --lib rm::tests::change_flag_matches_scanning_every_round
 
+echo "==> trace render oracle proptest (2048 cases, release)"
+# Each manager's trace is rendered from the store's own documents by
+# position; it is held to write_trace of the events it recorded, with two
+# managers, memo keys and imports interleaved on one store.
+PROPTEST_CASES=2048 cargo test --release -q -p hiway-core --test prop_trace_render
+
 echo "==> chaos proptest (256 cases, debug: invariants checked before every fault)"
 # Chaos drops attempts in every phase, so this exercises the driver's one
 # stale-event guard (an event whose attempt is gone) far more than the

@@ -51,7 +51,7 @@ impl Report {
 
     /// Records a parameter of the measured workload.
     pub fn workload(&mut self, key: &str, value: impl Into<Json>) -> &mut Report {
-        self.workload.set(key, value);
+        self.workload.set(key.to_string(), value);
         self
     }
 
@@ -59,8 +59,10 @@ impl Report {
     pub fn metric(&mut self, name: &str, value: f64, unit: &str) -> &mut Report {
         assert!(value.is_finite(), "metric {name} is not finite: {value}");
         println!("  {name:<32} {value:>16.6} {unit}");
-        self.metrics
-            .set(name, Json::object().with("value", value).with("unit", unit));
+        self.metrics.set(
+            name.to_string(),
+            Json::object().with("value", value).with("unit", unit),
+        );
         self
     }
 

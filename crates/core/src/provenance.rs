@@ -1,10 +1,12 @@
 //! The Provenance Manager (paper §3.5).
 //!
 //! Registers events at three granularities — workflow, task, file — each
-//! timestamped, and keeps them in two places: an append-only event list
-//! that becomes the re-executable JSON trace file stored in HDFS, and the
-//! queryable [`hiway_provdb`] document store (the MySQL/Couchbase stand-in)
-//! from which the Workflow Scheduler draws its runtime estimates.
+//! timestamped, as documents of the queryable [`hiway_provdb`] store (the
+//! MySQL/Couchbase stand-in) from which the Workflow Scheduler draws its
+//! runtime estimates. Each document is the event's trace line itself, so
+//! the re-executable JSON trace file stored in HDFS is rendered from the
+//! store: the workflow header, then the lines this manager inserted, in
+//! record order.
 //!
 //! The estimate strategy is the paper's: "the current strategy for
 //! computing these runtime estimates is to always use the latest observed
@@ -12,10 +14,10 @@
 //! task-machine-assignment, a default runtime of zero is assumed to
 //! encourage trying out new assignments."
 //!
-//! The same task documents back cross-run memoization ("smart rerun"):
-//! a memoizing run stores each committed invocation's [`memo_key`] and
-//! outputs in its one task document, and a resumed run looks ready tasks
-//! up by that key ([`ProvenanceManager::memo_hit`]) before executing
+//! The same task lines back cross-run memoization ("smart rerun"): a
+//! memoizing run adds the invocation's [`memo_key`] to its task line, whose
+//! `outputs` are what the commit produced, and a resumed run looks ready
+//! tasks up by that key ([`ProvenanceManager::memo_hit`]) before executing
 //! them. One insert per commit feeds the trace, the statistics and the
 //! memo lookup, so a durable store never holds a commit without its memo.
 
@@ -57,27 +59,17 @@ pub struct MemoHit {
     pub saved_secs: f64,
 }
 
-/// The queryable document of a task event: what the statistics fold and
-/// the memo lookup read.
-fn task_doc(event: &TaskEvent) -> Json {
-    Json::object()
-        .with("name", event.name.as_str())
-        .with("node", event.node.as_str())
-        .with("makespan", event.makespan())
-        .with("t_start", event.t_start)
-        .with("t_end", event.t_end)
-        .with("attempts", event.attempts)
-        .with("command", event.command.as_str())
+/// A task line's makespan as [`TaskEvent::makespan`] computes it, from the
+/// line's `t_start` and `t_end`; `None` if either is not a number.
+fn makespan(line: &Json) -> Option<f64> {
+    let t = |field| line.get(field).and_then(Json::as_f64);
+    Some((t("t_end")? - t("t_start")?).max(0.0))
 }
 
-/// The queryable document of a file event.
-fn file_doc(event: &FileEvent) -> Json {
-    Json::object()
-        .with("path", event.path.as_str())
-        .with("size", event.size)
-        .with("task", event.task)
-        .with("direction", event.direction.as_str())
-        .with("transfer_seconds", event.transfer_seconds)
+/// A line this manager inserted: its collection and position there.
+enum Line {
+    Task(usize),
+    File(usize),
 }
 
 /// Per-workflow provenance recorder over a (possibly shared, long-lived)
@@ -87,7 +79,8 @@ fn file_doc(event: &FileEvent) -> Json {
 pub struct ProvenanceManager {
     db: ProvDb,
     tasks: Collection,
-    events: Vec<TraceEvent>,
+    /// The lines of this manager's trace, in record order.
+    lines: Vec<Line>,
     stats: RefCell<RuntimeStats>,
 }
 
@@ -103,9 +96,9 @@ struct RuntimeStats {
 }
 
 /// Statistics of one task signature, exactly what a scan of its documents
-/// would give: `latest` holds the makespan field of the last document per
-/// node (`None` if that document has no numeric makespan), and `sum` and
-/// `count` cover the documents that do have one.
+/// would give: `latest` holds the makespan of the last document per node
+/// (`None` if that document has none), and `sum` and `count` cover the
+/// documents that do have one.
 struct SignatureStats {
     latest: HashMap<String, Option<f64>>,
     sum: f64,
@@ -117,7 +110,7 @@ impl RuntimeStats {
         let Some(name) = doc.get("name").and_then(Json::as_str) else {
             return;
         };
-        let makespan = doc.get("makespan").and_then(Json::as_f64);
+        let makespan = makespan(doc);
         let sig = self
             .by_signature
             .entry(name.to_string())
@@ -145,7 +138,7 @@ impl ProvenanceManager {
         ProvenanceManager {
             tasks,
             db,
-            events: Vec::new(),
+            lines: Vec::new(),
             stats: RefCell::default(),
         }
     }
@@ -168,32 +161,22 @@ impl ProvenanceManager {
         &self.db
     }
 
-    /// Records a completed task execution. A memoizing run passes the
-    /// invocation's memo key: the same document then also carries the key
-    /// and the committed outputs, so on a durable store the commit and its
-    /// memo reach the WAL in one insert.
+    /// Records a completed task execution as its trace line. A memoizing
+    /// run passes the invocation's memo key: the same line then also
+    /// carries the key, so on a durable store the commit and its memo
+    /// reach the WAL in one insert.
     pub fn record_task(&mut self, event: TaskEvent, memo_key: Option<String>) {
         let _p = section(Section::ProvRecord);
-        let mut doc = task_doc(&event);
+        let mut line = TraceEvent::Task(event).into_json();
         if let Some(key) = memo_key {
-            let outputs = event
-                .outputs
-                .iter()
-                .map(|(path, size)| {
-                    Json::object()
-                        .with("path", path.as_str())
-                        .with("size", *size)
-                })
-                .collect();
-            doc = doc.with("key", key).with("outputs", Json::Array(outputs));
+            line.set("key", key);
         }
-        self.tasks.insert(doc);
-        self.events.push(TraceEvent::Task(event));
+        self.lines.push(Line::Task(self.tasks.insert(line)));
     }
 
     /// Latest committed invocation under memo `key`, if any (indexed
-    /// lookup). Task documents without a key, such as trace imports, are
-    /// never hits.
+    /// lookup), with the outputs its task line records. Task lines without
+    /// a key, such as trace imports, are never hits.
     pub fn memo_hit(&self, key: &str) -> Option<MemoHit> {
         // Index hits are in insertion order: the last is the latest record.
         let doc = self.tasks.find_eq("key", &Json::from(key)).pop()?;
@@ -212,7 +195,7 @@ impl ProvenanceManager {
         Some(MemoHit {
             outputs,
             node: doc.get("node")?.as_str()?.to_string(),
-            saved_secs: doc.get("makespan").and_then(Json::as_f64).unwrap_or(0.0),
+            saved_secs: makespan(&doc).unwrap_or(0.0),
         })
     }
 
@@ -255,47 +238,57 @@ impl ProvenanceManager {
 
     /// Records a file staged in or out of a task's container.
     pub fn record_file(&mut self, event: FileEvent) {
-        self.db
-            .collection(FILES_COLLECTION)
-            .insert(file_doc(&event));
-        self.events.push(TraceEvent::File(event));
+        let line = TraceEvent::File(event).into_json();
+        let pos = self.db.collection(FILES_COLLECTION).insert(line);
+        self.lines.push(Line::File(pos));
     }
 
     /// Closes the workflow, returning the full trace in the on-disk
-    /// (JSON-lines) format — itself a valid workflow (§3.5).
+    /// (JSON-lines) format — itself a valid workflow (§3.5): the workflow
+    /// line, then the lines this manager recorded, read back from the
+    /// store without their memo keys.
     pub fn finish_workflow(&mut self, name: &str, language: &str, total_seconds: f64) -> String {
-        let event = WorkflowEvent {
+        let header = TraceEvent::Workflow(WorkflowEvent {
             name: name.to_string(),
             language: language.to_string(),
             total_seconds,
-        };
-        self.db.collection(WORKFLOWS_COLLECTION).insert(
-            Json::object()
-                .with("name", name)
-                .with("language", language)
-                .with("total_seconds", total_seconds),
-        );
-        // The workflow header leads the trace for readability.
-        let mut trace = vec![TraceEvent::Workflow(event)];
-        trace.append(&mut self.events);
-        hiway_lang::trace::write_trace(&trace)
+        })
+        .into_json();
+        let mut trace = header.to_compact() + "\n";
+        self.db.collection(WORKFLOWS_COLLECTION).insert(header);
+        for line in std::mem::take(&mut self.lines) {
+            let doc = match line {
+                Line::Task(pos) => self.tasks.get(pos),
+                Line::File(pos) => self.db.collection(FILES_COLLECTION).get(pos),
+            };
+            let Some(Json::Object(mut pairs)) = doc else {
+                unreachable!("a recorded line is an object in the append-only store");
+            };
+            pairs.retain(|(field, _)| field != "key");
+            trace += &Json::Object(pairs).to_compact();
+            trace.push('\n');
+        }
+        trace
     }
 
     /// Imports the events of a previously written trace file into the
     /// statistics store — "stored as JSON objects in a trace file in HDFS,
     /// from where it can be accessed by other instances of Hi-WAY" (§3.5).
-    /// Returns how many task observations were loaded.
+    /// Each line is parsed into its event, which validates it, and that
+    /// event's line is stored. Returns how many task observations were
+    /// loaded.
     pub fn import_trace(&mut self, trace_text: &str) -> Result<usize, hiway_lang::LangError> {
-        let events = hiway_lang::trace::parse_trace_events(trace_text)?;
         let mut loaded = 0;
-        for event in events {
+        for event in hiway_lang::trace::parse_trace_events(trace_text)? {
             match event {
-                TraceEvent::Task(t) => {
-                    self.tasks.insert(task_doc(&t));
+                TraceEvent::Task(_) => {
+                    self.tasks.insert(event.into_json());
                     loaded += 1;
                 }
-                TraceEvent::File(f) => {
-                    self.db.collection(FILES_COLLECTION).insert(file_doc(&f));
+                TraceEvent::File(_) => {
+                    self.db
+                        .collection(FILES_COLLECTION)
+                        .insert(event.into_json());
                 }
                 TraceEvent::Workflow(_) => {}
             }
@@ -443,7 +436,7 @@ mod tests {
 
     /// The stored file documents, oldest first, as (path, size,
     /// direction, transfer seconds).
-    pub(super) fn file_docs(p: &ProvenanceManager) -> Vec<(String, u64, String, f64)> {
+    fn file_docs(p: &ProvenanceManager) -> Vec<(String, u64, String, f64)> {
         let field = |d: &Json, k: &str| d.get(k).cloned().unwrap_or(Json::Null);
         p.db.collection(FILES_COLLECTION)
             .query()
@@ -463,69 +456,36 @@ mod tests {
             .collect()
     }
 
-    /// Stage-in and stage-out transfers both land in the store, each
-    /// with its direction and seconds: what a transfer-time estimate
-    /// (§3.4 point iii) reads.
-    #[test]
-    fn transfer_rate_estimate() {
-        let mut p = ProvenanceManager::new(ProvDb::new());
-        assert!(file_docs(&p).is_empty());
-        p.record_file(FileEvent {
-            path: "/a".into(),
-            size: 100,
-            task: 0,
-            direction: "in".into(),
-            transfer_seconds: 2.0,
-        });
-        p.record_file(FileEvent {
-            path: "/b".into(),
-            size: 100,
-            task: 0,
-            direction: "out".into(),
-            transfer_seconds: 50.0,
-        });
-        assert_eq!(
-            file_docs(&p),
-            [
-                ("/a".to_string(), 100, "in".to_string(), 2.0),
-                ("/b".to_string(), 100, "out".to_string(), 50.0)
-            ]
-        );
-    }
-}
-
-#[cfg(test)]
-mod statistics_source_tests {
-    use super::*;
-    use hiway_lang::trace::FileEvent;
-
     /// File sizes and transfer times (§3.4 statistics sources ii and
-    /// iii) are recorded, a re-observed path as a newer document.
+    /// iii) land in the store in record order, each with its direction
+    /// and seconds: a re-observed path as a newer document, and a
+    /// stage-in next to a stage-out.
     #[test]
     fn file_sizes_and_transfer_rates_are_recorded() {
-        let mut p = ProvenanceManager::new(ProvDb::new());
-        p.record_file(FileEvent {
-            path: "/in/reads.fq".into(),
-            size: 1_000_000,
-            task: 0,
-            direction: "in".into(),
-            transfer_seconds: 2.0,
-        });
-        // A re-observed path gets a newer document.
-        p.record_file(FileEvent {
-            path: "/in/reads.fq".into(),
-            size: 2_000_000,
-            task: 1,
-            direction: "in".into(),
-            transfer_seconds: 4.0,
-        });
-        let path = "/in/reads.fq".to_string();
-        assert_eq!(
-            super::tests::file_docs(&p),
-            [
-                (path.clone(), 1_000_000, "in".to_string(), 2.0),
-                (path, 2_000_000, "in".to_string(), 4.0)
-            ]
-        );
+        let reobserved = [
+            ("/in/reads.fq", 1_000_000, 0, "in", 2.0),
+            ("/in/reads.fq", 2_000_000, 1, "in", 4.0),
+        ];
+        let directions = [("/a", 100, 0, "in", 2.0), ("/b", 100, 0, "out", 50.0)];
+        for files in [reobserved, directions] {
+            let mut p = ProvenanceManager::new(ProvDb::new());
+            assert!(file_docs(&p).is_empty());
+            for (path, size, task, direction, transfer_seconds) in files {
+                p.record_file(FileEvent {
+                    path: path.into(),
+                    size,
+                    task,
+                    direction: direction.into(),
+                    transfer_seconds,
+                });
+            }
+            let expected: Vec<_> = files
+                .iter()
+                .map(|&(path, size, _, direction, secs)| {
+                    (path.to_string(), size, direction.to_string(), secs)
+                })
+                .collect();
+            assert_eq!(file_docs(&p), expected);
+        }
     }
 }

@@ -2,7 +2,9 @@
 //! per-manager statistics answer `latest_runtime`, `average_runtime` and
 //! `observation_count` bit for bit like a full scan of the task documents,
 //! for random interleavings of writes from two managers sharing one
-//! durable store, trace imports, raw documents, compactions and reopens.
+//! durable store, trace imports, raw documents (trace lines and the older
+//! shape that stored a `makespan` field), compactions and reopens. Both
+//! sides derive a document's makespan from its `t_start` and `t_end`.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -11,7 +13,7 @@ use proptest::prelude::*;
 use hiway_core::provenance::{ProvenanceManager, TASKS_COLLECTION};
 use hiway_format::json::Json;
 use hiway_lang::trace::{write_trace, TaskEvent, TraceEvent};
-use hiway_provdb::{Aggregate, Op, ProvDb};
+use hiway_provdb::{Op, ProvDb};
 
 const SIGNATURES: [&str; 3] = ["align", "sort", "call"];
 const NODES: [&str; 3] = ["w0", "w1", "w2"];
@@ -32,12 +34,16 @@ enum Step {
         manager: usize,
         trace: Vec<Obs>,
     },
-    /// A task document written straight into the store, with a numeric
-    /// (possibly `-0.0`), non-numeric or missing makespan.
+    /// A task document written straight into the store, whose `t_start`
+    /// and `t_end` are each numeric (possibly `-0.0`), non-numeric or
+    /// missing. With `stored_makespan` it has the older shape: no `type`,
+    /// and a `makespan` field (numeric or not) that the statistics ignore.
     Raw {
         sig: usize,
         node: usize,
-        makespan: Option<Json>,
+        t_start: Option<Json>,
+        t_end: Option<Json>,
+        stored_makespan: Option<Json>,
     },
     Compact,
     /// Drop both managers and the store, then `ProvDb::open` it again.
@@ -50,6 +56,18 @@ fn arb_obs() -> impl Strategy<Value = Obs> {
     (0..SIGNATURES.len(), 0..NODES.len(), start, duration)
 }
 
+/// A raw document's numeric field: a number (`-0.0` among them), a
+/// string, or missing.
+fn arb_field() -> impl Strategy<Value = Option<Json>> {
+    prop_oneof![
+        Just(None),
+        Just(Some(Json::from("slow"))),
+        Just(Some(Json::Number(-0.0))),
+        Just(Some(Json::Number(0.0))),
+        (0.0f64..50.0).prop_map(|t| Some(Json::Number(t))),
+    ]
+}
+
 fn arb_step() -> impl Strategy<Value = Step> {
     prop_oneof![
         (0usize..2, arb_obs()).prop_map(|(manager, obs)| Step::Record { manager, obs }),
@@ -59,17 +77,16 @@ fn arb_step() -> impl Strategy<Value = Step> {
         (
             0..SIGNATURES.len(),
             0..NODES.len(),
-            prop_oneof![
-                Just(None),
-                Just(Some(Json::from("slow"))),
-                Just(Some(Json::Number(-0.0))),
-                (0.0f64..50.0).prop_map(|m| Some(Json::Number(m))),
-            ],
+            arb_field(),
+            arb_field(),
+            prop_oneof![Just(None), arb_field()],
         )
-            .prop_map(|(sig, node, makespan)| Step::Raw {
+            .prop_map(|(sig, node, t_start, t_end, stored_makespan)| Step::Raw {
                 sig,
                 node,
-                makespan
+                t_start,
+                t_end,
+                stored_makespan,
             }),
         Just(Step::Compact),
         Just(Step::Reopen),
@@ -97,28 +114,40 @@ fn task_event((sig, node, start, duration): Obs) -> TaskEvent {
 
 // The scan-based statistics the record replaced: the oracle.
 
+/// A document's makespan, `t_end - t_start` clamped at zero as
+/// `TaskEvent::makespan` computes it; `None` unless both are numbers.
+fn makespan(doc: &Json) -> Option<f64> {
+    let t = |field| doc.get(field).and_then(Json::as_f64);
+    Some((t("t_end")? - t("t_start")?).max(0.0))
+}
+
 fn scan_latest(db: &ProvDb, signature: &str, node: &str) -> Option<f64> {
     db.collection(TASKS_COLLECTION)
         .query()
         .filter("name", Op::Eq, signature)
         .filter("node", Op::Eq, node)
         .last()
-        .and_then(|doc| doc.get("makespan").and_then(Json::as_f64))
+        .and_then(|doc| makespan(&doc))
+}
+
+/// The makespans of `signature`'s documents that have one, oldest first.
+fn scan_makespans(db: &ProvDb, signature: &str) -> Vec<f64> {
+    db.collection(TASKS_COLLECTION)
+        .query()
+        .filter("name", Op::Eq, signature)
+        .collect()
+        .iter()
+        .filter_map(makespan)
+        .collect()
 }
 
 fn scan_average(db: &ProvDb, signature: &str) -> Option<f64> {
-    db.collection(TASKS_COLLECTION)
-        .query()
-        .filter("name", Op::Eq, signature)
-        .aggregate("makespan", Aggregate::Avg)
+    let makespans = scan_makespans(db, signature);
+    (!makespans.is_empty()).then(|| makespans.iter().sum::<f64>() / makespans.len() as f64)
 }
 
 fn scan_count(db: &ProvDb, signature: &str) -> usize {
-    db.collection(TASKS_COLLECTION)
-        .query()
-        .filter("name", Op::Eq, signature)
-        .aggregate("makespan", Aggregate::Count)
-        .unwrap_or(0.0) as usize
+    scan_makespans(db, signature).len()
 }
 
 fn bits(v: Option<f64>) -> Option<u64> {
@@ -201,12 +230,21 @@ proptest! {
                         .expect("a written trace parses");
                     prop_assert_eq!(loaded, events.len());
                 }
-                Step::Raw { sig, node, makespan } => {
-                    let mut doc = Json::object()
-                        .with("name", SIGNATURES[sig])
-                        .with("node", NODES[node]);
-                    if let Some(m) = makespan {
-                        doc = doc.with("makespan", m);
+                Step::Raw { sig, node, t_start, t_end, stored_makespan } => {
+                    let mut doc = match stored_makespan {
+                        Some(m) => Json::object()
+                            .with("name", SIGNATURES[sig])
+                            .with("node", NODES[node])
+                            .with("makespan", m),
+                        None => Json::object()
+                            .with("type", "task")
+                            .with("name", SIGNATURES[sig])
+                            .with("node", NODES[node]),
+                    };
+                    for (field, value) in [("t_start", t_start), ("t_end", t_end)] {
+                        if let Some(v) = value {
+                            doc.set(field, v);
+                        }
                     }
                     db.collection(TASKS_COLLECTION).insert(doc);
                 }

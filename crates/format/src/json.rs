@@ -4,6 +4,7 @@
 //! that provenance traces serialize deterministically and byte-compare
 //! across runs — the paper's re-executable traces depend on stable output.
 
+use std::borrow::Cow;
 use std::fmt;
 
 /// A JSON value.
@@ -14,8 +15,9 @@ pub enum Json {
     Number(f64),
     String(String),
     Array(Vec<Json>),
-    /// Insertion-ordered key/value pairs.
-    Object(Vec<(String, Json)>),
+    /// Insertion-ordered key/value pairs. A key written in the program is
+    /// borrowed, not allocated; a parsed one is owned.
+    Object(Vec<(Cow<'static, str>, Json)>),
 }
 
 /// A parse error with byte offset context.
@@ -57,14 +59,14 @@ impl Json {
 
     /// Adds or replaces a field on an object; panics on non-objects
     /// (that is a programming error in trace construction, not input).
-    pub fn set(&mut self, key: &str, value: impl Into<Json>) -> &mut Json {
+    pub fn set(&mut self, key: impl Into<Cow<'static, str>>, value: impl Into<Json>) -> &mut Json {
         match self {
             Json::Object(pairs) => {
-                let value = value.into();
-                if let Some(pair) = pairs.iter_mut().find(|(k, _)| k == key) {
+                let (key, value) = (key.into(), value.into());
+                if let Some(pair) = pairs.iter_mut().find(|(k, _)| *k == key) {
                     pair.1 = value;
                 } else {
-                    pairs.push((key.to_string(), value));
+                    pairs.push((key, value));
                 }
                 self
             }
@@ -73,7 +75,7 @@ impl Json {
     }
 
     /// Builder-style `set`.
-    pub fn with(mut self, key: &str, value: impl Into<Json>) -> Json {
+    pub fn with(mut self, key: impl Into<Cow<'static, str>>, value: impl Into<Json>) -> Json {
         self.set(key, value);
         self
     }
@@ -123,7 +125,7 @@ impl Json {
         }
     }
 
-    pub fn as_object(&self) -> Option<&[(String, Json)]> {
+    pub fn as_object(&self) -> Option<&[(Cow<'static, str>, Json)]> {
         match self {
             Json::Object(pairs) => Some(pairs),
             _ => None,
@@ -477,7 +479,7 @@ impl<'a> Parser<'a> {
             self.expect(b':')?;
             self.skip_ws();
             let value = self.value()?;
-            pairs.push((key, value));
+            pairs.push((key.into(), value));
             self.skip_ws();
             match self.peek() {
                 Some(b',') => self.pos += 1,
@@ -573,7 +575,7 @@ mod tests {
             .as_object()
             .unwrap()
             .iter()
-            .map(|(k, _)| k.as_str())
+            .map(|(k, _)| k.as_ref())
             .collect();
         assert_eq!(keys, vec!["z", "a", "m"]);
     }

@@ -26,6 +26,7 @@ fn arb_json() -> impl Strategy<Value = Json> {
                     pairs
                         .into_iter()
                         .filter(|(k, _)| seen.insert(k.clone()))
+                        .map(|(k, v)| (k.into(), v))
                         .collect(),
                 )
             }),

@@ -69,48 +69,58 @@ pub enum TraceEvent {
     File(FileEvent),
 }
 
+/// An object with `pairs` in order, built in one allocation.
+fn object<const N: usize>(pairs: [(&'static str, Json); N]) -> Json {
+    Json::Object(pairs.into_iter().map(|(k, v)| (k.into(), v)).collect())
+}
+
 impl TraceEvent {
-    /// Serializes to the canonical single-line JSON representation.
-    pub fn to_json(&self) -> Json {
+    /// The canonical trace line, moving the event's strings into it. This
+    /// is the one place that lists a line's fields: the Provenance Manager
+    /// stores this document and renders the trace from it.
+    pub fn into_json(self) -> Json {
         match self {
-            TraceEvent::Workflow(w) => Json::object()
-                .with("type", "workflow")
-                .with("name", w.name.as_str())
-                .with("language", w.language.as_str())
-                .with("total_seconds", w.total_seconds),
+            TraceEvent::Workflow(w) => object([
+                ("type", "workflow".into()),
+                ("name", w.name.into()),
+                ("language", w.language.into()),
+                ("total_seconds", w.total_seconds.into()),
+            ]),
             TraceEvent::Task(t) => {
-                let files = |pairs: &[(String, u64)]| {
+                let files = |pairs: Vec<(String, u64)>| {
                     Json::Array(
                         pairs
-                            .iter()
-                            .map(|(p, s)| Json::object().with("path", p.as_str()).with("size", *s))
+                            .into_iter()
+                            .map(|(p, s)| object([("path", p.into()), ("size", s.into())]))
                             .collect(),
                     )
                 };
-                Json::object()
-                    .with("type", "task")
-                    .with("id", t.id)
-                    .with("name", t.name.as_str())
-                    .with("command", t.command.as_str())
-                    .with("inputs", files(&t.inputs))
-                    .with("outputs", files(&t.outputs))
-                    .with("cpu_seconds", t.cpu_seconds)
-                    .with("threads", t.threads)
-                    .with("memory_mb", t.memory_mb)
-                    .with("node", t.node.as_str())
-                    .with("t_start", t.t_start)
-                    .with("t_end", t.t_end)
-                    .with("attempts", t.attempts)
-                    .with("stdout", t.stdout.as_str())
-                    .with("stderr", t.stderr.as_str())
+                object([
+                    ("type", "task".into()),
+                    ("id", t.id.into()),
+                    ("name", t.name.into()),
+                    ("command", t.command.into()),
+                    ("inputs", files(t.inputs)),
+                    ("outputs", files(t.outputs)),
+                    ("cpu_seconds", t.cpu_seconds.into()),
+                    ("threads", t.threads.into()),
+                    ("memory_mb", t.memory_mb.into()),
+                    ("node", t.node.into()),
+                    ("t_start", t.t_start.into()),
+                    ("t_end", t.t_end.into()),
+                    ("attempts", t.attempts.into()),
+                    ("stdout", t.stdout.into()),
+                    ("stderr", t.stderr.into()),
+                ])
             }
-            TraceEvent::File(f) => Json::object()
-                .with("type", "file")
-                .with("path", f.path.as_str())
-                .with("size", f.size)
-                .with("task", f.task)
-                .with("direction", f.direction.as_str())
-                .with("transfer_seconds", f.transfer_seconds),
+            TraceEvent::File(f) => object([
+                ("type", "file".into()),
+                ("path", f.path.into()),
+                ("size", f.size.into()),
+                ("task", f.task.into()),
+                ("direction", f.direction.into()),
+                ("transfer_seconds", f.transfer_seconds.into()),
+            ]),
         }
     }
 
@@ -189,7 +199,7 @@ impl TraceEvent {
 pub fn write_trace(events: &[TraceEvent]) -> String {
     let mut out = String::new();
     for e in events {
-        out.push_str(&e.to_json().to_compact());
+        out.push_str(&e.clone().into_json().to_compact());
         out.push('\n');
     }
     out

@@ -82,7 +82,7 @@ struct CollectionInner {
 }
 
 impl CollectionInner {
-    fn insert_unlogged(&mut self, doc: Json) {
+    fn insert_unlogged(&mut self, doc: Json) -> usize {
         let pos = self.docs.len();
         for (field, index) in &mut self.indexes {
             if let Some(key) = doc.get(field).and_then(index_key) {
@@ -90,6 +90,7 @@ impl CollectionInner {
             }
         }
         self.docs.push(doc);
+        pos
     }
 
     fn sorted_index_fields(&self) -> Vec<String> {
@@ -118,41 +119,34 @@ pub struct Collection {
 }
 
 impl Collection {
-    /// WAL guard honoring the global lock order (WAL before collection).
-    fn wal_guard(&self) -> Option<MutexGuard<'_, DurableEngine>> {
-        self.durable
-            .as_ref()
-            .map(|(_, engine)| engine.lock().expect("provdb wal lock poisoned"))
+    /// The collection's name and WAL guard, honoring the global lock order
+    /// (WAL before collection); `None` on in-memory databases.
+    fn wal_guard(&self) -> Option<(&str, MutexGuard<'_, DurableEngine>)> {
+        let (name, engine) = self.durable.as_ref()?;
+        Some((name, engine.lock().expect("provdb wal lock poisoned")))
     }
 
-    /// Inserts a document, maintaining any existing indexes. On durable
+    /// Inserts a document, maintaining any existing indexes, and returns
+    /// its insertion position (see [`Collection::get`]). On durable
     /// databases the insert is in the WAL before this returns.
-    pub fn insert(&self, doc: Json) {
-        let mut wal = self.wal_guard();
+    pub fn insert(&self, doc: Json) -> usize {
+        let wal = self.wal_guard();
         let serialized = wal.as_ref().map(|_| doc.to_compact());
-        self.inner
-            .write()
-            .expect("provdb lock poisoned")
-            .insert_unlogged(doc);
-        if let (Some(engine), Some(doc)) = (wal.as_deref_mut(), serialized) {
-            let name = self
-                .durable
-                .as_ref()
-                .expect("wal implies durable")
-                .0
-                .clone();
-            engine.append(&Record::Insert {
-                collection: name,
-                doc,
-            });
+        let mut inner = self.inner.write().expect("provdb lock poisoned");
+        let pos = inner.insert_unlogged(doc);
+        drop(inner);
+        if let (Some((name, mut engine)), Some(doc)) = (wal, serialized) {
+            let collection = name.to_string();
+            engine.append(&Record::Insert { collection, doc });
         }
+        pos
     }
 
     /// Builds a hash index over `field`. Idempotent: an already-indexed
     /// field is left untouched (incremental maintenance keeps existing
     /// indexes exact), so re-opening callers don't bloat the WAL.
     pub fn create_index(&self, field: &str) {
-        let mut wal = self.wal_guard();
+        let wal = self.wal_guard();
         {
             let mut inner = self.inner.write().expect("provdb lock poisoned");
             if inner.indexes.contains_key(field) {
@@ -160,17 +154,9 @@ impl Collection {
             }
             inner.build_index(field);
         }
-        if let Some(engine) = wal.as_deref_mut() {
-            let name = self
-                .durable
-                .as_ref()
-                .expect("wal implies durable")
-                .0
-                .clone();
-            engine.append(&Record::Index {
-                collection: name,
-                field: field.to_string(),
-            });
+        if let Some((name, mut engine)) = wal {
+            let (collection, field) = (name.to_string(), field.to_string());
+            engine.append(&Record::Index { collection, field });
         }
     }
 
@@ -189,6 +175,12 @@ impl Collection {
 
     pub fn is_empty(&self) -> bool {
         self.len() == 0
+    }
+
+    /// A copy of the document at insertion position `pos`. The store is
+    /// append-only, so a position stays valid for the collection's life.
+    pub fn get(&self, pos: usize) -> Option<Json> {
+        self.with_docs(|docs| docs.get(pos).cloned())
     }
 
     /// Exact-match lookup, served from the index when one exists.
@@ -429,11 +421,12 @@ mod tests {
     #[test]
     fn insert_and_get() {
         let c = Collection::default();
-        c.insert(doc("align", "n0", 12.5));
-        assert_eq!(c.len(), 1);
-        let docs = c.snapshot();
-        assert_eq!(docs[0].get("task").unwrap().as_str(), Some("align"));
-        assert_eq!(docs.get(1), None);
+        assert_eq!(c.insert(doc("align", "n0", 12.5)), 0);
+        assert_eq!(c.clone().insert(doc("sort", "n1", 1.0)), 1);
+        assert_eq!(c.len(), 2);
+        assert_eq!(c.get(0), Some(doc("align", "n0", 12.5)));
+        assert_eq!(c.get(1), c.snapshot().pop());
+        assert_eq!(c.get(2), None);
     }
 
     #[test]

@@ -48,6 +48,7 @@ fn arb_doc() -> impl Strategy<Value = Json> {
                     pairs
                         .into_iter()
                         .filter(|(k, _)| seen.insert(k.clone()))
+                        .map(|(k, v)| (k.into(), v))
                         .collect(),
                 )
             }),
