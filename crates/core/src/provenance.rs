@@ -436,7 +436,7 @@ mod tests {
 
     /// The stored file documents, oldest first, as (path, size,
     /// direction, transfer seconds).
-    fn file_docs(p: &ProvenanceManager) -> Vec<(String, u64, String, f64)> {
+    pub(super) fn file_docs(p: &ProvenanceManager) -> Vec<(String, u64, String, f64)> {
         let field = |d: &Json, k: &str| d.get(k).cloned().unwrap_or(Json::Null);
         p.db.collection(FILES_COLLECTION)
             .query()
@@ -456,36 +456,69 @@ mod tests {
             .collect()
     }
 
+    /// Stage-in and stage-out transfers both land in the store, each
+    /// with its direction and seconds: what a transfer-time estimate
+    /// (§3.4 point iii) reads.
+    #[test]
+    fn transfer_rate_estimate() {
+        let mut p = ProvenanceManager::new(ProvDb::new());
+        assert!(file_docs(&p).is_empty());
+        p.record_file(FileEvent {
+            path: "/a".into(),
+            size: 100,
+            task: 0,
+            direction: "in".into(),
+            transfer_seconds: 2.0,
+        });
+        p.record_file(FileEvent {
+            path: "/b".into(),
+            size: 100,
+            task: 0,
+            direction: "out".into(),
+            transfer_seconds: 50.0,
+        });
+        assert_eq!(
+            file_docs(&p),
+            [
+                ("/a".to_string(), 100, "in".to_string(), 2.0),
+                ("/b".to_string(), 100, "out".to_string(), 50.0)
+            ]
+        );
+    }
+}
+
+#[cfg(test)]
+mod statistics_source_tests {
+    use super::*;
+    use hiway_lang::trace::FileEvent;
+
     /// File sizes and transfer times (§3.4 statistics sources ii and
-    /// iii) land in the store in record order, each with its direction
-    /// and seconds: a re-observed path as a newer document, and a
-    /// stage-in next to a stage-out.
+    /// iii) are recorded, a re-observed path as a newer document.
     #[test]
     fn file_sizes_and_transfer_rates_are_recorded() {
-        let reobserved = [
-            ("/in/reads.fq", 1_000_000, 0, "in", 2.0),
-            ("/in/reads.fq", 2_000_000, 1, "in", 4.0),
-        ];
-        let directions = [("/a", 100, 0, "in", 2.0), ("/b", 100, 0, "out", 50.0)];
-        for files in [reobserved, directions] {
-            let mut p = ProvenanceManager::new(ProvDb::new());
-            assert!(file_docs(&p).is_empty());
-            for (path, size, task, direction, transfer_seconds) in files {
-                p.record_file(FileEvent {
-                    path: path.into(),
-                    size,
-                    task,
-                    direction: direction.into(),
-                    transfer_seconds,
-                });
-            }
-            let expected: Vec<_> = files
-                .iter()
-                .map(|&(path, size, _, direction, secs)| {
-                    (path.to_string(), size, direction.to_string(), secs)
-                })
-                .collect();
-            assert_eq!(file_docs(&p), expected);
-        }
+        let mut p = ProvenanceManager::new(ProvDb::new());
+        p.record_file(FileEvent {
+            path: "/in/reads.fq".into(),
+            size: 1_000_000,
+            task: 0,
+            direction: "in".into(),
+            transfer_seconds: 2.0,
+        });
+        // A re-observed path gets a newer document.
+        p.record_file(FileEvent {
+            path: "/in/reads.fq".into(),
+            size: 2_000_000,
+            task: 1,
+            direction: "in".into(),
+            transfer_seconds: 4.0,
+        });
+        let path = "/in/reads.fq".to_string();
+        assert_eq!(
+            super::tests::file_docs(&p),
+            [
+                (path.clone(), 1_000_000, "in".to_string(), 2.0),
+                (path, 2_000_000, "in".to_string(), 4.0)
+            ]
+        );
     }
 }
