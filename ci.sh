@@ -11,10 +11,10 @@ cd "$(dirname "$0")"
 echo "==> build (release)"
 cargo build --release --workspace
 
-echo "==> rustfmt (first-party crates; compat/ shims are vendored as-is)"
+echo "==> rustfmt (first-party crates and the rand shim; compat/proptest is vendored as-is)"
 cargo fmt --check -p hiway -p hiway-obs -p hiway-sim -p hiway-hdfs -p hiway-yarn \
   -p hiway-format -p hiway-lang -p hiway-provdb -p hiway-core \
-  -p hiway-workloads -p hiway-recipes -p hiway-bench
+  -p hiway-workloads -p hiway-recipes -p hiway-bench -p rand
 
 echo "==> tests"
 cargo test -q --workspace
@@ -34,6 +34,13 @@ echo "==> RM grant oracle proptest (2048 cases, release)"
 # and stops once no alive node fits any pending shape; it is held to the
 # snapshot full scan on every round: same containers, same spread cursor.
 PROPTEST_CASES=2048 cargo test --release -q -p hiway-yarn --lib rm::tests::change_flag_matches_scanning_every_round
+
+echo "==> ChaCha refill oracle proptests (2048 cases, release)"
+# Every random draw in the workspace comes from StdRng; the eight-lane AVX2
+# refill is held to the scalar block function word for word, at counters
+# next to a carry and the u64 wrap, and under mixed draws that straddle
+# every buffer boundary.
+PROPTEST_CASES=2048 cargo test --release -q -p rand --lib lane_oracle
 
 echo "==> trace render oracle proptest (2048 cases, release)"
 # Each manager's trace is rendered from the store's own documents by
@@ -67,10 +74,13 @@ for w in snv-cuneiform montage-heft snv-static-weak; do
   esac
 done
 
-echo "==> clippy (first-party crates; compat/ shims are vendored as-is)"
+echo "==> clippy (first-party crates and the rand shim; compat/proptest is vendored as-is)"
+# The rand shim holds the hand-written AVX2 ChaCha kernel, so it is linted
+# like first-party code; it also requires a SAFETY comment on every unsafe
+# block.
 cargo clippy --all-targets -p hiway -p hiway-obs -p hiway-sim -p hiway-hdfs -p hiway-yarn \
   -p hiway-format -p hiway-lang -p hiway-provdb -p hiway-core \
-  -p hiway-workloads -p hiway-recipes -p hiway-bench -- -D warnings
+  -p hiway-workloads -p hiway-recipes -p hiway-bench -p rand -- -D warnings
 
 echo "==> end-to-end benchmark (the ten experiments serially, each matched against results/)"
 # Two passes, profiler off then on; about 9 s per pass on 2 cores. Exits

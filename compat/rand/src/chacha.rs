@@ -6,16 +6,29 @@
 //! * The state is the standard ChaCha matrix: 4 constant words, 8 key
 //!   words (the seed, little-endian), a 64-bit block counter in words
 //!   12–13 and a 64-bit stream id in words 14–15 (zero for `from_seed`).
-//! * `rand_chacha` buffers **four** 16-word blocks per refill (counters
-//!   `c, c+1, c+2, c+3`, laid out block-major), and its `BlockRng` wrapper
-//!   consumes the 64-word buffer with a specific straddling rule for
-//!   `next_u64` at the buffer boundary — reproduced verbatim below.
+//! * The output is blocks `0, 1, 2, …` read as one word stream, consumed
+//!   by a verbatim port of `rand_core 0.6`'s `BlockRng`: `next_u32` takes
+//!   the next word, `next_u64` the next two, low half first. At the end of
+//!   a buffer `next_u64` takes its low half from the buffer's last word
+//!   and its high half from the first word of the next buffer, which are
+//!   again the next two words of the stream. So the buffer length never
+//!   shows in the output: `rand_chacha` refills four blocks (64 words),
+//!   this shim refills eight (128 words, blocks `c..c+8` block-major), and
+//!   both hand out the same words in the same order.
+//! * On x86_64 with AVX2 a refill computes the eight blocks at once: lane
+//!   `l` of state vector `i` is word `i` of block `c + l`, each lane with
+//!   its own 64-bit counter, and the result is transposed into
+//!   block-major order. Elsewhere the scalar `chacha_block` computes
+//!   them one at a time; it is also the oracle the lane-parallel refill is
+//!   tested against.
 
 use crate::{RngCore, SeedableRng};
 
 const CONSTANTS: [u32; 4] = [0x6170_7865, 0x3320_646e, 0x7962_2d32, 0x6b20_6574];
 const ROUNDS: usize = 12;
-const BUF_WORDS: usize = 64; // 4 blocks × 16 words
+/// Blocks per refill: one per 32-bit lane of a 256-bit vector.
+const BLOCKS: usize = 8;
+const BUF_WORDS: usize = BLOCKS * 16;
 
 #[inline(always)]
 fn quarter_round(state: &mut [u32; 16], a: usize, b: usize, c: usize, d: usize) {
@@ -32,7 +45,7 @@ fn quarter_round(state: &mut [u32; 16], a: usize, b: usize, c: usize, d: usize) 
 /// One ChaCha block: input state -> 16 output words (input + permuted).
 fn chacha_block(input: &[u32; 16], rounds: usize) -> [u32; 16] {
     let mut x = *input;
-    debug_assert!(rounds % 2 == 0);
+    debug_assert!(rounds.is_multiple_of(2));
     for _ in 0..rounds / 2 {
         // Column round.
         quarter_round(&mut x, 0, 4, 8, 12);
@@ -52,6 +65,176 @@ fn chacha_block(input: &[u32; 16], rounds: usize) -> [u32; 16] {
     out
 }
 
+/// The input state of block `counter`.
+fn block_input(key: &[u32; 8], stream: u64, counter: u64) -> [u32; 16] {
+    let mut state = [0u32; 16];
+    state[..4].copy_from_slice(&CONSTANTS);
+    state[4..12].copy_from_slice(key);
+    state[12] = counter as u32;
+    state[13] = (counter >> 32) as u32;
+    state[14] = stream as u32;
+    state[15] = (stream >> 32) as u32;
+    state
+}
+
+/// Fills `buf` with blocks `counter..counter + BLOCKS`, one at a time: the
+/// refill without AVX2, and the oracle of the lane-parallel one.
+fn refill_scalar(key: &[u32; 8], stream: u64, counter: u64, buf: &mut [u32; BUF_WORDS]) {
+    for (block, out) in (0u64..).zip(buf.chunks_exact_mut(16)) {
+        let input = block_input(key, stream, counter.wrapping_add(block));
+        out.copy_from_slice(&chacha_block(&input, ROUNDS));
+    }
+}
+
+/// Fills `buf` with blocks `counter..counter + BLOCKS`, all eight at once
+/// when the CPU has AVX2.
+fn refill(key: &[u32; 8], stream: u64, counter: u64, buf: &mut [u32; BUF_WORDS]) {
+    #[cfg(target_arch = "x86_64")]
+    if std::is_x86_feature_detected!("avx2") {
+        // SAFETY: the CPU has AVX2, the only feature the kernel enables.
+        unsafe { avx2::refill(key, stream, counter, buf) };
+        return;
+    }
+    refill_scalar(key, stream, counter, buf);
+}
+
+/// The eight-lane refill: state vector `i` holds word `i` of all eight
+/// blocks, lane `l` being block `counter + l`.
+#[cfg(target_arch = "x86_64")]
+mod avx2 {
+    use super::{BUF_WORDS, CONSTANTS, ROUNDS};
+    use core::arch::x86_64::*;
+
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    fn rotl16(v: __m256i) -> __m256i {
+        // Each word's bytes [b0 b1 b2 b3] become [b2 b3 b0 b1]; the byte
+        // shuffle works within each 128-bit half.
+        let bytes = _mm_setr_epi8(2, 3, 0, 1, 6, 7, 4, 5, 10, 11, 8, 9, 14, 15, 12, 13);
+        _mm256_shuffle_epi8(v, _mm256_broadcastsi128_si256(bytes))
+    }
+
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    fn rotl8(v: __m256i) -> __m256i {
+        // Each word's bytes [b0 b1 b2 b3] become [b3 b0 b1 b2].
+        let bytes = _mm_setr_epi8(3, 0, 1, 2, 7, 4, 5, 6, 11, 8, 9, 10, 15, 12, 13, 14);
+        _mm256_shuffle_epi8(v, _mm256_broadcastsi128_si256(bytes))
+    }
+
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    fn rotl12(v: __m256i) -> __m256i {
+        _mm256_or_si256(_mm256_slli_epi32::<12>(v), _mm256_srli_epi32::<20>(v))
+    }
+
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    fn rotl7(v: __m256i) -> __m256i {
+        _mm256_or_si256(_mm256_slli_epi32::<7>(v), _mm256_srli_epi32::<25>(v))
+    }
+
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    fn quarter_round(x: &mut [__m256i; 16], a: usize, b: usize, c: usize, d: usize) {
+        x[a] = _mm256_add_epi32(x[a], x[b]);
+        x[d] = rotl16(_mm256_xor_si256(x[d], x[a]));
+        x[c] = _mm256_add_epi32(x[c], x[d]);
+        x[b] = rotl12(_mm256_xor_si256(x[b], x[c]));
+        x[a] = _mm256_add_epi32(x[a], x[b]);
+        x[d] = rotl8(_mm256_xor_si256(x[d], x[a]));
+        x[c] = _mm256_add_epi32(x[c], x[d]);
+        x[b] = rotl7(_mm256_xor_si256(x[b], x[c]));
+    }
+
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    fn from_lanes(w: [u32; 8]) -> __m256i {
+        let w = w.map(|w| w as i32);
+        _mm256_setr_epi32(w[0], w[1], w[2], w[3], w[4], w[5], w[6], w[7])
+    }
+
+    /// An 8×8 transpose of 32-bit words: row `i` of the input, lane `l`
+    /// becomes row `l`, lane `i` of the output.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    fn transpose(r: [__m256i; 8]) -> [__m256i; 8] {
+        // Pairs of rows interleaved word by word, per 128-bit half.
+        let t0 = _mm256_unpacklo_epi32(r[0], r[1]);
+        let t1 = _mm256_unpackhi_epi32(r[0], r[1]);
+        let t2 = _mm256_unpacklo_epi32(r[2], r[3]);
+        let t3 = _mm256_unpackhi_epi32(r[2], r[3]);
+        let t4 = _mm256_unpacklo_epi32(r[4], r[5]);
+        let t5 = _mm256_unpackhi_epi32(r[4], r[5]);
+        let t6 = _mm256_unpacklo_epi32(r[6], r[7]);
+        let t7 = _mm256_unpackhi_epi32(r[6], r[7]);
+        // Lanes `l` and `l + 4` of rows 0..4 (u0..u3) and rows 4..8 (u4..u7).
+        let u0 = _mm256_unpacklo_epi64(t0, t2);
+        let u1 = _mm256_unpackhi_epi64(t0, t2);
+        let u2 = _mm256_unpacklo_epi64(t1, t3);
+        let u3 = _mm256_unpackhi_epi64(t1, t3);
+        let u4 = _mm256_unpacklo_epi64(t4, t6);
+        let u5 = _mm256_unpackhi_epi64(t4, t6);
+        let u6 = _mm256_unpacklo_epi64(t5, t7);
+        let u7 = _mm256_unpackhi_epi64(t5, t7);
+        // Low 128-bit halves give lanes 0..4, high halves lanes 4..8.
+        [
+            _mm256_permute2x128_si256::<0x20>(u0, u4),
+            _mm256_permute2x128_si256::<0x20>(u1, u5),
+            _mm256_permute2x128_si256::<0x20>(u2, u6),
+            _mm256_permute2x128_si256::<0x20>(u3, u7),
+            _mm256_permute2x128_si256::<0x31>(u0, u4),
+            _mm256_permute2x128_si256::<0x31>(u1, u5),
+            _mm256_permute2x128_si256::<0x31>(u2, u6),
+            _mm256_permute2x128_si256::<0x31>(u3, u7),
+        ]
+    }
+
+    /// Fills `buf` with blocks `counter..counter + 8`, as `refill_scalar`.
+    ///
+    /// # Safety
+    ///
+    /// Outside AVX2 code a call needs `unsafe`: the CPU must have AVX2.
+    #[target_feature(enable = "avx2")]
+    pub(super) fn refill(key: &[u32; 8], stream: u64, counter: u64, buf: &mut [u32; BUF_WORDS]) {
+        let lanes: [u64; 8] = core::array::from_fn(|l| counter.wrapping_add(l as u64));
+        let mut input = [_mm256_setzero_si256(); 16];
+        for (v, &w) in input.iter_mut().zip(CONSTANTS.iter().chain(key)) {
+            *v = _mm256_set1_epi32(w as i32);
+        }
+        input[12] = from_lanes(lanes.map(|c| c as u32));
+        input[13] = from_lanes(lanes.map(|c| (c >> 32) as u32));
+        input[14] = _mm256_set1_epi32(stream as i32);
+        input[15] = _mm256_set1_epi32((stream >> 32) as i32);
+
+        let mut x = input;
+        for _ in 0..ROUNDS / 2 {
+            quarter_round(&mut x, 0, 4, 8, 12);
+            quarter_round(&mut x, 1, 5, 9, 13);
+            quarter_round(&mut x, 2, 6, 10, 14);
+            quarter_round(&mut x, 3, 7, 11, 15);
+            quarter_round(&mut x, 0, 5, 10, 15);
+            quarter_round(&mut x, 1, 6, 11, 12);
+            quarter_round(&mut x, 2, 7, 8, 13);
+            quarter_round(&mut x, 3, 4, 9, 14);
+        }
+        for (v, i) in x.iter_mut().zip(input) {
+            *v = _mm256_add_epi32(*v, i);
+        }
+
+        // Words 0..8, then 8..16, of each block.
+        for half in 0..2 {
+            let words: [__m256i; 8] = core::array::from_fn(|i| x[half * 8 + i]);
+            for (block, row) in transpose(words).into_iter().enumerate() {
+                let out = &mut buf[block * 16 + half * 8..][..8];
+                // SAFETY: `out` is 8 words (32 bytes) of `buf`, and the
+                // store has no alignment requirement.
+                unsafe { _mm256_storeu_si256(out.as_mut_ptr().cast(), row) };
+            }
+        }
+    }
+}
+
 /// `rand 0.8`'s `StdRng`: ChaCha12 behind a `BlockRng`-equivalent buffer.
 #[derive(Clone, Debug)]
 pub struct StdRng {
@@ -66,19 +249,8 @@ pub struct StdRng {
 
 impl StdRng {
     fn generate(&mut self) {
-        for block in 0..4u64 {
-            let c = self.counter.wrapping_add(block);
-            let mut state = [0u32; 16];
-            state[..4].copy_from_slice(&CONSTANTS);
-            state[4..12].copy_from_slice(&self.key);
-            state[12] = c as u32;
-            state[13] = (c >> 32) as u32;
-            state[14] = self.stream as u32;
-            state[15] = (self.stream >> 32) as u32;
-            let out = chacha_block(&state, ROUNDS);
-            self.buf[block as usize * 16..block as usize * 16 + 16].copy_from_slice(&out);
-        }
-        self.counter = self.counter.wrapping_add(4);
+        refill(&self.key, self.stream, self.counter, &mut self.buf);
+        self.counter = self.counter.wrapping_add(BLOCKS as u64);
     }
 
     fn generate_and_set(&mut self, index: usize) {
@@ -206,10 +378,33 @@ mod tests {
         assert_ne!(va, vc);
     }
 
+    /// FNV-1a-64 over the little-endian bytes of the first `words` words
+    /// of `seed_from_u64(seed)`.
+    fn stream_digest(seed: u64, words: usize) -> u64 {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut hash = 0xcbf2_9ce4_8422_2325u64;
+        for _ in 0..words {
+            for byte in rng.next_u32().to_le_bytes() {
+                hash = (hash ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        }
+        hash
+    }
+
+    /// The first 2^20 words of two seeds, pinned to the digests of the
+    /// one-block-at-a-time scalar refill: any change to the stream fails
+    /// here, not only in the golden files.
+    #[test]
+    fn first_mebiword_of_seeds_12800_and_0_is_pinned() {
+        assert_eq!(stream_digest(12800, 1 << 20), 0x3b38_f87f_3a64_25be);
+        assert_eq!(stream_digest(0, 1 << 20), 0x67d9_c26b_ca97_bf71);
+    }
+
     #[test]
     fn u64_straddles_buffer_boundary() {
-        // Consume 63 u32s, then a u64 must take the last word as the low
-        // half and the first word of the fresh buffer as the high half.
+        // Consume all but the last word, then a u64 must take the last word
+        // as the low half and the first word of the fresh buffer as the
+        // high half.
         let mut rng = StdRng::seed_from_u64(9);
         let mut words = Vec::new();
         let mut probe = StdRng::seed_from_u64(9);
@@ -229,6 +424,93 @@ mod tests {
     }
 }
 
+/// The lane-parallel refill held to the scalar one, word for word.
+#[cfg(test)]
+mod lane_oracle {
+    use super::*;
+    use proptest::prelude::*;
+
+    /// Random counters, and counters within 8 blocks of a carry into the
+    /// high word (`hi << 32`) or of the `u64` wrap (`hi == 0`).
+    fn counter() -> impl Strategy<Value = u64> {
+        prop_oneof![
+            any::<u64>(),
+            (any::<u32>(), 0u64..16)
+                .prop_map(|(hi, off)| (u64::from(hi) << 32).wrapping_sub(8).wrapping_add(off)),
+            (0u64..16).prop_map(|off| 0u64.wrapping_sub(8).wrapping_add(off)),
+        ]
+    }
+
+    fn key() -> impl Strategy<Value = [u32; 8]> {
+        proptest::collection::vec(any::<u32>(), 8).prop_map(|k| k.try_into().unwrap())
+    }
+
+    /// `words` words of the stream from block `counter` on, one block at a
+    /// time through the scalar block function.
+    fn scalar_words(key: &[u32; 8], stream: u64, counter: u64, words: usize) -> Vec<u32> {
+        (0u64..)
+            .flat_map(|b| chacha_block(&block_input(key, stream, counter.wrapping_add(b)), ROUNDS))
+            .take(words)
+            .collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// One refill (on AVX2 hosts, the eight-lane kernel) equals the
+        /// scalar refill of the same eight blocks.
+        #[test]
+        fn refill_matches_scalar(key in key(), stream in any::<u64>(), counter in counter()) {
+            let mut fast = [0u32; BUF_WORDS];
+            let mut slow = [0u32; BUF_WORDS];
+            refill(&key, stream, counter, &mut fast);
+            refill_scalar(&key, stream, counter, &mut slow);
+            prop_assert_eq!(fast.to_vec(), slow.to_vec());
+        }
+
+        /// Mixed `next_u32`/`next_u64`/`fill_bytes` draws, after a skip
+        /// that puts them anywhere against the 64- and 128-word marks, read
+        /// the scalar blocks as one contiguous word stream.
+        #[test]
+        fn mixed_draws_read_one_contiguous_stream(
+            key in key(),
+            stream in any::<u64>(),
+            counter in counter(),
+            skip in 0usize..=140,
+            ops in proptest::collection::vec((0u8..3, 1usize..=20), 1..=120),
+        ) {
+            let mut rng = StdRng { key, stream, counter, buf: [0; BUF_WORDS], index: BUF_WORDS };
+            let words = scalar_words(&key, stream, counter, skip + 5 * ops.len() + 2);
+            for &word in &words[..skip] {
+                prop_assert_eq!(rng.next_u32(), word);
+            }
+            let mut at = skip;
+            for &(op, len) in &ops {
+                match op {
+                    0 => {
+                        prop_assert_eq!(rng.next_u32(), words[at]);
+                        at += 1;
+                    }
+                    1 => {
+                        let want = u64::from(words[at]) | (u64::from(words[at + 1]) << 32);
+                        prop_assert_eq!(rng.next_u64(), want, "u64 at word {}", at);
+                        at += 2;
+                    }
+                    _ => {
+                        let mut got = vec![0u8; len];
+                        rng.fill_bytes(&mut got);
+                        let used = len.div_ceil(4);
+                        let want: Vec<u8> =
+                            words[at..at + used].iter().flat_map(|w| w.to_le_bytes()).collect();
+                        prop_assert_eq!(&got[..], &want[..len]);
+                        at += used;
+                    }
+                }
+            }
+        }
+    }
+}
+
 #[cfg(test)]
 mod isolation_tests {
     use super::*;
@@ -241,10 +523,9 @@ mod isolation_tests {
         state[..4].copy_from_slice(&CONSTANTS);
         let out = chacha_block(&state, 20);
         let expected: [u32; 16] = [
-            0xade0b876, 0x903df1a0, 0xe56a5d40, 0x28bd8653,
-            0xb819d2bd, 0x1aed8da0, 0xccef36a8, 0xc70d778b,
-            0x7c5941da, 0x8d485751, 0x3fe02477, 0x374ad8b8,
-            0xf4b8436a, 0x1ca11815, 0x69b687c3, 0x8665eeb2,
+            0xade0b876, 0x903df1a0, 0xe56a5d40, 0x28bd8653, 0xb819d2bd, 0x1aed8da0, 0xccef36a8,
+            0xc70d778b, 0x7c5941da, 0x8d485751, 0x3fe02477, 0x374ad8b8, 0xf4b8436a, 0x1ca11815,
+            0x69b687c3, 0x8665eeb2,
         ];
         assert_eq!(out, expected);
     }

@@ -4,9 +4,11 @@
 //! handful of `rand` features the simulator depends on are reimplemented
 //! here **bit-compatibly** with `rand 0.8.5` + `rand_chacha 0.3`:
 //!
-//! * [`rngs::StdRng`] is ChaCha12 with the same 4-block buffering and the
-//!   same `next_u32`/`next_u64` word-consumption order as `rand_chacha`'s
-//!   `BlockRng` wrapper.
+//! * [`rngs::StdRng`] is ChaCha12 with the same `next_u32`/`next_u64`
+//!   word-consumption order as `rand_chacha`'s `BlockRng` wrapper. It
+//!   refills eight blocks at a time (on AVX2, in one lane-parallel pass)
+//!   where `rand_chacha` refills four; `BlockRng` reads its buffers as one
+//!   contiguous word stream, so the stream is the same (see `chacha`).
 //! * [`SeedableRng::seed_from_u64`] uses the identical PCG32 seed-expansion
 //!   routine as `rand_core 0.6`.
 //! * [`Rng::gen_range`] reproduces the widening-multiply rejection sampler
@@ -16,13 +18,12 @@
 //!
 //! Bit-compatibility matters: every experiment in `results/` is keyed by a
 //! seed, and regenerated outputs must match across environments. The
-//! ChaCha core is validated against the RFC 8439 test vectors in the tests
-//! below; the end-to-end stream is validated by regenerating the committed
-//! experiment outputs.
+//! ChaCha core is validated against the RFC 8439 test vectors, the
+//! lane-parallel refill against the scalar one, and the first 2^20 words
+//! of two seeds are pinned to digests (tests in `chacha`); the end-to-end
+//! stream is validated by regenerating the committed experiment outputs.
 
-// Vendored compatibility shim: keep it byte-stable rather than chasing
-// the lint set of each new toolchain.
-#![allow(clippy::all)]
+#![warn(clippy::undocumented_unsafe_blocks)]
 
 mod chacha;
 

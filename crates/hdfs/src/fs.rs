@@ -510,6 +510,36 @@ mod tests {
         assert_eq!(st.blocks[0].replicas.len(), 3);
     }
 
+    /// The replica lists of one 10-block create on 128 nodes, pinned: a
+    /// change to the random stream or to the shuffle's draw order shows
+    /// here before it shows in a golden file.
+    #[test]
+    fn replica_placement_on_128_nodes_is_pinned() {
+        let mut h = Hdfs::new(128, HdfsConfig::default(), 2017);
+        let size = 10 * HdfsConfig::default().block_size;
+        h.create("/pinned", size, NodeId(5)).unwrap();
+        let replicas: Vec<Vec<u32>> = h
+            .status("/pinned")
+            .unwrap()
+            .blocks
+            .iter()
+            .map(|b| b.replicas.iter().map(|n| n.0).collect())
+            .collect();
+        let expected: Vec<Vec<u32>> = vec![
+            vec![5, 42, 116],
+            vec![5, 46, 30],
+            vec![5, 87, 4],
+            vec![5, 126, 2],
+            vec![5, 85, 116],
+            vec![5, 7, 46],
+            vec![5, 76, 0],
+            vec![5, 127, 101],
+            vec![5, 58, 117],
+            vec![5, 90, 99],
+        ];
+        assert_eq!(replicas, expected);
+    }
+
     #[test]
     fn create_splits_into_blocks() {
         let mut h = Hdfs::new(
